@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactalg import MixedSolver, MixedSubgroup, MixedWitness, rational_solve
+from .exactalg import MixedSolver, MixedSubgroup, MixedWitness
 from .report import CheckRun
 from .sampling import derive_seed, random_cochain, rng_for
 from .simplicial import Chain, Cochain, Ring
@@ -377,10 +377,10 @@ def les_exactness(complex, degree, trials=25, seed=0):
 
     # exactness at H^{k+1}(Z): classes killed by j receive gamma preimages
     st_next = complex.cohomology_structure(k + 1)
-    delta_k = complex.coboundary_matrix(k)
+    factored_k = complex.coboundary_factored(k)
     for tor in st_next.torsion_gens:
         t = Cochain(complex, k + 1, Ring.Z, list(tor.gen))
-        v = rational_solve(delta_k, [Fraction(x) for x in t.values])
+        v = factored_k.solve(t.values)
         if run.require(v is not None, "torsion class dies rationally", cls=t):
             z = ConeCochain(complex, k, -t,
                             Cochain(complex, k, Ring.Q, [-x for x in v]))
@@ -390,7 +390,7 @@ def les_exactness(complex, degree, trials=25, seed=0):
     for _ in range(trials // 2 + 1):
         m = random_cochain(rng, complex, k, Ring.Z)
         t = m.coboundary()
-        v = rational_solve(delta_k, [Fraction(x) for x in t.values])
+        v = factored_k.solve(t.values)
         if run.require(v is not None, "coboundary class dies rationally",
                        cls=t):
             z = ConeCochain(complex, k, -t,
@@ -403,7 +403,7 @@ def les_exactness(complex, degree, trials=25, seed=0):
         cert = _nonintegral_cycle(complex,
                                   Cochain(complex, k + 1, Ring.Q,
                                           [Fraction(x, 2) for x in g]))
-        v = rational_solve(delta_k, [Fraction(x) for x in t.values])
+        v = factored_k.solve(t.values)
         run.require(v is None, "free class survives j", cls=t, cert=cert)
     return run.report()
 

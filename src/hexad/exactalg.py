@@ -17,20 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 Rational = Fraction
 
 
 # ---------------------------------------------------------------------------
 # small vector helpers (entries int or Fraction)
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
 
 def vec_scale(s, u):
     return [s * a for a in u]
@@ -213,6 +207,28 @@ class SmithForm:
     def diagonal(self):
         n = min(self.d.rows, self.d.cols)
         return [self.d.data[i][i] for i in range(n)]
+
+    def solve(self, b):
+        """Integer x with m*x == b, or None when there is none.
+
+        With m = u_inv d v_inv the system splits into one divisibility
+        condition per invariant factor.
+        """
+        if len(b) != self.d.rows:
+            raise ValueError("right-hand side length does not match")
+        w = self.u.mul_vec(b)
+        diag = self.diagonal
+        y = [0] * self.d.cols
+        for i, wi in enumerate(w):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if wi != 0:
+                    return None
+            else:
+                if wi % d != 0:
+                    return None
+                y[i] = wi // d
+        return self.v.mul_vec(y)
 
 
 def smith_form(m):
@@ -414,107 +430,119 @@ def column_lattice_basis(m):
 def hnf_solve(a, b):
     """Solve a*x == b over the integers; returns x or None when unsolvable.
 
-    The normal-form route is Smith reduction: a = u_inv d v_inv, so the
-    system splits into one divisibility condition per invariant factor.
+    One-shot form of smith_form(a).solve(b); keep the SmithForm when
+    solving many right-hand sides against the same matrix.
     """
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length does not match")
-    f = smith_form(a)
-    w = f.u.mul_vec(b)
-    n = min(a.rows, a.cols)
-    y = [0] * a.cols
-    for i in range(a.rows):
-        d = f.d.data[i][i] if i < n else 0
-        if d == 0:
-            if w[i] != 0:
-                return None
-        else:
-            if w[i] % d != 0:
-                return None
-            y[i] = w[i] // d
-    return f.v.mul_vec(y)
+    return smith_form(a).solve(b)
 
 
 # ---------------------------------------------------------------------------
 # rational elimination
 
-def _eliminate(a, b=None):
-    """Row-reduce a copy of `a` (list of Fraction rows); returns
-    (reduced rows, reduced rhs, pivot column list)."""
-    rows = [[Fraction(x) for x in row] for row in a.data]
-    rhs = [Fraction(x) for x in b] if b is not None else None
-    ncols = a.cols
-    pivots = []
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for i in range(pr, len(rows)):
-            if rows[i][pc] != 0:
-                pivot_row = i
+def _int_row(values):
+    """(numerators, denominator) with values[j] == numerators[j] / denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+class Factored:
+    """Gauss-Jordan factorization of a matrix over Q, reused across solves.
+
+    One elimination pass over [a | I] yields the pivot columns, the rank,
+    and the row transform E with E*a == RREF(a).
+    Pivots are taken column by column from the first nonzero entry at or
+    below the current row, so the pivot columns are the leftmost
+    independent columns of `a`; `solve` sets every free variable to zero,
+    which makes each answer the one a fresh elimination of [a | b] gives.
+    Rows of E and of `a` are kept as integer vectors over one denominator
+    per row, so a solve is integer dot products.
+    """
+
+    __slots__ = ("matrix", "pivots", "rank", "_transform", "_a_rows")
+
+    def __init__(self, a):
+        m, n = a.rows, a.cols
+        rows = [[Fraction(x) for x in row] + [1 if j == i else 0 for j in range(m)]
+                for i, row in enumerate(a.data)]
+        pivots = []
+        pr = 0
+        for pc in range(n):
+            if pr == m:
                 break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        if rhs is not None:
-            rhs[pr], rhs[pivot_row] = rhs[pivot_row], rhs[pr]
-        inv = 1 / rows[pr][pc]
-        rows[pr] = [x * inv for x in rows[pr]]
-        if rhs is not None:
-            rhs[pr] *= inv
-        for i in range(len(rows)):
-            if i != pr and rows[i][pc] != 0:
+            pivot_row = next((i for i in range(pr, m) if rows[i][pc] != 0), None)
+            if pivot_row is None:
+                continue
+            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+            inv = 1 / rows[pr][pc]
+            prow = rows[pr] = [x * inv if x else x for x in rows[pr]]
+            for i in range(m):
                 f = rows[i][pc]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
-                if rhs is not None:
-                    rhs[i] -= f * rhs[pr]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(rows):
-            break
-    return rows, rhs, pivots
+                if i != pr and f != 0:
+                    rows[i] = [x - f * y if y else x for x, y in zip(rows[i], prow)]
+            pivots.append(pc)
+            pr += 1
+        self.matrix = a
+        self.pivots = tuple(pivots)
+        self.rank = len(pivots)
+        self._transform = [_int_row(row[n:]) for row in rows]
+        self._a_rows = [_int_row(row) for row in a.data]
+
+    def solve(self, b):
+        """Exact solution of a*x == b over Q, or None when inconsistent.
+
+        Free variables are zero.  The answer is re-checked against `a`; a
+        failed re-check raises ArithmeticError, never reads as "no solution".
+        """
+        if len(b) != self.matrix.rows:
+            raise ValueError("right-hand side length does not match")
+        bnum, bden = _int_row([Fraction(v) for v in b])
+        rank = self.rank
+        for nums, _ in self._transform[rank:]:
+            if sum(map(mul, nums, bnum)):
+                return None
+        x = [Fraction(0)] * self.matrix.cols
+        for pc, (nums, den) in zip(self.pivots, self._transform):
+            x[pc] = Fraction(sum(map(mul, nums, bnum)), den * bden)
+        xnum, xden = _int_row(x)
+        for (nums, den), bi in zip(self._a_rows, bnum):
+            if sum(map(mul, nums, xnum)) * bden != bi * den * xden:
+                raise ArithmeticError("solution failed to re-verify against the matrix")
+        return x
+
+    def kernel(self):
+        """Basis of the rational nullspace {x : a*x == 0}, as column vectors."""
+        n = self.matrix.cols
+        pivot_set = set(self.pivots)
+        basis = []
+        for fj in range(n):
+            if fj in pivot_set:
+                continue
+            # column fj of RREF(a) is E times column fj of a
+            col, col_den = _int_row(self.matrix.column(fj))
+            x = [Fraction(0)] * n
+            x[fj] = Fraction(1)
+            for pc, (nums, den) in zip(self.pivots, self._transform):
+                x[pc] = -Fraction(sum(map(mul, nums, col)), den * col_den)
+            basis.append(x)
+        return basis
 
 
 def rational_rank(a):
-    _, _, pivots = _eliminate(a)
-    return len(pivots)
+    return Factored(a).rank
 
 
 def rational_solve(a, b):
     """Exact solution of a*x == b over Q, or None when inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic in the
-    elimination order.
+    One-shot form of Factored(a).solve(b); factor once when solving many
+    right-hand sides against the same matrix.
     """
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length does not match")
-    rows, rhs, pivots = _eliminate(a, b)
-    for i in range(len(pivots), len(rows)):
-        if rhs[i] != 0:
-            return None
-    x = [Fraction(0)] * a.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = rhs[i] - sum(rows[i][j] * x[j] for j in range(pc + 1, a.cols)
-                             if rows[i][j] != 0)
-    # rows are fully reduced, so a single pass suffices; verify to be safe
-    check = a.mul_vec(x)
-    if any(Fraction(ci) != Fraction(bi) for ci, bi in zip(check, b)):
-        # re-substitute for non-reduced corner cases (should not happen)
-        return None
-    return x
+    return Factored(a).solve(b)
 
 
 def rational_kernel(a):
     """Basis of the rational nullspace {x : a*x == 0}, as column vectors."""
-    rows, _, pivots = _eliminate(a)
-    free = [j for j in range(a.cols) if j not in pivots]
-    basis = []
-    for fj in free:
-        x = [Fraction(0)] * a.cols
-        x[fj] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            x[pc] = -rows[i][fj]
-        basis.append(x)
-    return basis
+    return Factored(a).kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +660,8 @@ class MixedSolver:
         b = [[_int_dot(phi, g) for g in subgroup.lattice_gens] for phi in self.proj]
         self.bmat = Matrix(len(self.proj), len(subgroup.lattice_gens), b)
         self.smith = smith_form(self.bmat)
-        self._space_mat = (Matrix.from_columns(subgroup.space_gens, rows=n)
-                           if subgroup.space_gens else None)
+        self._space = (Factored(Matrix.from_columns(subgroup.space_gens, rows=n))
+                       if subgroup.space_gens else None)
 
     def membership(self, x):
         s = self.subgroup
@@ -664,7 +692,7 @@ class MixedSolver:
             if coeff:
                 residue = [r - coeff * g for r, g in zip(residue, gen)]
         if s.space_gens:
-            q = rational_solve(self._space_mat, residue)
+            q = self._space.solve(residue)
             if q is None:
                 raise ArithmeticError("projection residue left the space span")
         else:
@@ -745,10 +773,10 @@ def quotient_group(z_group, b_group):
         Matrix.from_columns(z_group.lattice_gens, rows=z_group.ambient_dim))
     if not basis:
         return FgAbelianGroup(0)
-    basis_mat = Matrix.from_columns(basis, rows=z_group.ambient_dim)
+    basis_fact = Factored(Matrix.from_columns(basis, rows=z_group.ambient_dim))
     coords = []
     for g in b_group.lattice_gens:
-        sol = rational_solve(basis_mat, [Fraction(v) for v in g])
+        sol = basis_fact.solve(g)
         if sol is None or any(s.denominator != 1 for s in sol):
             raise ArithmeticError("lattice member without integral coordinates")
         coords.append([int(s) for s in sol])

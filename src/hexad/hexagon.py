@@ -33,9 +33,8 @@ from .exactalg import (
     MixedSolver,
     MixedSubgroup,
     MixedWitness,
-    hnf_solve,
     rational_rank,
-    rational_solve,
+    smith_form,
 )
 from .hscomplex import CoboundarySolver, DiffCochain, dhat, evaluate_character, is_cocycle
 from .plforms import (
@@ -268,8 +267,7 @@ def witness_I_surjective(c, t):
         raise ValueError("first slot must be an integral cocycle")
     if t.ring is not Ring.Q:
         t = t.as_q()
-    delta = c.complex.coboundary_matrix(t.degree - 1)
-    sol = rational_solve(delta, [Fraction(v) for v in t.values])
+    sol = c.complex.coboundary_factored(t.degree - 1).solve(t.values)
     if sol is None:
         raise ValueError("second slot must be a rational coboundary")
     big_t = Cochain(c.complex, t.degree - 1, Ring.Q, sol)
@@ -351,6 +349,7 @@ class HexagonContext:
         self.cone_cb_solver = ConeCoboundarySolver(complex, k - 1)
         self.decomposer_k = OmegaDecomposer(complex, k)
         self.decomposer_km1 = OmegaDecomposer(complex, k - 1)
+        self.smith_km1 = smith_form(complex.coboundary_matrix(k - 1))
 
     def _omega_gens(self, m):
         st = self.complex.cohomology_structure(m)
@@ -520,16 +519,18 @@ def check_main_diagonal(ctx, maps=None):
            for j in range(nkm1)]
         + [[0] * (nk + nkm1)],
         cols=nk + nkm1)
-    run.require(rational_rank(i_matrix) == nk + nkm1,
-                "i has zero kernel (rank computation)", rank=rational_rank(i_matrix))
+    i_rank = rational_rank(i_matrix)
+    run.require(i_rank == nk + nkm1,
+                "i has zero kernel (rank computation)", rank=i_rank)
     delta_km1 = cx.coboundary_matrix(k - 1)
     a_matrix = Matrix.from_rows(
         [[0] * nkm1 for _ in range(nk)]
         + [[1 if t == j else 0 for t in range(nkm1)] for j in range(nkm1)]
         + [list(delta_km1.row(i)) for i in range(delta_km1.rows)],
         cols=nkm1)
-    run.require(rational_rank(a_matrix) == nkm1,
-                "a has zero kernel (rank computation)", rank=rational_rank(a_matrix))
+    a_rank = rational_rank(a_matrix)
+    run.require(a_rank == nkm1,
+                "a has zero kernel (rank computation)", rank=a_rank)
     return run.report()
 
 
@@ -588,14 +589,13 @@ def _khat_node_exactness(ctx, run, rng):
     """Exactness at the differential cocycle node: trivial characteristic
     class exactly means a(eta) plus a coboundary, witnessed."""
     cx, k = ctx.complex, ctx.degree
-    delta_km1 = cx.coboundary_matrix(k - 1)
     for _ in range(ctx.trials):
         x = random_combination(
             rng, DiffCochain.zero(cx, k, k), ctx.zhat_trivial_lattice,
             ctx.zhat_space)
         cb, y0 = ctx.random_coboundary(rng)
         x = x + cb
-        m = hnf_solve(delta_km1, list(x.integral.values))
+        m = ctx.smith_km1.solve(list(x.integral.values))
         if not run.require(m is not None,
                            "trivial class sample has integral primitive", x=x):
             continue
@@ -853,8 +853,7 @@ def check_off_diagonal_note(ctx):
     run = CheckRun("off_diagonal",
                    seed=derive_seed(ctx.seed, "off_diagonal"))
     cx, k = ctx.complex, ctx.degree
-    delta = cx.coboundary_matrix(k - 1)
-    rank = rational_rank(delta)
+    rank = cx.coboundary_factored(k - 1).rank
     counterexample = None
     for j in range(cx.n_simplices(k - 1)):
         eta = WhitneyForm.elementary(cx, k - 1, j)

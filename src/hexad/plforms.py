@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .simplicial import Chain, Cochain, Ring
-from .exactalg import rational_solve
 
 
 class NotExactError(ValueError):
@@ -150,8 +149,7 @@ def find_primitive(target):
     """
     if target.ring is not Ring.Q:
         target = target.as_q()
-    delta = target.complex.coboundary_matrix(target.degree - 1)
-    y = rational_solve(delta, [Fraction(v) for v in target.values])
+    y = target.complex.coboundary_factored(target.degree - 1).solve(target.values)
     if y is None:
         raise NotExactError("target cochain is not a coboundary")
     eta = WhitneyForm(target.complex, target.degree - 1, y)

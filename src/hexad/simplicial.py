@@ -15,14 +15,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exactalg import (
+    Factored,
     FgAbelianGroup,
     Matrix,
-    MixedSubgroup,
     hnf_solve,
     kernel_basis,
-    quotient_group,
-    rational_rank,
-    rational_solve,
     smith_form,
 )
 
@@ -104,10 +101,11 @@ def validate_data(n_vertices, simplices_by_dim):
 
 
 class SimplicialComplex:
-    """Immutable finite abstract simplicial complex with cached matrices."""
+    """Immutable finite abstract simplicial complex with cached matrices
+    and one rational factorization per coboundary degree."""
 
     __slots__ = ("name", "n_vertices", "simplices", "_index", "_bound",
-                 "_cob_sparse", "_cohom", "_homol")
+                 "_cob_sparse", "_cob_factored", "_cohom", "_homol")
 
     def __init__(self, name, n_vertices, simplices_by_dim, *, check=True):
         self.name = str(name)
@@ -121,6 +119,7 @@ class SimplicialComplex:
         self._index = tuple({s: i for i, s in enumerate(lst)} for lst in self.simplices)
         self._bound = {}
         self._cob_sparse = {}
+        self._cob_factored = {}
         self._cohom = {}
         self._homol = {}
         if check:
@@ -131,6 +130,8 @@ class SimplicialComplex:
             for k in range(1, self.dim + 1):
                 self._bound[k] = self._build_boundary(k)
                 self._cob_sparse[k - 1] = self._build_cob_sparse(k - 1)
+            for k in range(-1, self.dim + 1):
+                self._cob_factored[k] = Factored(self.coboundary_matrix(k))
             for k in range(0, self.dim + 1):
                 self._cohom[k] = _cohomology_structure(self, k)
                 self._homol[k] = _homology_structure(self, k)
@@ -203,6 +204,13 @@ class SimplicialComplex:
     def coboundary_matrix(self, k):
         """Coboundary operator C^k -> C^{k+1}: transpose of boundary(k+1)."""
         return self.boundary(k + 1).transpose()
+
+    def coboundary_factored(self, k):
+        """Factored(coboundary_matrix(k)), built once per degree with the
+        complex; the solver for every delta y == target over Q."""
+        if k in self._cob_factored:
+            return self._cob_factored[k]
+        return Factored(self.coboundary_matrix(k))
 
     def coboundary_values(self, k, values):
         """Apply delta^k to a value vector, skipping zero entries.
@@ -501,10 +509,10 @@ def _quotient_presentation(kernel_vecs, image_cols, image_op):
     if z == 0:
         return (), (), FgAbelianGroup(0)
     ambient = len(kernel_vecs[0])
-    kmat = Matrix.from_columns(kernel_vecs, rows=ambient)
+    kernel_fact = Factored(Matrix.from_columns(kernel_vecs, rows=ambient))
     coords = []
     for col in image_cols:
-        sol = rational_solve(kmat, [Fraction(v) for v in col])
+        sol = kernel_fact.solve(col)
         if sol is None or any(s.denominator != 1 for s in sol):
             raise ArithmeticError("image generator is not in the kernel lattice")
         coords.append([int(s) for s in sol])
@@ -547,7 +555,8 @@ def _cohomology_structure(complex, k):
     free_gens, torsion, group = _quotient_presentation(
         [list(v) for v in cocycles], [list(c) for c in coboundaries], delta_prev)
     torsion_gens = tuple(TorsionClass(d, tuple(g), w) for d, g, w in torsion)
-    q_rank = (nk - rational_rank(delta_k)) - rational_rank(delta_prev)
+    q_rank = ((nk - complex.coboundary_factored(k).rank)
+              - complex.coboundary_factored(k - 1).rank)
     return CohomologyStructure(k, tuple(cocycles), tuple(coboundaries),
                                free_gens, torsion_gens, group, q_rank)
 
@@ -596,11 +605,7 @@ def cohomology(complex, k, ring):
     if ring is Ring.Q:
         return complex.cohomology_structure(k).q_rank
     if ring is Ring.Z:
-        n = complex.n_simplices(k)
-        st = complex.cohomology_structure(k)
-        z_grp = MixedSubgroup(n, st.cocycle_basis, ())
-        b_grp = MixedSubgroup(n, st.coboundary_gens, ())
-        return quotient_group(z_grp, b_grp)
+        return complex.cohomology_structure(k).group
     # Q/Z: Hom(H_k, Q/Z) = (Q/Z)^rank H_k + torsion(H_k), read off the matrices
     hst = complex.homology_structure(k)
     return (hst.group.rank, FgAbelianGroup(0, hst.group.torsion_factors))

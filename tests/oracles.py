@@ -148,3 +148,68 @@ KLEIN_BOTTLE = [(0, 1, 5), (0, 3, 5), (1, 2, 6), (1, 5, 6), (0, 2, 3), (2, 3, 6)
                 (2, 4, 7), (0, 2, 4), (1, 7, 8), (1, 2, 7), (0, 4, 8), (0, 1, 8)]
 POINT = [(0,)]
 INTERVAL = [(0, 1)]
+
+
+def oracle_eliminate(rows, ncols, rhs=None):
+    """Gauss-Jordan elimination of [rows | rhs] over Q, pivoting on the first
+    nonzero entry of each column from the current row down; returns
+    (reduced rows, reduced rhs, pivot columns).  This is the elimination
+    the package used before it kept factorizations, kept as the reference
+    for `Factored`."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rhs = [Fraction(x) for x in rhs] if rhs is not None else None
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        pivot_row = None
+        for i in range(pr, len(rows)):
+            if rows[i][pc] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        if rhs is not None:
+            rhs[pr], rhs[pivot_row] = rhs[pivot_row], rhs[pr]
+        inv = 1 / rows[pr][pc]
+        rows[pr] = [x * inv for x in rows[pr]]
+        if rhs is not None:
+            rhs[pr] *= inv
+        for i in range(len(rows)):
+            if i != pr and rows[i][pc] != 0:
+                f = rows[i][pc]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
+                if rhs is not None:
+                    rhs[i] -= f * rhs[pr]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(rows):
+            break
+    return rows, rhs, pivots
+
+
+def oracle_solve(rows, ncols, b):
+    """Solution of rows * x == b with free variables zero, or None."""
+    red, rhs, pivots = oracle_eliminate(rows, ncols, b)
+    if any(rhs[i] != 0 for i in range(len(pivots), len(red))):
+        return None
+    x = [Fraction(0)] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = rhs[i] - sum(red[i][j] * x[j] for j in range(pc + 1, ncols)
+                             if red[i][j] != 0)
+    return x
+
+
+def oracle_kernel(rows, ncols):
+    """Nullspace basis read off the reduced rows, one vector per free column."""
+    red, _, pivots = oracle_eliminate(rows, ncols)
+    basis = []
+    for fj in range(ncols):
+        if fj in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[fj] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            x[pc] = -red[i][fj]
+        basis.append(x)
+    return basis

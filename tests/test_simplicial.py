@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexad.exactalg import FgAbelianGroup
+from hexad.exactalg import FgAbelianGroup, MixedSubgroup, quotient_group
 from hexad.simplicial import (
     Chain,
     Cochain,
@@ -104,6 +104,19 @@ def test_cohomology_ranks_match_universal_coefficients(name):
         hom = cx.homology_structure(k).group
         assert divisible == hom.rank
         assert finite.torsion_factors == hom.torsion_factors
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FACETS))
+def test_cohomology_z_matches_quotient_group_oracle(name):
+    # H^k(Z) is read off the complex's cohomology structure; quotient_group
+    # recomputes cocycles modulo coboundaries from the generators alone
+    cx = catalog(name)
+    for k in range(cx.dim + 1):
+        st = cx.cohomology_structure(k)
+        n = cx.n_simplices(k)
+        oracle = quotient_group(MixedSubgroup(n, st.cocycle_basis, ()),
+                                MixedSubgroup(n, st.coboundary_gens, ()))
+        assert cohomology(cx, k, Ring.Z) == oracle
 
 
 def test_homology_basis_circle_sphere_torus():
