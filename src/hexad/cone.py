@@ -16,11 +16,11 @@ from fractions import Fraction
 
 from .exactalg import MixedSolver, MixedSubgroup, MixedWitness
 from .report import CheckRun
-from .sampling import derive_seed, random_cochain, rng_for
-from .simplicial import Chain, Cochain, Ring
+from .sampling import derive_seed, random_cochain, random_combination, rng_for
+from .simplicial import Chain, Cochain, Coords, Ring, combine
 
 
-class ConeCochain:
+class ConeCochain(Coords):
     """Element (u, v) of the cone complex in the given cone degree."""
 
     __slots__ = ("complex", "degree", "integral", "rational")
@@ -45,40 +45,20 @@ class ConeCochain:
                    Cochain.zero(complex, degree + 1, Ring.Z),
                    Cochain.zero(complex, degree, Ring.Q))
 
-    def is_zero(self):
-        return self.integral.is_zero() and self.rational.is_zero()
+    def _key(self):
+        return (self.complex, self.degree)
+
+    def _coords(self):
+        return self.integral.values + self.rational.values
+
+    def _like(self, coords):
+        cx, k = self.complex, self.degree
+        n = len(self.integral.values)
+        return ConeCochain(cx, k, Cochain(cx, k + 1, Ring.Z, coords[:n]),
+                           Cochain(cx, k, Ring.Q, coords[n:]))
 
     def is_cocycle(self):
         return delta_cone(self).is_zero()
-
-    def __add__(self, other):
-        self._compat(other)
-        return ConeCochain(self.complex, self.degree,
-                           self.integral + other.integral,
-                           self.rational + other.rational)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ConeCochain(self.complex, self.degree,
-                           -self.integral, -self.rational)
-
-    def scale(self, n):
-        return ConeCochain(self.complex, self.degree,
-                           self.integral.scale(int(n)),
-                           self.rational.scale(Fraction(n)))
-
-    def _compat(self, other):
-        if self.complex is not other.complex or self.degree != other.degree:
-            raise ValueError("cone cochains are not compatible")
-
-    def __eq__(self, other):
-        return (isinstance(other, ConeCochain)
-                and self.complex is other.complex
-                and self.degree == other.degree
-                and self.integral == other.integral
-                and self.rational == other.rational)
 
     def __repr__(self):
         return "ConeCochain(deg=%d, u=%r, v=%r)" % (
@@ -119,11 +99,6 @@ def cone_retraction(x):
     return x.rational
 
 
-def _flatten(x):
-    return ([Fraction(v) for v in x.integral.values]
-            + [Fraction(v) for v in x.rational.values])
-
-
 def cone_coboundary_subgroup(complex, degree):
     """Image of delta_cone landing in cone degree `degree`, as a mixed
     subgroup of the flattened (u, v) coordinates."""
@@ -157,7 +132,7 @@ class ConeCoboundarySolver:
     def solve(self, x):
         if x.complex is not self.complex or x.degree != self.degree:
             raise ValueError("solver built for a different complex or degree")
-        res = self._solver.membership(_flatten(x))
+        res = self._solver.membership(x._coords())
         if not isinstance(res, MixedWitness):
             return None
         y = ConeCochain(self.complex, self.degree - 1,
@@ -324,7 +299,8 @@ def les_exactness(complex, degree, trials=25, seed=0):
     lattice, space = cone_cocycle_generators(complex, k)
     samples = list(lattice) + list(space)
     for _ in range(trials // 2 + 1):
-        z = _random_cone_cocycle(rng, complex, k, lattice, space)
+        z = random_combination(rng, ConeCochain.zero(complex, k),
+                               lattice, space)
         samples.append(z)
     for z in samples:
         run.require(z.is_cocycle(), "sample is a cone cocycle", sample=z)
@@ -353,24 +329,22 @@ def les_exactness(complex, degree, trials=25, seed=0):
     decomp = MixedSolver(MixedSubgroup(nup + ndn, sub.lattice_gens, space_gens))
     n_delta_space = len(sub.space_gens)
     for _ in range(trials):
-        c = _random_rational_cocycle(rng, complex, k, rational_cocycles)
+        c = random_combination(rng, Cochain.zero(complex, k, Ring.Q), (),
+                               rational_cocycles)
         m = random_cochain(rng, complex, k, Ring.Z)
         s = random_cochain(rng, complex, k - 1, Ring.Q)
         z = alpha_cone(c) + delta_cone(ConeCochain(complex, k - 1, m, s))
         run.require(gamma_cone(z).coboundary().is_zero(),
                     "gamma image of sample is an integral cocycle", sample=z)
-        res = decomp.membership(_flatten(z))
+        res = decomp.membership(z._coords())
         if run.require(isinstance(res, MixedWitness),
                        "gamma-kernel sample decomposes", sample=z):
             y = ConeCochain(complex, k - 1,
                             Cochain(complex, k, Ring.Z, res.lattice_coeffs),
                             Cochain(complex, k - 1, Ring.Q,
                                     res.space_coeffs[:n_delta_space]))
-            cc = Cochain.zero(complex, k, Ring.Q)
-            for coeff, zc in zip(res.space_coeffs[n_delta_space:],
-                                 rational_cocycles):
-                if coeff:
-                    cc = cc + zc.scale(coeff)
+            cc = combine(Cochain.zero(complex, k, Ring.Q), (), (),
+                         res.space_coeffs[n_delta_space:], rational_cocycles)
             run.require(alpha_cone(cc) + delta_cone(y) == z,
                         "decomposition re-verifies", sample=z)
             run.require(cc.is_cocycle(), "alpha part is a cocycle", sample=z)
@@ -406,22 +380,6 @@ def les_exactness(complex, degree, trials=25, seed=0):
         v = factored_k.solve(t.values)
         run.require(v is None, "free class survives j", cls=t, cert=cert)
     return run.report()
-
-
-def _random_cone_cocycle(rng, complex, degree, lattice, space):
-    from .sampling import random_combination
-    return random_combination(rng, ConeCochain.zero(complex, degree),
-                              lattice, space)
-
-
-def _random_rational_cocycle(rng, complex, degree, basis):
-    from .sampling import random_fraction
-    acc = Cochain.zero(complex, degree, Ring.Q)
-    for z in basis:
-        q = random_fraction(rng)
-        if q:
-            acc = acc + z.scale(q)
-    return acc
 
 
 def derive(seed, name, degree):

@@ -26,10 +26,6 @@ Rational = Fraction
 # ---------------------------------------------------------------------------
 # small vector helpers (entries int or Fraction)
 
-def vec_scale(s, u):
-    return [s * a for a in u]
-
-
 def vec_dot(u, v):
     if len(u) != len(v):
         raise ValueError("dot product of vectors of different lengths")
@@ -38,10 +34,6 @@ def vec_dot(u, v):
         if a and b:
             acc += a * b
     return acc
-
-
-def vec_is_zero(u):
-    return all(a == 0 for a in u)
 
 
 def xgcd(a, b):
@@ -144,10 +136,6 @@ class Matrix:
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
 
-    def is_integral(self):
-        return all(isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
-                   for row in self.data for x in row)
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -229,6 +217,12 @@ class SmithForm:
                     return None
                 y[i] = wi // d
         return self.v.mul_vec(y)
+
+    def kernel(self):
+        """Z-basis of the integer kernel {x : m*x == 0}, as column vectors."""
+        n = min(self.d.rows, self.d.cols)
+        return [self.v.column(j) for j in range(self.d.cols)
+                if j >= n or self.d.data[j][j] == 0]
 
 
 def smith_form(m):
@@ -405,14 +399,10 @@ def snf(m):
 
 
 def kernel_basis(m):
-    """Z-basis of the integer kernel {x : m*x == 0}, as column vectors."""
-    f = smith_form(m)
-    n = min(m.rows, m.cols)
-    out = []
-    for j in range(m.cols):
-        if j >= n or f.d.data[j][j] == 0:
-            out.append(f.v.column(j))
-    return out
+    """Z-basis of the integer kernel {x : m*x == 0}, as column vectors.
+
+    One-shot form of smith_form(m).kernel()."""
+    return smith_form(m).kernel()
 
 
 def column_lattice_basis(m):
@@ -423,7 +413,7 @@ def column_lattice_basis(m):
     for j in range(n):
         dj = f.d.data[j][j]
         if dj != 0:
-            out.append(vec_scale(dj, f.u_inv.column(j)))
+            out.append([dj * a for a in f.u_inv.column(j)])
     return out
 
 
@@ -648,9 +638,7 @@ class MixedSolver:
             # clear denominators so the projected system is integral
             proj = []
             for phi in raw:
-                mult = 1
-                for x in phi:
-                    mult = mult * x.denominator // _gcd_int(mult, x.denominator)
+                mult = lcm(*(x.denominator for x in phi))
                 proj.append([int(x * mult) for x in phi])
             self.proj = proj
             self._identity_proj = False
@@ -697,7 +685,7 @@ class MixedSolver:
                 raise ArithmeticError("projection residue left the space span")
         else:
             q = []
-            if not vec_is_zero(residue):
+            if any(residue):
                 raise ArithmeticError("nonzero residue with no space part")
         return MixedWitness(tuple(zz), tuple(Fraction(t) for t in q))
 
@@ -709,11 +697,6 @@ class MixedSolver:
                 for j in range(len(phi)):
                     phi[j] += coeff * row_phi[j]
         return NonMembership(tuple(phi), modulus, Fraction(value))
-
-
-def _gcd_int(a, b):
-    g, _, _ = xgcd(a, b)
-    return g if g else 1
 
 
 def _int_dot(u, v):

@@ -34,7 +34,6 @@ from .exactalg import (
     MixedSubgroup,
     MixedWitness,
     rational_rank,
-    smith_form,
 )
 from .hscomplex import CoboundarySolver, DiffCochain, dhat, evaluate_character, is_cocycle
 from .plforms import (
@@ -55,10 +54,9 @@ from .sampling import (
     random_combination,
     random_diff_cochain,
     random_fraction,
-    random_int,
     rng_for,
 )
-from .simplicial import Chain, Cochain, Ring, validate
+from .simplicial import Chain, Cochain, Ring, combine, validate
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +222,11 @@ class OmegaDecomposer:
             raise ValueError("decomposer built for a different degree")
         if not d_form(form).is_zero():
             return None
-        res = self._solver.membership([Fraction(v) for v in form.coeffs])
+        res = self._solver.membership(form._coords())
         if not isinstance(res, MixedWitness):
             return None
-        c = Cochain.zero(self.complex, self.degree, Ring.Z)
-        for coeff, basis in zip(res.lattice_coeffs, self.cocycle_basis):
-            if coeff:
-                c = c + basis.scale(coeff)
+        c = combine(Cochain.zero(self.complex, self.degree, Ring.Z),
+                    res.lattice_coeffs, self.cocycle_basis, (), ())
         t = Cochain(self.complex, self.degree - 1, Ring.Q, res.space_coeffs)
         if derham_cochain(form) != c.as_q() + t.coboundary():
             raise ArithmeticError("period decomposition failed to re-verify")
@@ -349,7 +345,6 @@ class HexagonContext:
         self.cone_cb_solver = ConeCoboundarySolver(complex, k - 1)
         self.decomposer_k = OmegaDecomposer(complex, k)
         self.decomposer_km1 = OmegaDecomposer(complex, k - 1)
-        self.smith_km1 = smith_form(complex.coboundary_matrix(k - 1))
 
     def _omega_gens(self, m):
         st = self.complex.cohomology_structure(m)
@@ -383,12 +378,9 @@ class HexagonContext:
             rng, WhitneyForm.zero(self.complex, degree), lattice, space)
 
     def random_closed(self, rng):
-        acc = WhitneyForm.zero(self.complex, self.degree - 1)
-        for g in self.closed_km1:
-            q = random_fraction(rng)
-            if q:
-                acc = acc + g.scale(q)
-        return acc
+        return random_combination(
+            rng, WhitneyForm.zero(self.complex, self.degree - 1), (),
+            self.closed_km1)
 
     def random_coboundary(self, rng):
         y = DiffCochain(
@@ -595,7 +587,7 @@ def _khat_node_exactness(ctx, run, rng):
             ctx.zhat_space)
         cb, y0 = ctx.random_coboundary(rng)
         x = x + cb
-        m = ctx.smith_km1.solve(list(x.integral.values))
+        m = cx.coboundary_smith(k - 1).solve(list(x.integral.values))
         if not run.require(m is not None,
                            "trivial class sample has integral primitive", x=x):
             continue
@@ -742,11 +734,8 @@ def check_induced_hexagon(ctx):
         run.require(map_I(x) == (z, Cochain.zero(cx, k, Ring.Q)),
                     "I witness hits the basis cocycle", target=z)
     for _ in range(ctx.trials):
-        c = Cochain.zero(cx, k, Ring.Z)
-        for basis in ctx.cocycle_basis_k:
-            n = random_int(rng)
-            if n:
-                c = c + basis.scale(n)
+        c = random_combination(rng, Cochain.zero(cx, k, Ring.Z),
+                               ctx.cocycle_basis_k, ())
         t = random_cochain(rng, cx, k - 1, Ring.Q).coboundary()
         x = witness_I_surjective(c, t)
         run.require(map_I(x) == (c, t), "I witness hits the sampled pair",

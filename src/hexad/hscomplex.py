@@ -17,14 +17,12 @@ cocycle's class.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactalg import MixedSolver, MixedSubgroup, MixedWitness
 from .plforms import WhitneyForm, d as d_form, derham_cochain
-from .simplicial import Chain, Cochain, Ring
+from .simplicial import Chain, Cochain, Coords, Ring
 
 
-class DiffCochain:
+class DiffCochain(Coords):
     """Element of the level-q differential cochain group in degree k.
 
     Fields: `integral` is the Z-cochain of degree k, `potential` the
@@ -68,45 +66,24 @@ class DiffCochain:
                    Cochain.zero(complex, degree - 1, Ring.Q),
                    curv)
 
-    def is_zero(self):
-        return (self.integral.is_zero() and self.potential.is_zero()
-                and (self.curvature is None or self.curvature.is_zero()))
+    def _key(self):
+        return (self.complex, self.level, self.degree)
 
-    def __add__(self, other):
-        self._compat(other)
+    def _coords(self):
+        coords = self.integral.values + self.potential.values
+        if self.curvature is not None:
+            coords += self.curvature.coeffs
+        return coords
+
+    def _like(self, coords):
+        cx, k = self.complex, self.degree
+        n = len(self.integral.values)
+        m = n + len(self.potential.values)
         curv = None
         if self.curvature is not None:
-            curv = self.curvature + other.curvature
-        return DiffCochain(self.complex, self.level, self.degree,
-                           self.integral + other.integral,
-                           self.potential + other.potential, curv)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        curv = -self.curvature if self.curvature is not None else None
-        return DiffCochain(self.complex, self.level, self.degree,
-                           -self.integral, -self.potential, curv)
-
-    def scale(self, n):
-        curv = self.curvature.scale(n) if self.curvature is not None else None
-        return DiffCochain(self.complex, self.level, self.degree,
-                           self.integral.scale(int(n)),
-                           self.potential.scale(Fraction(n)), curv)
-
-    def _compat(self, other):
-        if (self.complex is not other.complex or self.level != other.level
-                or self.degree != other.degree):
-            raise ValueError("differential cochains are not compatible")
-
-    def __eq__(self, other):
-        return (isinstance(other, DiffCochain)
-                and self.complex is other.complex
-                and self.level == other.level and self.degree == other.degree
-                and self.integral == other.integral
-                and self.potential == other.potential
-                and self.curvature == other.curvature)
+            curv = WhitneyForm(cx, k, coords[m:])
+        return DiffCochain(cx, self.level, k, Cochain(cx, k, Ring.Z, coords[:n]),
+                           Cochain(cx, k - 1, Ring.Q, coords[n:m]), curv)
 
     def __repr__(self):
         return ("DiffCochain(q=%d, k=%d, c=%r, T=%r, w=%r)"
@@ -172,9 +149,7 @@ class CoboundarySolver:
             raise ValueError("coboundary test lives at level q = degree k")
         if x.curvature is not None and not x.curvature.is_zero():
             return None
-        vec = [Fraction(v) for v in x.integral.values]
-        vec += [Fraction(v) for v in x.potential.values]
-        res = self._solver.membership(vec)
+        res = self._solver.membership(x.integral.values + x.potential.values)
         if not isinstance(res, MixedWitness):
             return None
         cx = self.complex

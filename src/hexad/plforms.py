@@ -14,14 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .simplicial import Chain, Cochain, Ring
+from .simplicial import Chain, Cochain, Coords, Ring
 
 
 class NotExactError(ValueError):
     """Raised when a primitive is requested for a non-exact target."""
 
 
-class WhitneyForm:
+class WhitneyForm(Coords):
     """Rational coefficients in the elementary-Whitney-form basis."""
 
     __slots__ = ("complex", "degree", "coeffs")
@@ -36,6 +36,15 @@ class WhitneyForm:
         self.degree = degree
         self.coeffs = coeffs
 
+    def _key(self):
+        return (self.complex, self.degree)
+
+    def _coords(self):
+        return self.coeffs
+
+    def _like(self, coords):
+        return WhitneyForm(self.complex, self.degree, coords)
+
     @classmethod
     def zero(cls, complex, degree):
         return cls(complex, degree, [0] * complex.n_simplices(degree))
@@ -45,34 +54,6 @@ class WhitneyForm:
         coeffs = [Fraction(0)] * complex.n_simplices(degree)
         coeffs[i] = Fraction(1)
         return cls(complex, degree, coeffs)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        self._compat(other)
-        return WhitneyForm(self.complex, self.degree,
-                           [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._compat(other)
-        return WhitneyForm(self.complex, self.degree,
-                           [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return WhitneyForm(self.complex, self.degree, [-a for a in self.coeffs])
-
-    def scale(self, s):
-        return WhitneyForm(self.complex, self.degree,
-                           [Fraction(s) * a for a in self.coeffs])
-
-    def _compat(self, other):
-        if self.complex is not other.complex or self.degree != other.degree:
-            raise ValueError("forms live on different complexes or degrees")
-
-    def __eq__(self, other):
-        return (isinstance(other, WhitneyForm) and self.complex is other.complex
-                and self.degree == other.degree and self.coeffs == other.coeffs)
 
     def __repr__(self):
         return "WhitneyForm(deg=%d, %s)" % (self.degree,

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .hscomplex import DiffCochain
 from .plforms import WhitneyForm
-from .simplicial import Chain, Cochain, Ring
+from .simplicial import Chain, Cochain, Ring, combine
 
 _DENOMS = (1, 2, 3, 4, 6)
 _MASK64 = (1 << 64) - 1
@@ -68,14 +68,10 @@ def random_diff_cochain(rng, complex, level, degree):
 
 def random_combination(rng, zero, lattice_elems, space_elems):
     """Random element of the group generated by `lattice_elems` over Z and
-    `space_elems` over Q, starting from the given zero element."""
-    acc = zero
-    for g in lattice_elems:
-        n = random_int(rng)
-        if n:
-            acc = acc + g.scale(n)
-    for g in space_elems:
-        q = random_fraction(rng)
-        if q:
-            acc = acc + g.scale(q)
-    return acc
+    `space_elems` over Q, starting from the given zero element.
+
+    Draws one integer per lattice generator, then one fraction per space
+    generator, zeros included, and sums them with `combine`."""
+    lattice_coeffs = [random_int(rng) for _ in lattice_elems]
+    space_coeffs = [random_fraction(rng) for _ in space_elems]
+    return combine(zero, lattice_coeffs, lattice_elems, space_coeffs, space_elems)

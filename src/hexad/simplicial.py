@@ -18,8 +18,6 @@ from .exactalg import (
     Factored,
     FgAbelianGroup,
     Matrix,
-    hnf_solve,
-    kernel_basis,
     smith_form,
 )
 
@@ -101,11 +99,13 @@ def validate_data(n_vertices, simplices_by_dim):
 
 
 class SimplicialComplex:
-    """Immutable finite abstract simplicial complex with cached matrices
-    and one rational factorization per coboundary degree."""
+    """Immutable finite abstract simplicial complex with cached matrices,
+    one rational factorization per coboundary degree and one Smith form
+    per boundary and coboundary matrix."""
 
     __slots__ = ("name", "n_vertices", "simplices", "_index", "_bound",
-                 "_cob_sparse", "_cob_factored", "_cohom", "_homol")
+                 "_cob_sparse", "_cob_factored", "_cob_smith", "_bd_smith",
+                 "_cohom", "_homol")
 
     def __init__(self, name, n_vertices, simplices_by_dim, *, check=True):
         self.name = str(name)
@@ -120,6 +120,8 @@ class SimplicialComplex:
         self._bound = {}
         self._cob_sparse = {}
         self._cob_factored = {}
+        self._cob_smith = {}
+        self._bd_smith = {}
         self._cohom = {}
         self._homol = {}
         if check:
@@ -131,7 +133,10 @@ class SimplicialComplex:
                 self._bound[k] = self._build_boundary(k)
                 self._cob_sparse[k - 1] = self._build_cob_sparse(k - 1)
             for k in range(-1, self.dim + 1):
-                self._cob_factored[k] = Factored(self.coboundary_matrix(k))
+                cob = self.coboundary_matrix(k)
+                self._cob_factored[k] = Factored(cob)
+                self._cob_smith[k] = smith_form(cob)
+                self._bd_smith[k + 1] = smith_form(self.boundary(k + 1))
             for k in range(0, self.dim + 1):
                 self._cohom[k] = _cohomology_structure(self, k)
                 self._homol[k] = _homology_structure(self, k)
@@ -212,6 +217,19 @@ class SimplicialComplex:
             return self._cob_factored[k]
         return Factored(self.coboundary_matrix(k))
 
+    def coboundary_smith(self, k):
+        """smith_form(coboundary_matrix(k)), built once per degree with the
+        complex; cocycle lattices and integral primitives are read from it."""
+        if k in self._cob_smith:
+            return self._cob_smith[k]
+        return smith_form(self.coboundary_matrix(k))
+
+    def boundary_smith(self, k):
+        """smith_form(boundary(k)), built once per degree with the complex."""
+        if k in self._bd_smith:
+            return self._bd_smith[k]
+        return smith_form(self.boundary(k))
+
     def coboundary_values(self, k, values):
         """Apply delta^k to a value vector, skipping zero entries.
 
@@ -267,7 +285,57 @@ def boundary_matrix(complex, k):
 # ---------------------------------------------------------------------------
 # chains and cochains
 
-class Chain:
+class Coords:
+    """Shared vector core of cochain-like values.
+
+    A value is a flat coordinate tuple plus a key (complex, degree, ring,
+    level, ...) that must match for two values to be combined.  Each type
+    supplies `_key()`, `_coords()` and `_like(coords)`, which rebuilds a
+    value of the same type through its validating constructor; the group
+    operations below act on the coordinates and are defined only here.
+    """
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not any(self._coords())
+
+    def __add__(self, other):
+        self._compat(other)
+        return self._like([a + b for a, b in zip(self._coords(), other._coords())])
+
+    def __sub__(self, other):
+        self._compat(other)
+        return self._like([a - b for a, b in zip(self._coords(), other._coords())])
+
+    def __neg__(self):
+        return self._like([-a for a in self._coords()])
+
+    def scale(self, s):
+        return self._like([s * a for a in self._coords()])
+
+    def _compat(self, other):
+        if type(other) is not type(self) or other._key() != self._key():
+            raise ValueError("%s values are not compatible" % type(self).__name__)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other._key() == self._key()
+                and other._coords() == self._coords())
+
+
+def combine(zero, lattice_coeffs, lattice, space_coeffs, space):
+    """zero + sum n_i * lattice_i + sum q_j * space_j, summed in one pass
+    over the coordinates and built once through zero's constructor."""
+    acc = list(zero._coords())
+    for coeffs, gens in ((lattice_coeffs, lattice), (space_coeffs, space)):
+        for c, g in zip(coeffs, gens):
+            if c:
+                zero._compat(g)
+                acc = [a + c * x if x else a for a, x in zip(acc, g._coords())]
+    return zero._like(acc)
+
+
+class Chain(Coords):
     """Integer k-chain, indexed by the k-simplices of its complex."""
 
     __slots__ = ("complex", "degree", "coeffs")
@@ -280,6 +348,15 @@ class Chain:
         self.complex = complex
         self.degree = degree
         self.coeffs = coeffs
+
+    def _key(self):
+        return (self.complex, self.degree)
+
+    def _coords(self):
+        return self.coeffs
+
+    def _like(self, coords):
+        return Chain(self.complex, self.degree, coords)
 
     @classmethod
     def zero(cls, complex, degree):
@@ -297,33 +374,6 @@ class Chain:
 
     def is_cycle(self):
         return all(c == 0 for c in self.boundary().coeffs)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        self._compat(other)
-        return Chain(self.complex, self.degree,
-                     [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._compat(other)
-        return Chain(self.complex, self.degree,
-                     [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return Chain(self.complex, self.degree, [-a for a in self.coeffs])
-
-    def scale(self, n):
-        return Chain(self.complex, self.degree, [n * a for a in self.coeffs])
-
-    def _compat(self, other):
-        if self.complex is not other.complex or self.degree != other.degree:
-            raise ValueError("chains live on different complexes or degrees")
-
-    def __eq__(self, other):
-        return (isinstance(other, Chain) and self.complex is other.complex
-                and self.degree == other.degree and self.coeffs == other.coeffs)
 
     def __repr__(self):
         return "Chain(deg=%d, %r)" % (self.degree, list(self.coeffs))
@@ -343,7 +393,7 @@ def _normalize_value(ring, v):
     return f - (f.numerator // f.denominator)  # representative in [0, 1)
 
 
-class Cochain:
+class Cochain(Coords):
     """Degree-k cochain over Z, Q or Q/Z.
 
     Q/Z values are kept as the unique rational representative in [0, 1),
@@ -362,6 +412,15 @@ class Cochain:
         self.degree = degree
         self.ring = ring
         self.values = values
+
+    def _key(self):
+        return (self.complex, self.degree, self.ring)
+
+    def _coords(self):
+        return self.values
+
+    def _like(self, coords):
+        return Cochain(self.complex, self.degree, self.ring, coords)
 
     @classmethod
     def zero(cls, complex, degree, ring):
@@ -404,39 +463,8 @@ class Cochain:
             return self
         return Cochain(self.complex, self.degree, Ring.QMODZ, self.values)
 
-    def is_zero(self):
-        return all(v == 0 for v in self.values)
-
     def is_cocycle(self):
         return self.coboundary().is_zero()
-
-    def __add__(self, other):
-        self._compat(other)
-        return Cochain(self.complex, self.degree, self.ring,
-                       [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other):
-        self._compat(other)
-        return Cochain(self.complex, self.degree, self.ring,
-                       [a - b for a, b in zip(self.values, other.values)])
-
-    def __neg__(self):
-        return Cochain(self.complex, self.degree, self.ring,
-                       [-a for a in self.values])
-
-    def scale(self, s):
-        return Cochain(self.complex, self.degree, self.ring,
-                       [s * a for a in self.values])
-
-    def _compat(self, other):
-        if (self.complex is not other.complex or self.degree != other.degree
-                or self.ring is not other.ring):
-            raise ValueError("cochains are not compatible")
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain) and self.complex is other.complex
-                and self.degree == other.degree and self.ring is other.ring
-                and self.values == other.values)
 
     def __repr__(self):
         return "Cochain(%s, deg=%d, %s)" % (
@@ -495,12 +523,13 @@ class HomologyStructure:
     group: FgAbelianGroup
 
 
-def _quotient_presentation(kernel_vecs, image_cols, image_op):
+def _quotient_presentation(kernel_vecs, image_cols, image_smith):
     """Shared kernel-mod-image bookkeeping.
 
     kernel_vecs: Z-basis of the kernel lattice (list of int vectors)
     image_cols: generators of the image sublattice (each a kernel member)
-    image_op: matrix whose integer solutions certify `order * gen = op(x)`
+    image_smith: Smith form of the matrix op whose integer solutions
+        certify `order * gen = op(x)`
 
     Returns (free_gens, torsion_list, group) where torsion_list has entries
     (order, gen_vector, solver_witness).
@@ -536,7 +565,7 @@ def _quotient_presentation(kernel_vecs, image_cols, image_op):
     torsion = []
     for i, d in enumerate(diag):
         if d >= 2:
-            wit = hnf_solve(image_op, [d * x for x in gens[i]])
+            wit = image_smith.solve([d * x for x in gens[i]])
             if wit is None:
                 raise ArithmeticError("torsion witness system has no solution")
             torsion.append((d, gens[i], tuple(wit)))
@@ -545,15 +574,15 @@ def _quotient_presentation(kernel_vecs, image_cols, image_op):
 
 
 def _cohomology_structure(complex, k):
-    delta_k = complex.coboundary_matrix(k)
     delta_prev = complex.coboundary_matrix(k - 1)
     nk = complex.n_simplices(k)
     if nk == 0:
         return CohomologyStructure(k, (), (), (), (), FgAbelianGroup(0), 0)
-    cocycles = [tuple(v) for v in kernel_basis(delta_k)]
+    cocycles = [tuple(v) for v in complex.coboundary_smith(k).kernel()]
     coboundaries = [tuple(delta_prev.column(j)) for j in range(delta_prev.cols)]
     free_gens, torsion, group = _quotient_presentation(
-        [list(v) for v in cocycles], [list(c) for c in coboundaries], delta_prev)
+        [list(v) for v in cocycles], [list(c) for c in coboundaries],
+        complex.coboundary_smith(k - 1))
     torsion_gens = tuple(TorsionClass(d, tuple(g), w) for d, g, w in torsion)
     q_rank = ((nk - complex.coboundary_factored(k).rank)
               - complex.coboundary_factored(k - 1).rank)
@@ -562,15 +591,15 @@ def _cohomology_structure(complex, k):
 
 
 def _homology_structure(complex, k):
-    bd_k = complex.boundary(k)
     bd_next = complex.boundary(k + 1)
     nk = complex.n_simplices(k)
     if nk == 0:
         return HomologyStructure(k, (), (), (), (), FgAbelianGroup(0))
-    cycles = [tuple(v) for v in kernel_basis(bd_k)]
+    cycles = [tuple(v) for v in complex.boundary_smith(k).kernel()]
     boundaries = [tuple(bd_next.column(j)) for j in range(bd_next.cols)]
     free_cycles, torsion, group = _quotient_presentation(
-        [list(v) for v in cycles], [list(c) for c in boundaries], bd_next)
+        [list(v) for v in cycles], [list(c) for c in boundaries],
+        complex.boundary_smith(k + 1))
     torsion_cycles = tuple(TorsionCycle(d, tuple(g), w) for d, g, w in torsion)
     return HomologyStructure(k, tuple(cycles), tuple(boundaries),
                              free_cycles, torsion_cycles, group)

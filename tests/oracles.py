@@ -213,3 +213,33 @@ def oracle_kernel(rows, ncols):
             x[pc] = -red[i][fj]
         basis.append(x)
     return basis
+
+
+_ORACLE_DENOMS = (1, 2, 3, 4, 6)
+
+
+def _oracle_random_int(rng):
+    return rng.randint(-9, 9)
+
+
+def _oracle_random_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice(_ORACLE_DENOMS))
+
+
+def oracle_random_combination(rng, zero, lattice_elems, space_elems):
+    """Random element of the group generated by `lattice_elems` over Z and
+    `space_elems` over Q, built object by object with `+` and `scale`.
+    This is the loop the package used before it summed coordinates in one
+    pass, kept as the reference for `sampling.random_combination`; the
+    sampling policy (integers in [-9, 9], fractions over {1, 2, 3, 4, 6})
+    is restated here."""
+    acc = zero
+    for g in lattice_elems:
+        n = _oracle_random_int(rng)
+        if n:
+            acc = acc + g.scale(n)
+    for g in space_elems:
+        q = _oracle_random_fraction(rng)
+        if q:
+            acc = acc + g.scale(q)
+    return acc

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -12,6 +13,33 @@ from hexad.simplicial import Cochain, Ring, catalog, format_cochain
 
 def run_cli(args):
     return main(args)
+
+
+# SHA-256 of fixed report bytes.  The determinism tests compare two runs of
+# the same code, so only a pinned digest catches a change to a report.  The
+# klein-bottle verify report carries torsion and WhitneyForm and Cochain
+# reprs; compute carries cycle bases.
+PINNED_REPORTS = {
+    "verify-projective-plane": (
+        ["verify", "--complex", "projective-plane", "--degree", "2",
+         "--seed", "42", "--trials", "5"],
+        "680f092fd644340722aa3a1cef8d8b80ab9509ac9895d35f5a4035e464bc4bfc"),
+    "verify-klein-bottle": (
+        ["verify", "--complex", "klein-bottle", "--degree", "2",
+         "--seed", "42", "--trials", "5"],
+        "020403e40b3e4e0118c870c4b2ccd37b7b3e7168c6fbccc78d3340aeca706ed1"),
+    "compute-klein-bottle": (
+        ["compute", "--complex", "klein-bottle"],
+        "d1d540bca14c12c1d8d07115ccc24e237049a6870ac8b10003707462acb84625"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(tmp_path, label):
+    args, digest = PINNED_REPORTS[label]
+    report = tmp_path / "report.json"
+    assert run_cli(args + ["--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def test_catalog_listing(tmp_path, capsys):

@@ -22,6 +22,19 @@ ALL_NAMES = ("point", "interval", "circle", "sphere", "torus",
              "projective-plane", "klein-bottle")
 
 
+def test_cone_scale_is_exact_on_the_integral_slot():
+    cx = catalog("circle")
+    x = ConeCochain(cx, 0, Cochain(cx, 1, Ring.Z, [2, 0, 0]),
+                    Cochain(cx, 0, Ring.Q, [1, 0, 0]))
+    half = x.scale(Fraction(1, 2))
+    assert half.integral == Cochain(cx, 1, Ring.Z, [1, 0, 0])
+    assert half.rational == Cochain(cx, 0, Ring.Q, [Fraction(1, 2), 0, 0])
+    odd = ConeCochain(cx, 0, Cochain(cx, 1, Ring.Z, [1, 0, 0]),
+                      Cochain.zero(cx, 0, Ring.Q))
+    with pytest.raises(ValueError):
+        odd.scale(Fraction(1, 2))
+
+
 def test_delta_cone_formula():
     cx = catalog("circle")
     v = Cochain(cx, 0, Ring.Q, [1, 0, 0])

@@ -34,6 +34,21 @@ def test_dhat_zero_and_slot_validation():
                     WhitneyForm.zero(cx, 1))  # curvature below the level
 
 
+def test_diff_cochain_scale_is_exact_on_the_integral_slot():
+    cx = catalog("circle")
+    x = DiffCochain(cx, 1, 1, Cochain(cx, 1, Ring.Z, [2, 0, 0]),
+                    Cochain(cx, 0, Ring.Q, [1, 0, 0]),
+                    WhitneyForm(cx, 1, [0, 2, 0]))
+    y = x.scale(Fraction(3, 2))
+    assert y.integral == Cochain(cx, 1, Ring.Z, [3, 0, 0])
+    assert y.potential == Cochain(cx, 0, Ring.Q, [Fraction(3, 2), 0, 0])
+    assert y.curvature == WhitneyForm(cx, 1, [0, 3, 0])
+    odd = DiffCochain(cx, 1, 1, Cochain(cx, 1, Ring.Z, [1, 0, 0]),
+                      Cochain.zero(cx, 0, Ring.Q), WhitneyForm.zero(cx, 1))
+    with pytest.raises(ValueError):
+        odd.scale(Fraction(1, 2))
+
+
 def test_dhat_circle_example():
     # level 1, degree 1: x = (0, indicator of vertex 0, 0)
     cx = catalog("circle")
