@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactalg import MixedSolver, MixedSubgroup, MixedWitness
+from .exactalg import IntRow, MixedSolver, MixedSubgroup, MixedWitness
 from .report import CheckRun
 from .sampling import derive_seed, random_cochain, random_combination, rng_for
 from .simplicial import Chain, Cochain, Coords, Ring, combine
@@ -48,14 +48,16 @@ class ConeCochain(Coords):
     def _key(self):
         return (self.complex, self.degree)
 
-    def _coords(self):
-        return self.integral.values + self.rational.values
+    def _row(self):
+        # integral values, then rational values, over one denominator
+        return IntRow.join((self.integral.row, self.rational.row))
 
-    def _like(self, coords):
+    def _like(self, row):
         cx, k = self.complex, self.degree
-        n = len(self.integral.values)
-        return ConeCochain(cx, k, Cochain(cx, k + 1, Ring.Z, coords[:n]),
-                           Cochain(cx, k, Ring.Q, coords[n:]))
+        nums, den = row
+        n = len(self.integral.row.nums)
+        return ConeCochain(cx, k, Cochain(cx, k + 1, Ring.Z, IntRow(nums[:n], den)),
+                           Cochain(cx, k, Ring.Q, IntRow(nums[n:], den)))
 
     def is_cocycle(self):
         return delta_cone(self).is_zero()
@@ -132,7 +134,7 @@ class ConeCoboundarySolver:
     def solve(self, x):
         if x.complex is not self.complex or x.degree != self.degree:
             raise ValueError("solver built for a different complex or degree")
-        res = self._solver.membership(x._coords())
+        res = self._solver.membership(x._row())
         if not isinstance(res, MixedWitness):
             return None
         y = ConeCochain(self.complex, self.degree - 1,
@@ -245,11 +247,10 @@ def cone_cohomology_compare(complex, degree, trials=25, seed=0):
     for vbar, certificate in _qmodz_cocycle_targets(complex, degree, rng, trials):
         run.require(vbar.coboundary().is_zero(), "target is a Q/Z-cocycle",
                     target=vbar)
-        v = Cochain(complex, degree, Ring.Q, vbar.values)
+        v = Cochain(complex, degree, Ring.Q, vbar.row)
         dv = v.coboundary()
-        run.require(all(x.denominator == 1 for x in dv.values),
-                    "lifted coboundary is integral", target=vbar)
-        u = Cochain(complex, degree + 1, Ring.Z, [int(x) for x in dv.values])
+        run.require(dv.row.den == 1, "lifted coboundary is integral", target=vbar)
+        u = Cochain(complex, degree + 1, Ring.Z, dv.row)
         z = ConeCochain(complex, degree, u, v)
         run.require(z.is_cocycle(), "lift is a cone cocycle", target=vbar)
         run.require(z.rational.mod1() == vbar, "lift maps back to the target",
@@ -336,7 +337,7 @@ def les_exactness(complex, degree, trials=25, seed=0):
         z = alpha_cone(c) + delta_cone(ConeCochain(complex, k - 1, m, s))
         run.require(gamma_cone(z).coboundary().is_zero(),
                     "gamma image of sample is an integral cocycle", sample=z)
-        res = decomp.membership(z._coords())
+        res = decomp.membership(z._row())
         if run.require(isinstance(res, MixedWitness),
                        "gamma-kernel sample decomposes", sample=z):
             y = ConeCochain(complex, k - 1,
@@ -354,7 +355,7 @@ def les_exactness(complex, degree, trials=25, seed=0):
     factored_k = complex.coboundary_factored(k)
     for tor in st_next.torsion_gens:
         t = Cochain(complex, k + 1, Ring.Z, list(tor.gen))
-        v = factored_k.solve(t.values)
+        v = factored_k.solve(t.row)
         if run.require(v is not None, "torsion class dies rationally", cls=t):
             z = ConeCochain(complex, k, -t,
                             Cochain(complex, k, Ring.Q, [-x for x in v]))
@@ -364,7 +365,7 @@ def les_exactness(complex, degree, trials=25, seed=0):
     for _ in range(trials // 2 + 1):
         m = random_cochain(rng, complex, k, Ring.Z)
         t = m.coboundary()
-        v = factored_k.solve(t.values)
+        v = factored_k.solve(t.row)
         if run.require(v is not None, "coboundary class dies rationally",
                        cls=t):
             z = ConeCochain(complex, k, -t,
@@ -377,7 +378,7 @@ def les_exactness(complex, degree, trials=25, seed=0):
         cert = _nonintegral_cycle(complex,
                                   Cochain(complex, k + 1, Ring.Q,
                                           [Fraction(x, 2) for x in g]))
-        v = factored_k.solve(t.values)
+        v = factored_k.solve(t.row)
         run.require(v is None, "free class survives j", cls=t, cert=cert)
     return run.report()
 

@@ -5,6 +5,8 @@ Every scalar in this package is either an arbitrary-precision integer or a
 maps we verify have rational structure constants in the piecewise-linear
 model, so each identity holds over R if and only if it holds over Q, and
 over Q it can be checked exactly.  `Rational` is an alias for `Fraction`.
+A rational vector is kept as an `IntRow`, integer numerators over one
+denominator, so vector arithmetic and solves run on integers.
 
 The module provides Smith normal form with unimodular transforms (and
 their inverses), integer and rational linear solvers, and decision
@@ -15,16 +17,92 @@ with a witness or a certificate that re-verifies independently.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul
 
 Rational = Fraction
 
 
 # ---------------------------------------------------------------------------
-# small vector helpers (entries int or Fraction)
+# rational vectors as integer rows, and small vector helpers
+
+class IntRow(namedtuple("IntRow", "nums den")):
+    """The rational vector nums / den: `nums` a tuple of ints, `den` >= 1.
+
+    The constructor puts the pair in canonical form, gcd(den, *nums) == 1
+    (so the zero vector has den 1), which makes equality of vectors
+    equality of tuples.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, nums, den):
+        nums = tuple(nums)
+        if den < 1:
+            raise ValueError("IntRow denominator must be positive")
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple([x // g for x in nums])
+            den //= g
+        return tuple.__new__(cls, (nums, den))
+
+    @classmethod
+    def of(cls, values):
+        """The IntRow of a sequence of ints, Fractions or anything Fraction
+        accepts; an IntRow is returned as it is."""
+        if type(values) is cls:
+            return values
+        vals = [v if type(v) is int or type(v) is Fraction else Fraction(v)
+                for v in values]
+        den = lcm(*[v.denominator for v in vals])
+        return cls([v.numerator * (den // v.denominator) for v in vals], den)
+
+    @classmethod
+    def combination(cls, start, terms):
+        """start + sum c * row over the (c, row) pairs, c an int or a
+        Fraction; summed over a running common denominator and put in
+        canonical form once."""
+        nums, den = list(start.nums), start.den
+        for c, (rnums, rden) in terms:
+            if not c:
+                continue
+            tden = c.denominator * rden
+            new = lcm(den, tden)
+            if new != den:
+                nums = list(map((new // den).__mul__, nums))
+                den = new
+            f = c.numerator * (den // tden)
+            nums = list(map(add, nums, map(f.__mul__, rnums)))
+        return cls(nums, den)
+
+    @classmethod
+    def join(cls, rows):
+        """The concatenation of several rows, over their common denominator."""
+        den = lcm(*[r.den for r in rows])
+        nums = []
+        for r in rows:
+            nums.extend(map((den // r.den).__mul__, r.nums))
+        return cls(nums, den)
+
+    def plus(self, other, c=1):
+        """self + c * other."""
+        return IntRow.combination(self, ((c, other),))
+
+    def scaled(self, s):
+        """s * self for an int or a Fraction (anything else goes through
+        Fraction)."""
+        if type(s) is not int and type(s) is not Fraction:
+            s = Fraction(s)
+        return IntRow([x * s.numerator for x in self.nums],
+                      self.den * s.denominator)
+
+    def fractions(self):
+        """The coordinates as Fractions."""
+        return tuple([Fraction(x, self.den) for x in self.nums])
+
 
 def vec_dot(u, v):
     if len(u) != len(v):
@@ -102,9 +180,6 @@ class Matrix:
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
 
     def transpose(self):
         return Matrix(self.cols, self.rows,
@@ -429,12 +504,6 @@ def hnf_solve(a, b):
 # ---------------------------------------------------------------------------
 # rational elimination
 
-def _int_row(values):
-    """(numerators, denominator) with values[j] == numerators[j] / denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 class Factored:
     """Gauss-Jordan factorization of a matrix over Q, reused across solves.
 
@@ -444,77 +513,82 @@ class Factored:
     below the current row, so the pivot columns are the leftmost
     independent columns of `a`; `solve` sets every free variable to zero,
     which makes each answer the one a fresh elimination of [a | b] gives.
-    Rows of E and of `a` are kept as integer vectors over one denominator
-    per row, so a solve is integer dot products.
+    The elimination is fraction-free: each row is an integer multiple of
+    the rational row, a row operation is row_i := p*row_i - f*pivot_row
+    followed by division by the row's content, and a pivot row is read
+    over its pivot entry at the end.  Each row of E is kept as integer
+    numerators over that pivot, so a solve is integer dot products.
     """
 
     __slots__ = ("matrix", "pivots", "rank", "_transform", "_a_rows")
 
     def __init__(self, a):
         m, n = a.rows, a.cols
-        rows = [[Fraction(x) for x in row] + [1 if j == i else 0 for j in range(m)]
-                for i, row in enumerate(a.data)]
+        a_rows = [IntRow.of(row) for row in a.data]
+        rows = [list(nums) + [den if j == i else 0 for j in range(m)]
+                for i, (nums, den) in enumerate(a_rows)]
         pivots = []
         pr = 0
         for pc in range(n):
             if pr == m:
                 break
-            pivot_row = next((i for i in range(pr, m) if rows[i][pc] != 0), None)
+            pivot_row = next((i for i in range(pr, m) if rows[i][pc]), None)
             if pivot_row is None:
                 continue
             rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = 1 / rows[pr][pc]
-            prow = rows[pr] = [x * inv if x else x for x in rows[pr]]
+            prow = rows[pr]
+            p = prow[pc]
             for i in range(m):
                 f = rows[i][pc]
-                if i != pr and f != 0:
-                    rows[i] = [x - f * y if y else x for x, y in zip(rows[i], prow)]
+                if i != pr and f:
+                    row = [p * x - f * y if y else p * x
+                           for x, y in zip(rows[i], prow)]
+                    g = gcd(*row)
+                    rows[i] = [x // g for x in row] if g != 1 else row
             pivots.append(pc)
             pr += 1
         self.matrix = a
         self.pivots = tuple(pivots)
         self.rank = len(pivots)
-        self._transform = [_int_row(row[n:]) for row in rows]
-        self._a_rows = [_int_row(row) for row in a.data]
+        # E row i is the transform part of row i over its pivot entry; rows
+        # past the rank only test consistency, so any scale will do
+        self._transform = ([(row[n:], row[pc]) if row[pc] > 0
+                            else ([-x for x in row[n:]], -row[pc])
+                            for row, pc in zip(rows, pivots)]
+                           + [(row[n:], 1) for row in rows[self.rank:]])
+        self._a_rows = a_rows
 
     def solve(self, b):
         """Exact solution of a*x == b over Q, or None when inconsistent.
 
-        Free variables are zero.  The answer is re-checked against `a`; a
-        failed re-check raises ArithmeticError, never reads as "no solution".
+        `b` is an IntRow or a sequence of rationals.  Free variables are
+        zero.  The answer is re-checked against `a`; a failed re-check
+        raises ArithmeticError, never reads as "no solution".
         """
-        if len(b) != self.matrix.rows:
+        bnum, bden = IntRow.of(b)
+        if len(bnum) != self.matrix.rows:
             raise ValueError("right-hand side length does not match")
-        bnum, bden = _int_row([Fraction(v) for v in b])
         rank = self.rank
         for nums, _ in self._transform[rank:]:
             if sum(map(mul, nums, bnum)):
                 return None
-        x = [Fraction(0)] * self.matrix.cols
+        # x[pc] = (E_i . bnum) / (den_i * bden), over one common denominator
+        common = lcm(*[den for _, den in self._transform[:rank]])
+        xden = common * bden
+        xnum = [0] * self.matrix.cols
         for pc, (nums, den) in zip(self.pivots, self._transform):
-            x[pc] = Fraction(sum(map(mul, nums, bnum)), den * bden)
-        xnum, xden = _int_row(x)
+            xnum[pc] = sum(map(mul, nums, bnum)) * (common // den)
         for (nums, den), bi in zip(self._a_rows, bnum):
             if sum(map(mul, nums, xnum)) * bden != bi * den * xden:
                 raise ArithmeticError("solution failed to re-verify against the matrix")
-        return x
+        return [Fraction(v, xden) for v in xnum]
 
     def kernel(self):
         """Basis of the rational nullspace {x : a*x == 0}, as column vectors."""
-        n = self.matrix.cols
-        pivot_set = set(self.pivots)
-        basis = []
-        for fj in range(n):
-            if fj in pivot_set:
-                continue
-            # column fj of RREF(a) is E times column fj of a
-            col, col_den = _int_row(self.matrix.column(fj))
-            x = [Fraction(0)] * n
-            x[fj] = Fraction(1)
-            for pc, (nums, den) in zip(self.pivots, self._transform):
-                x[pc] = -Fraction(sum(map(mul, nums, col)), den * col_den)
-            basis.append(x)
-        return basis
+        # free column fj gives e_fj - y with a*y == column fj (y_fj == 0)
+        return [[(1 if j == fj else 0) - y
+                 for j, y in enumerate(self.solve(self.matrix.column(fj)))]
+                for fj in range(self.matrix.cols) if fj not in self.pivots]
 
 
 def rational_rank(a):
@@ -556,10 +630,6 @@ class FgAbelianGroup:
             if prev is not None and d % prev != 0:
                 raise ValueError("torsion factors do not form a divisibility chain")
             prev = d
-
-    @property
-    def is_trivial(self):
-        return self.rank == 0 and not self.torsion_factors
 
     def __str__(self):
         parts = []
@@ -645,49 +715,53 @@ class MixedSolver:
         else:
             self.proj = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
             self._identity_proj = True
-        b = [[_int_dot(phi, g) for g in subgroup.lattice_gens] for phi in self.proj]
+        b = [[sum(map(mul, phi, g)) for g in subgroup.lattice_gens]
+             for phi in self.proj]
         self.bmat = Matrix(len(self.proj), len(subgroup.lattice_gens), b)
         self.smith = smith_form(self.bmat)
         self._space = (Factored(Matrix.from_columns(subgroup.space_gens, rows=n))
                        if subgroup.space_gens else None)
 
     def membership(self, x):
+        """Witness or certificate for x, an IntRow or a sequence of
+        rationals; the arithmetic runs on x's integer numerators."""
         s = self.subgroup
-        n = s.ambient_dim
-        if len(x) != n:
+        xnum, xden = IntRow.of(x)
+        if len(xnum) != s.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        x = [Fraction(v) for v in x]
         if self._identity_proj:
-            y = list(x)
+            y = xnum
         else:
-            y = [vec_dot(phi, x) for phi in self.proj]
+            y = [sum(map(mul, phi, xnum)) for phi in self.proj]
         f = self.smith
         w = f.u.mul_vec(y)
         nn = min(self.bmat.rows, self.bmat.cols)
         z = [0] * self.bmat.cols
-        for i in range(self.bmat.rows):
+        for i, wi in enumerate(w):
+            # the projected coordinate is wi / xden; it must lie in d*Z
             d = f.d.data[i][i] if i < nn else 0
             if d == 0:
-                if w[i] != 0:
-                    return self._certificate(i, 0, w[i])
+                if wi:
+                    return self._certificate(i, 0, Fraction(wi, xden))
+            elif wi % (d * xden):
+                return self._certificate(i, d, Fraction(wi, xden))
             else:
-                if w[i].denominator != 1 or w[i] % d != 0:
-                    return self._certificate(i, d, w[i])
-                z[i] = int(w[i]) // d
+                z[i] = wi // (d * xden)
         zz = f.v.mul_vec(z)
-        residue = list(x)
+        residue = list(xnum)
         for coeff, gen in zip(zz, s.lattice_gens):
             if coeff:
-                residue = [r - coeff * g for r, g in zip(residue, gen)]
+                c = coeff * xden
+                residue = [r - c * g for r, g in zip(residue, gen)]
         if s.space_gens:
-            q = self._space.solve(residue)
+            q = self._space.solve(IntRow(residue, xden))
             if q is None:
                 raise ArithmeticError("projection residue left the space span")
         else:
             q = []
             if any(residue):
                 raise ArithmeticError("nonzero residue with no space part")
-        return MixedWitness(tuple(zz), tuple(Fraction(t) for t in q))
+        return MixedWitness(tuple(zz), tuple(q))
 
     def _certificate(self, i, modulus, value):
         phi = [0] * self.subgroup.ambient_dim
@@ -697,10 +771,6 @@ class MixedSolver:
                 for j in range(len(phi)):
                     phi[j] += coeff * row_phi[j]
         return NonMembership(tuple(phi), modulus, Fraction(value))
-
-
-def _int_dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def mixed_membership(x, subgroup):

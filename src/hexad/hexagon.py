@@ -222,7 +222,7 @@ class OmegaDecomposer:
             raise ValueError("decomposer built for a different degree")
         if not d_form(form).is_zero():
             return None
-        res = self._solver.membership(form._coords())
+        res = self._solver.membership(form.row)
         if not isinstance(res, MixedWitness):
             return None
         c = combine(Cochain.zero(self.complex, self.degree, Ring.Z),
@@ -263,7 +263,7 @@ def witness_I_surjective(c, t):
         raise ValueError("first slot must be an integral cocycle")
     if t.ring is not Ring.Q:
         t = t.as_q()
-    sol = c.complex.coboundary_factored(t.degree - 1).solve(t.values)
+    sol = c.complex.coboundary_factored(t.degree - 1).solve(t.row)
     if sol is None:
         raise ValueError("second slot must be a rational coboundary")
     big_t = Cochain(c.complex, t.degree - 1, Ring.Q, sol)
@@ -587,7 +587,7 @@ def _khat_node_exactness(ctx, run, rng):
             ctx.zhat_space)
         cb, y0 = ctx.random_coboundary(rng)
         x = x + cb
-        m = cx.coboundary_smith(k - 1).solve(list(x.integral.values))
+        m = cx.coboundary_smith(k - 1).solve(x.integral.row.nums)
         if not run.require(m is not None,
                            "trivial class sample has integral primitive", x=x):
             continue

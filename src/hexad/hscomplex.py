@@ -17,7 +17,7 @@ cocycle's class.
 
 from __future__ import annotations
 
-from .exactalg import MixedSolver, MixedSubgroup, MixedWitness
+from .exactalg import IntRow, MixedSolver, MixedSubgroup, MixedWitness
 from .plforms import WhitneyForm, d as d_form, derham_cochain
 from .simplicial import Chain, Cochain, Coords, Ring
 
@@ -69,21 +69,26 @@ class DiffCochain(Coords):
     def _key(self):
         return (self.complex, self.level, self.degree)
 
-    def _coords(self):
-        coords = self.integral.values + self.potential.values
+    def _row(self):
+        # integral values, then potential values, then curvature
+        # coefficients when present, over one common denominator
+        rows = [self.integral.row, self.potential.row]
         if self.curvature is not None:
-            coords += self.curvature.coeffs
-        return coords
+            rows.append(self.curvature.row)
+        return IntRow.join(rows)
 
-    def _like(self, coords):
+    def _like(self, row):
         cx, k = self.complex, self.degree
-        n = len(self.integral.values)
-        m = n + len(self.potential.values)
+        nums, den = row
+        n = len(self.integral.row.nums)
+        m = n + len(self.potential.row.nums)
         curv = None
         if self.curvature is not None:
-            curv = WhitneyForm(cx, k, coords[m:])
-        return DiffCochain(cx, self.level, k, Cochain(cx, k, Ring.Z, coords[:n]),
-                           Cochain(cx, k - 1, Ring.Q, coords[n:m]), curv)
+            curv = WhitneyForm(cx, k, IntRow(nums[m:], den))
+        return DiffCochain(cx, self.level, k,
+                           Cochain(cx, k, Ring.Z, IntRow(nums[:n], den)),
+                           Cochain(cx, k - 1, Ring.Q, IntRow(nums[n:m], den)),
+                           curv)
 
     def __repr__(self):
         return ("DiffCochain(q=%d, k=%d, c=%r, T=%r, w=%r)"
@@ -149,7 +154,8 @@ class CoboundarySolver:
             raise ValueError("coboundary test lives at level q = degree k")
         if x.curvature is not None and not x.curvature.is_zero():
             return None
-        res = self._solver.membership(x.integral.values + x.potential.values)
+        res = self._solver.membership(
+            IntRow.join((x.integral.row, x.potential.row)))
         if not isinstance(res, MixedWitness):
             return None
         cx = self.complex

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
+from .exactalg import IntRow
 from .simplicial import Chain, Cochain, Coords, Ring
 
 
@@ -22,28 +24,33 @@ class NotExactError(ValueError):
 
 
 class WhitneyForm(Coords):
-    """Rational coefficients in the elementary-Whitney-form basis."""
+    """Rational coefficients in the elementary-Whitney-form basis, kept as
+    one `IntRow`."""
 
-    __slots__ = ("complex", "degree", "coeffs")
+    __slots__ = ("complex", "degree", "row")
 
     def __init__(self, complex, degree, coeffs):
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c)
-                       for c in coeffs)
-        if len(coeffs) != complex.n_simplices(degree):
+        row = IntRow.of(coeffs)
+        if len(row.nums) != complex.n_simplices(degree):
             raise ValueError("form has %d coefficients, expected %d"
-                             % (len(coeffs), complex.n_simplices(degree)))
+                             % (len(row.nums), complex.n_simplices(degree)))
         self.complex = complex
         self.degree = degree
-        self.coeffs = coeffs
+        self.row = row
+
+    @property
+    def coeffs(self):
+        """The coefficients as Fractions."""
+        return self.row.fractions()
 
     def _key(self):
         return (self.complex, self.degree)
 
-    def _coords(self):
-        return self.coeffs
+    def _row(self):
+        return self.row
 
-    def _like(self, coords):
-        return WhitneyForm(self.complex, self.degree, coords)
+    def _like(self, row):
+        return WhitneyForm(self.complex, self.degree, row)
 
     @classmethod
     def zero(cls, complex, degree):
@@ -51,8 +58,8 @@ class WhitneyForm(Coords):
 
     @classmethod
     def elementary(cls, complex, degree, i):
-        coeffs = [Fraction(0)] * complex.n_simplices(degree)
-        coeffs[i] = Fraction(1)
+        coeffs = [0] * complex.n_simplices(degree)
+        coeffs[i] = 1
         return cls(complex, degree, coeffs)
 
     def __repr__(self):
@@ -62,8 +69,8 @@ class WhitneyForm(Coords):
 
 def d(form):
     """Exterior derivative; the coboundary matrix in Whitney coordinates."""
-    return WhitneyForm(form.complex, form.degree + 1,
-                       form.complex.coboundary_values(form.degree, form.coeffs))
+    nums = form.complex.coboundary_values(form.degree, form.row.nums)
+    return WhitneyForm(form.complex, form.degree + 1, IntRow(nums, form.row.den))
 
 
 def integrate(form, chain):
@@ -73,23 +80,19 @@ def integrate(form, chain):
     if chain.degree != form.degree:
         raise ValueError("cannot integrate a %d-form over a %d-chain"
                          % (form.degree, chain.degree))
-    total = Fraction(0)
-    for c, w in zip(chain.coeffs, form.coeffs):
-        if c and w:
-            total += c * w
-    return total
+    return Fraction(sum(map(mul, chain.coeffs, form.row.nums)), form.row.den)
 
 
 def derham_cochain(form):
     """The simplex-integration cochain of a form; identity on coordinates."""
-    return Cochain(form.complex, form.degree, Ring.Q, form.coeffs)
+    return Cochain(form.complex, form.degree, Ring.Q, form.row)
 
 
 def whitney(cochain):
     """The Whitney map C^k(X; Q) -> PL k-forms, inverse to integration."""
     if cochain.ring is Ring.QMODZ:
         raise ValueError("the Whitney map needs honest rational values")
-    return WhitneyForm(cochain.complex, cochain.degree, cochain.values)
+    return WhitneyForm(cochain.complex, cochain.degree, cochain.row)
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ def find_primitive(target):
     """
     if target.ring is not Ring.Q:
         target = target.as_q()
-    y = target.complex.coboundary_factored(target.degree - 1).solve(target.values)
+    y = target.complex.coboundary_factored(target.degree - 1).solve(target.row)
     if y is None:
         raise NotExactError("target cochain is not a coboundary")
     eta = WhitneyForm(target.complex, target.degree - 1, y)

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from operator import add, mul, sub
 
 from .exactalg import (
     Factored,
     FgAbelianGroup,
+    IntRow,
     Matrix,
     smith_form,
 )
@@ -103,11 +105,11 @@ class SimplicialComplex:
     one rational factorization per coboundary degree and one Smith form
     per boundary and coboundary matrix."""
 
-    __slots__ = ("name", "n_vertices", "simplices", "_index", "_bound",
-                 "_cob_sparse", "_cob_factored", "_cob_smith", "_bd_smith",
-                 "_cohom", "_homol")
+    __slots__ = ("name", "n_vertices", "simplices", "_counts", "_index",
+                 "_bound", "_cob_sparse", "_cob_factored", "_cob_smith",
+                 "_bd_smith", "_cohom", "_homol")
 
-    def __init__(self, name, n_vertices, simplices_by_dim, *, check=True):
+    def __init__(self, name, n_vertices, simplices_by_dim):
         self.name = str(name)
         self.n_vertices = int(n_vertices)
         simps = []
@@ -116,6 +118,7 @@ class SimplicialComplex:
         while simps and not simps[-1]:
             simps.pop()
         self.simplices = tuple(simps)
+        self._counts = tuple(len(lst) for lst in self.simplices)
         self._index = tuple({s: i for i, s in enumerate(lst)} for lst in self.simplices)
         self._bound = {}
         self._cob_sparse = {}
@@ -124,22 +127,21 @@ class SimplicialComplex:
         self._bd_smith = {}
         self._cohom = {}
         self._homol = {}
-        if check:
-            violations = validate_data(self.n_vertices, self.simplices)
-            if violations:
-                raise InvalidComplexError(violations)
-            # boundary matrices for 1..dim; everything else has a zero shape
-            for k in range(1, self.dim + 1):
-                self._bound[k] = self._build_boundary(k)
-                self._cob_sparse[k - 1] = self._build_cob_sparse(k - 1)
-            for k in range(-1, self.dim + 1):
-                cob = self.coboundary_matrix(k)
-                self._cob_factored[k] = Factored(cob)
-                self._cob_smith[k] = smith_form(cob)
-                self._bd_smith[k + 1] = smith_form(self.boundary(k + 1))
-            for k in range(0, self.dim + 1):
-                self._cohom[k] = _cohomology_structure(self, k)
-                self._homol[k] = _homology_structure(self, k)
+        violations = validate_data(self.n_vertices, self.simplices)
+        if violations:
+            raise InvalidComplexError(violations)
+        # boundary matrices for 1..dim; everything else has a zero shape
+        for k in range(1, self.dim + 1):
+            self._bound[k] = self._build_boundary(k)
+            self._cob_sparse[k - 1] = self._build_cob_sparse(k - 1)
+        for k in range(-1, self.dim + 1):
+            cob = self.coboundary_matrix(k)
+            self._cob_factored[k] = Factored(cob)
+            self._cob_smith[k] = smith_form(cob)
+            self._bd_smith[k + 1] = smith_form(self.boundary(k + 1))
+        for k in range(0, self.dim + 1):
+            self._cohom[k] = _cohomology_structure(self, k)
+            self._homol[k] = _homology_structure(self, k)
 
     @classmethod
     def from_facets(cls, name, n_vertices, facets):
@@ -169,7 +171,7 @@ class SimplicialComplex:
         return ()
 
     def n_simplices(self, k):
-        return len(self.simplices_of(k))
+        return self._counts[k] if 0 <= k < len(self._counts) else 0
 
     def index_of(self, k, simplex):
         try:
@@ -189,16 +191,12 @@ class SimplicialComplex:
         return Matrix(len(lower), len(upper), data)
 
     def _build_cob_sparse(self, k):
-        # row structure of delta^k: for each (k+1)-simplex, its faces with signs
-        rows = []
+        # face structure of delta^k: entry i lists, for every (k+1)-simplex,
+        # the index of the face opposite its vertex i (sign (-1)^i)
         index = self._index[k] if 0 <= k <= self.dim else {}
-        for s in self.simplices_of(k + 1):
-            entries = []
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                entries.append((index[face], -1 if i % 2 else 1))
-            rows.append(tuple(entries))
-        return tuple(rows)
+        upper = self.simplices_of(k + 1)
+        return tuple(tuple(index[s[:i] + s[i + 1:]] for s in upper)
+                     for i in range(k + 2))
 
     def boundary(self, k):
         """Boundary operator C_k -> C_{k-1} for any k (zero shape off-range)."""
@@ -230,24 +228,21 @@ class SimplicialComplex:
             return self._bd_smith[k]
         return smith_form(self.boundary(k))
 
-    def coboundary_values(self, k, values):
-        """Apply delta^k to a value vector, skipping zero entries.
+    def coboundary_values(self, k, nums):
+        """Apply delta^k to a vector of integers (the numerators of a
+        cochain; its denominator is unchanged).
 
-        Semantically identical to coboundary_matrix(k).mul_vec(values); the
+        Semantically identical to coboundary_matrix(k).mul_vec(nums); the
         signs are read from the precomputed sparse face lists.
         """
-        rows = self._cob_sparse.get(k)
-        if rows is None:
+        faces = self._cob_sparse.get(k)
+        if faces is None:
             return [0] * self.n_simplices(k + 1)
-        out = []
-        for row in rows:
-            acc = 0
-            for j, sign in row:
-                v = values[j]
-                if v:
-                    acc = acc + v if sign > 0 else acc - v
-            out.append(acc)
-        return out
+        get = nums.__getitem__
+        acc = map(get, faces[0])
+        for i in range(1, len(faces)):
+            acc = map(sub if i % 2 else add, acc, map(get, faces[i]))
+        return list(acc)
 
     def cohomology_structure(self, k):
         if not (0 <= k <= self.dim):
@@ -288,31 +283,32 @@ def boundary_matrix(complex, k):
 class Coords:
     """Shared vector core of cochain-like values.
 
-    A value is a flat coordinate tuple plus a key (complex, degree, ring,
-    level, ...) that must match for two values to be combined.  Each type
-    supplies `_key()`, `_coords()` and `_like(coords)`, which rebuilds a
-    value of the same type through its validating constructor; the group
-    operations below act on the coordinates and are defined only here.
+    A value is an `IntRow` (integer numerators over one denominator) plus
+    a key (complex, degree, ring, level, ...) that must match for two
+    values to be combined.  Each type supplies `_key()`, `_row()` and
+    `_like(row)`, which rebuilds a value of the same type through its
+    validating constructor; the group operations below act on the integer
+    rows and are defined only here.
     """
 
     __slots__ = ()
 
     def is_zero(self):
-        return not any(self._coords())
+        return not any(self._row().nums)
 
     def __add__(self, other):
         self._compat(other)
-        return self._like([a + b for a, b in zip(self._coords(), other._coords())])
+        return self._like(self._row().plus(other._row()))
 
     def __sub__(self, other):
         self._compat(other)
-        return self._like([a - b for a, b in zip(self._coords(), other._coords())])
+        return self._like(self._row().plus(other._row(), -1))
 
     def __neg__(self):
-        return self._like([-a for a in self._coords()])
+        return self._like(self._row().scaled(-1))
 
     def scale(self, s):
-        return self._like([s * a for a in self._coords()])
+        return self._like(self._row().scaled(s))
 
     def _compat(self, other):
         if type(other) is not type(self) or other._key() != self._key():
@@ -320,47 +316,50 @@ class Coords:
 
     def __eq__(self, other):
         return (type(other) is type(self) and other._key() == self._key()
-                and other._coords() == self._coords())
+                and other._row() == self._row())
 
 
 def combine(zero, lattice_coeffs, lattice, space_coeffs, space):
     """zero + sum n_i * lattice_i + sum q_j * space_j, summed in one pass
-    over the coordinates and built once through zero's constructor."""
-    acc = list(zero._coords())
+    over the integer rows and built once through zero's constructor."""
+    terms = []
     for coeffs, gens in ((lattice_coeffs, lattice), (space_coeffs, space)):
         for c, g in zip(coeffs, gens):
             if c:
                 zero._compat(g)
-                acc = [a + c * x if x else a for a, x in zip(acc, g._coords())]
-    return zero._like(acc)
+                terms.append((c, g._row()))
+    return zero._like(IntRow.combination(zero._row(), terms))
 
 
 class Chain(Coords):
     """Integer k-chain, indexed by the k-simplices of its complex."""
 
-    __slots__ = ("complex", "degree", "coeffs")
+    __slots__ = ("complex", "degree", "row")
 
     def __init__(self, complex, degree, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) != complex.n_simplices(degree):
+        row = IntRow.of(coeffs)
+        if row.den != 1:
+            raise ValueError("non-integer coefficient %r in a chain"
+                             % (_first_fraction(row),))
+        if len(row.nums) != complex.n_simplices(degree):
             raise ValueError("chain has %d coefficients, expected %d"
-                             % (len(coeffs), complex.n_simplices(degree)))
+                             % (len(row.nums), complex.n_simplices(degree)))
         self.complex = complex
         self.degree = degree
-        self.coeffs = coeffs
+        self.row = row
+
+    @property
+    def coeffs(self):
+        return self.row.nums
 
     def _key(self):
         return (self.complex, self.degree)
 
-    def _coords(self):
-        return self.coeffs
+    def _row(self):
+        return self.row
 
-    def _like(self, coords):
-        return Chain(self.complex, self.degree, coords)
-
-    @classmethod
-    def zero(cls, complex, degree):
-        return cls(complex, degree, [0] * complex.n_simplices(degree))
+    def _like(self, row):
+        return Chain(self.complex, self.degree, row)
 
     @classmethod
     def basis(cls, complex, degree, i):
@@ -370,7 +369,7 @@ class Chain(Coords):
 
     def boundary(self):
         mat = self.complex.boundary(self.degree)
-        return Chain(self.complex, self.degree - 1, mat.mul_vec(list(self.coeffs)))
+        return Chain(self.complex, self.degree - 1, mat.mul_vec(self.coeffs))
 
     def is_cycle(self):
         return all(c == 0 for c in self.boundary().coeffs)
@@ -379,48 +378,55 @@ class Chain(Coords):
         return "Chain(deg=%d, %r)" % (self.degree, list(self.coeffs))
 
 
-def _normalize_value(ring, v):
-    if ring is Ring.Z:
-        if type(v) is int:
-            return v
-        f = Fraction(v)
-        if f.denominator != 1:
-            raise ValueError("non-integer value %r in a Z-cochain" % (v,))
-        return int(f)
-    if ring is Ring.Q:
-        return v if type(v) is Fraction else Fraction(v)
-    f = v if type(v) is Fraction else Fraction(v)
-    return f - (f.numerator // f.denominator)  # representative in [0, 1)
+def _first_fraction(row):
+    """The first coordinate of the row that is not an integer."""
+    return next(Fraction(x, row.den) for x in row.nums if x % row.den)
 
 
 class Cochain(Coords):
     """Degree-k cochain over Z, Q or Q/Z.
 
-    Q/Z values are kept as the unique rational representative in [0, 1),
-    so equality of cochains is equality of the underlying functions.
+    The values are one `IntRow`.  Over Z its denominator is 1; Q/Z values
+    are kept as the unique rational representative in [0, 1) (numerators
+    reduced mod the denominator), so equality of cochains is equality of
+    the underlying functions.
     """
 
-    __slots__ = ("complex", "degree", "ring", "values")
+    __slots__ = ("complex", "degree", "ring", "row")
 
     def __init__(self, complex, degree, ring, values):
-        ring = _as_ring(ring)
-        values = tuple(_normalize_value(ring, v) for v in values)
-        if len(values) != complex.n_simplices(degree):
+        if type(ring) is not Ring:
+            ring = _as_ring(ring)
+        row = IntRow.of(values)
+        if ring is Ring.Z:
+            if row.den != 1:
+                raise ValueError("non-integer value %r in a Z-cochain"
+                                 % (_first_fraction(row),))
+        elif ring is Ring.QMODZ:
+            row = IntRow([x % row.den for x in row.nums], row.den)
+        if len(row.nums) != complex.n_simplices(degree):
             raise ValueError("cochain has %d values, expected %d"
-                             % (len(values), complex.n_simplices(degree)))
+                             % (len(row.nums), complex.n_simplices(degree)))
         self.complex = complex
         self.degree = degree
         self.ring = ring
-        self.values = values
+        self.row = row
+
+    @property
+    def values(self):
+        """The values: ints over Z, Fractions over Q and Q/Z."""
+        if self.ring is Ring.Z:
+            return self.row.nums
+        return self.row.fractions()
 
     def _key(self):
         return (self.complex, self.degree, self.ring)
 
-    def _coords(self):
-        return self.values
+    def _row(self):
+        return self.row
 
-    def _like(self, coords):
-        return Cochain(self.complex, self.degree, self.ring, coords)
+    def _like(self, row):
+        return Cochain(self.complex, self.degree, self.ring, row)
 
     @classmethod
     def zero(cls, complex, degree, ring):
@@ -434,34 +440,32 @@ class Cochain(Coords):
 
     def coboundary(self):
         """(delta x)(sigma) = x(boundary sigma); ring tag preserved."""
-        vals = self.complex.coboundary_values(self.degree, self.values)
-        return Cochain(self.complex, self.degree + 1, self.ring, vals)
+        nums = self.complex.coboundary_values(self.degree, self.row.nums)
+        return Cochain(self.complex, self.degree + 1, self.ring,
+                       IntRow(nums, self.row.den))
 
     def evaluate(self, chain):
         if chain.degree != self.degree:
             raise ValueError("cochain degree %d evaluated on %d-chain"
                              % (self.degree, chain.degree))
-        total = Fraction(0)
-        for v, c in zip(self.values, chain.coeffs):
-            if v and c:
-                total += v * c
+        total = sum(map(mul, self.row.nums, chain.coeffs))
         if self.ring is Ring.Z:
-            return int(total)
+            return total
         if self.ring is Ring.QMODZ:
-            return total - (total.numerator // total.denominator)
-        return total
+            return Fraction(total % self.row.den, self.row.den)
+        return Fraction(total, self.row.den)
 
     def as_q(self):
         """Coefficient inclusion into Q (the identity on Q-cochains)."""
         if self.ring is Ring.QMODZ:
             raise ValueError("no canonical lift of a Q/Z-cochain to Q")
-        return Cochain(self.complex, self.degree, Ring.Q, self.values)
+        return Cochain(self.complex, self.degree, Ring.Q, self.row)
 
     def mod1(self):
         """Reduction mod Z: Q -> Q/Z."""
         if self.ring is Ring.QMODZ:
             return self
-        return Cochain(self.complex, self.degree, Ring.QMODZ, self.values)
+        return Cochain(self.complex, self.degree, Ring.QMODZ, self.row)
 
     def is_cocycle(self):
         return self.coboundary().is_zero()
@@ -538,16 +542,23 @@ def _quotient_presentation(kernel_vecs, image_cols, image_smith):
     if z == 0:
         return (), (), FgAbelianGroup(0)
     ambient = len(kernel_vecs[0])
-    kernel_fact = Factored(Matrix.from_columns(kernel_vecs, rows=ambient))
-    coords = []
-    for col in image_cols:
-        sol = kernel_fact.solve(col)
-        if sol is None or any(s.denominator != 1 for s in sol):
-            raise ArithmeticError("image generator is not in the kernel lattice")
-        coords.append([int(s) for s in sol])
+    kernel_mat = Matrix.from_columns(kernel_vecs, rows=ambient)
+    # with the standard basis as kernel basis (top-degree cohomology, H_0)
+    # the relations matrix is the image matrix itself, already reduced
+    standard = kernel_mat == Matrix.identity(ambient)
+    if standard:
+        coords = [list(col) for col in image_cols]
+    else:
+        kernel_fact = Factored(kernel_mat)
+        coords = []
+        for col in image_cols:
+            sol = kernel_fact.solve(col)
+            if sol is None or any(s.denominator != 1 for s in sol):
+                raise ArithmeticError("image generator is not in the kernel lattice")
+            coords.append([int(s) for s in sol])
     if coords:
         rel = Matrix.from_columns(coords, rows=z)
-        f = smith_form(rel)
+        f = image_smith if standard else smith_form(rel)
         diag = f.diagonal
         new_basis = [f.u_inv.column(i) for i in range(z)]
     else:

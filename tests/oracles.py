@@ -243,3 +243,103 @@ def oracle_random_combination(rng, zero, lattice_elems, space_elems):
         if q:
             acc = acc + g.scale(q)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-per-coordinate vector core, kept as the reference for the
+# integer-numerator core.  A value is a list of slots (ring, coordinates),
+# ring "Z", "Q" or "QmodZ"; Whitney forms are "Q" slots.  The slots are
+# concatenated for the group operations and split and normalised by ring
+# afterwards, as the package did before it kept integer rows.
+
+def oracle_normalize(ring, v):
+    """One coordinate in its ring: int over Z (ValueError when it is not
+    an integer), Fraction over Q, the representative in [0, 1) over Q/Z."""
+    if ring == "Z":
+        if type(v) is int:
+            return v
+        f = Fraction(v)
+        if f.denominator != 1:
+            raise ValueError("non-integer value %r in a Z-cochain" % (v,))
+        return int(f)
+    f = v if type(v) is Fraction else Fraction(v)
+    if ring == "Q":
+        return f
+    return f - (f.numerator // f.denominator)
+
+
+def _oracle_flat(slots):
+    return [v for _, vals in slots for v in vals]
+
+
+def _oracle_split(slots, coords):
+    out, pos = [], 0
+    for ring, vals in slots:
+        out.append((ring, tuple(oracle_normalize(ring, v)
+                                for v in coords[pos:pos + len(vals)])))
+        pos += len(vals)
+    return out
+
+
+def oracle_add(x, y):
+    return _oracle_split(x, [a + b for a, b in zip(_oracle_flat(x), _oracle_flat(y))])
+
+
+def oracle_sub(x, y):
+    return _oracle_split(x, [a - b for a, b in zip(_oracle_flat(x), _oracle_flat(y))])
+
+
+def oracle_neg(x):
+    return _oracle_split(x, [-a for a in _oracle_flat(x)])
+
+
+def oracle_scale(x, s):
+    return _oracle_split(x, [s * a for a in _oracle_flat(x)])
+
+
+def oracle_combine(zero, lattice_coeffs, lattice, space_coeffs, space):
+    """zero + sum n_i * lattice_i + sum q_j * space_j, one coordinate at a
+    time over Fractions."""
+    acc = list(_oracle_flat(zero))
+    for coeffs, gens in ((lattice_coeffs, lattice), (space_coeffs, space)):
+        for c, g in zip(coeffs, gens):
+            if c:
+                acc = [a + c * x if x else a for a, x in zip(acc, _oracle_flat(g))]
+    return _oracle_split(zero, acc)
+
+
+def oracle_coboundary_values(lower, upper, values):
+    """delta applied to values on the simplices `lower`, read on `upper`:
+    the face opposite vertex i carries the sign (-1)^i."""
+    index = {s: i for i, s in enumerate(lower)}
+    out = []
+    for s in upper:
+        acc = 0
+        for i in range(len(s)):
+            v = values[index[s[:i] + s[i + 1:]]]
+            if v:
+                acc = acc + v if i % 2 == 0 else acc - v
+        out.append(acc)
+    return out
+
+
+def oracle_evaluate(ring, values, coeffs):
+    """A cochain's value on a chain, as the package computed it over
+    Fractions: int over Z, the representative in [0, 1) over Q/Z."""
+    total = Fraction(0)
+    for v, c in zip(values, coeffs):
+        if v and c:
+            total += v * c
+    if ring == "Z":
+        return int(total)
+    if ring == "QmodZ":
+        return total - (total.numerator // total.denominator)
+    return total
+
+
+def oracle_integrate(coeffs, chain_coeffs):
+    total = Fraction(0)
+    for c, w in zip(chain_coeffs, coeffs):
+        if c and w:
+            total += c * w
+    return total

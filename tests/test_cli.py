@@ -18,7 +18,7 @@ def run_cli(args):
 # SHA-256 of fixed report bytes.  The determinism tests compare two runs of
 # the same code, so only a pinned digest catches a change to a report.  The
 # klein-bottle verify report carries torsion and WhitneyForm and Cochain
-# reprs; compute carries cycle bases.
+# reprs; compute carries cycle bases; the torus verify covers degrees 1-3.
 PINNED_REPORTS = {
     "verify-projective-plane": (
         ["verify", "--complex", "projective-plane", "--degree", "2",
@@ -31,6 +31,9 @@ PINNED_REPORTS = {
     "compute-klein-bottle": (
         ["compute", "--complex", "klein-bottle"],
         "d1d540bca14c12c1d8d07115ccc24e237049a6870ac8b10003707462acb84625"),
+    "verify-torus-all-degrees": (
+        ["verify", "--complex", "torus", "--seed", "7", "--trials", "3"],
+        "7260ea1db5d2f29c0fa6756b8fbf08c80798f032c97b19353f60e60b945fbf25"),
 }
 
 

@@ -242,3 +242,31 @@ def test_chain_boundary_and_cycles():
     e = Chain.basis(cx, 1, 0)
     assert not e.is_cycle()
     assert e.boundary().coeffs == (-1, 1, 0)
+
+
+def test_chain_rejects_fractional_coefficients():
+    cx = catalog("circle")
+    with pytest.raises(ValueError, match="non-integer"):
+        Chain(cx, 1, [Fraction(1, 2), 0, 0])
+    with pytest.raises(ValueError, match="non-integer"):
+        Chain(cx, 1, [1, 0, 0]).scale(Fraction(1, 2))
+    assert Chain(cx, 1, [2, 0, 0]).scale(Fraction(1, 2)) == Chain(cx, 1, [1, 0, 0])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FACETS))
+def test_construction_reduces_no_matrix_twice(name, monkeypatch):
+    # top-degree cohomology and H_0 reuse the Smith form the complex
+    # already keeps instead of reducing their relations matrix again
+    import hexad.simplicial as simplicial
+    reduced = []
+    real = simplicial.smith_form
+
+    def recording(m):
+        if m.rows and m.cols:
+            reduced.append(m)
+        return real(m)
+
+    monkeypatch.setattr(simplicial, "smith_form", recording)
+    facets = ORACLE_FACETS[name]
+    SimplicialComplex.from_facets(name, 1 + max(max(f) for f in facets), facets)
+    assert len(reduced) == len(set(reduced))
