@@ -87,10 +87,6 @@ class IntRow(namedtuple("IntRow", "nums den")):
             nums.extend(map((den // r.den).__mul__, r.nums))
         return cls(nums, den)
 
-    def plus(self, other, c=1):
-        """self + c * other."""
-        return IntRow.combination(self, ((c, other),))
-
     def scaled(self, s):
         """s * self for an int or a Fraction (anything else goes through
         Fraction)."""

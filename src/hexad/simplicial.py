@@ -105,7 +105,7 @@ class SimplicialComplex:
     one rational factorization per coboundary degree and one Smith form
     per boundary and coboundary matrix."""
 
-    __slots__ = ("name", "n_vertices", "simplices", "_counts", "_index",
+    __slots__ = ("name", "n_vertices", "simplices", "_index",
                  "_bound", "_cob_sparse", "_cob_factored", "_cob_smith",
                  "_bd_smith", "_cohom", "_homol")
 
@@ -118,7 +118,6 @@ class SimplicialComplex:
         while simps and not simps[-1]:
             simps.pop()
         self.simplices = tuple(simps)
-        self._counts = tuple(len(lst) for lst in self.simplices)
         self._index = tuple({s: i for i, s in enumerate(lst)} for lst in self.simplices)
         self._bound = {}
         self._cob_sparse = {}
@@ -171,7 +170,7 @@ class SimplicialComplex:
         return ()
 
     def n_simplices(self, k):
-        return self._counts[k] if 0 <= k < len(self._counts) else 0
+        return len(self.simplices[k]) if 0 <= k < len(self.simplices) else 0
 
     def index_of(self, k, simplex):
         try:
@@ -298,11 +297,11 @@ class Coords:
 
     def __add__(self, other):
         self._compat(other)
-        return self._like(self._row().plus(other._row()))
+        return self._like(IntRow.combination(self._row(), ((1, other._row()),)))
 
     def __sub__(self, other):
         self._compat(other)
-        return self._like(self._row().plus(other._row(), -1))
+        return self._like(IntRow.combination(self._row(), ((-1, other._row()),)))
 
     def __neg__(self):
         return self._like(self._row().scaled(-1))
@@ -547,7 +546,7 @@ def _quotient_presentation(kernel_vecs, image_cols, image_smith):
     # the relations matrix is the image matrix itself, already reduced
     standard = kernel_mat == Matrix.identity(ambient)
     if standard:
-        coords = [list(col) for col in image_cols]
+        coords = image_cols
     else:
         kernel_fact = Factored(kernel_mat)
         coords = []
@@ -557,8 +556,7 @@ def _quotient_presentation(kernel_vecs, image_cols, image_smith):
                 raise ArithmeticError("image generator is not in the kernel lattice")
             coords.append([int(s) for s in sol])
     if coords:
-        rel = Matrix.from_columns(coords, rows=z)
-        f = image_smith if standard else smith_form(rel)
+        f = image_smith if standard else smith_form(Matrix.from_columns(coords, rows=z))
         diag = f.diagonal
         new_basis = [f.u_inv.column(i) for i in range(z)]
     else:

@@ -172,3 +172,17 @@ def test_witness_rejects_bad_targets(tmp_path, capsys):
 def test_bad_flag_values(capsys):
     assert run_cli(["verify", "--complex", "circle", "--seed", "-1"]) == 2
     assert run_cli(["verify", "--complex", "circle", "--trials", "0"]) == 2
+
+
+def test_repeated_calls_share_no_parsed_state(capsys):
+    # main() reuses one parser; an appended --degree must not carry over
+    argv = ["compute", "--complex", "torus", "--degree", "1"]
+    assert run_cli(argv) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert [row["degree"] for row in first["degrees"]] == [1]
+    assert run_cli(argv) == 0
+    assert json.loads(capsys.readouterr().out) == first
+    assert run_cli(["compute", "--complex", "torus"]) == 0
+    rows = json.loads(capsys.readouterr().out)["degrees"]
+    assert [row["degree"] for row in rows] == [0, 1, 2]
+    assert rows[1] == first["degrees"][0]
