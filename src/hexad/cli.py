@@ -2,7 +2,9 @@
 runs and witness construction, with deterministic JSON reports.
 
 Exit codes: 0 all checks passed, 1 at least one FAIL, 2 parse or
-validation errors.
+validation errors, 3 an internal error: an exact computation or a witness
+failed to re-verify (an ArithmeticError), or a check or context build
+raised on inputs that were already validated.
 """
 
 from __future__ import annotations
@@ -170,8 +172,13 @@ def cmd_verify(args):
     runs = []
     failed = False
     for k in degrees:
-        ctx = HexagonContext(cx, k, seed=args.seed, trials=args.trials)
-        reports = run_all_checks(ctx)
+        # the inputs are validated by now, so a raise here is internal
+        try:
+            ctx = HexagonContext(cx, k, seed=args.seed, trials=args.trials)
+            reports = run_all_checks(ctx)
+        except (ValueError, ArithmeticError) as exc:
+            raise CliError("internal error at degree %d: %s: %s"
+                           % (k, type(exc).__name__, exc), code=3)
         failed = failed or any(not r.ok for r in reports)
         runs.append(_report_json(cx, k, args.seed, reports))
     if args.format == "json":
@@ -282,6 +289,10 @@ def main(argv=None):
     except (KeyError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print("error: internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

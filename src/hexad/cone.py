@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactalg import IntRow, MixedSolver, MixedSubgroup, MixedWitness
+from .exactalg import IntRow
+from .hscomplex import CoboundarySolver, DiffCochain
+from .plforms import WhitneyForm
 from .report import CheckRun
 from .sampling import derive_seed, random_cochain, random_combination, rng_for
-from .simplicial import Chain, Cochain, Coords, Ring, combine
+from .simplicial import Chain, Cochain, Coords, Ring
 
 
 class ConeCochain(Coords):
@@ -101,47 +103,30 @@ def cone_retraction(x):
     return x.rational
 
 
-def cone_coboundary_subgroup(complex, degree):
-    """Image of delta_cone landing in cone degree `degree`, as a mixed
-    subgroup of the flattened (u, v) coordinates."""
-    nup = complex.n_simplices(degree + 1)
-    ndn = complex.n_simplices(degree)
-    nprev = complex.n_simplices(degree - 1)
-    delta_dn = complex.coboundary_matrix(degree)      # C^degree -> C^{degree+1}
-    delta_prev = complex.coboundary_matrix(degree - 1)
-    lattice = []
-    for i in range(ndn):
-        col = delta_dn.column(i)
-        vec = [-v for v in col] + [0] * ndn
-        vec[nup + i] = -1
-        lattice.append(vec)
-    space = []
-    for j in range(nprev):
-        col = delta_prev.column(j)
-        space.append([0] * nup + list(col))
-    return MixedSubgroup(nup + ndn, lattice, space)
-
-
 class ConeCoboundarySolver:
-    """Reusable witness finder: x = delta_cone(y) with y reconstructed."""
+    """Reusable witness finder: x = delta_cone(y) with y reconstructed.
+
+    The inclusion i(u, v) = (-u, v, 0) into the level-(k+1) differential
+    complex is injective and carries cone coboundaries exactly onto
+    differential ones, i(delta_cone(m, s)) = dhat(m, -s), so cone degree k
+    is decided by the differential CoboundarySolver of degree k+1.
+    """
 
     def __init__(self, complex, degree):
         self.complex = complex
         self.degree = degree
-        self.subgroup = cone_coboundary_subgroup(complex, degree)
-        self._solver = MixedSolver(self.subgroup)
+        self.solver = CoboundarySolver(complex, degree + 1)
 
     def solve(self, x):
         if x.complex is not self.complex or x.degree != self.degree:
             raise ValueError("solver built for a different complex or degree")
-        res = self._solver.membership(x._row())
-        if not isinstance(res, MixedWitness):
+        cx, k = self.complex, self.degree
+        w = self.solver.solve(DiffCochain(cx, k + 1, k + 1, -x.integral,
+                                          x.rational,
+                                          WhitneyForm.zero(cx, k + 1)))
+        if w is None:
             return None
-        y = ConeCochain(self.complex, self.degree - 1,
-                        Cochain(self.complex, self.degree, Ring.Z,
-                                res.lattice_coeffs),
-                        Cochain(self.complex, self.degree - 1, Ring.Q,
-                                res.space_coeffs))
+        y = ConeCochain(cx, k - 1, w.integral, -w.potential)
         if delta_cone(y) != x:
             raise ArithmeticError("cone coboundary witness failed to re-verify")
         return y
@@ -174,26 +159,17 @@ def cone_cocycle_generators(complex, degree):
     return lattice, space
 
 
-def _qmodz_cocycle_targets(complex, degree, rng, trials):
-    """Sample Q/Z-cocycles of degree `degree`: coboundaries, divisible
-    classes and torsion classes, with a nonzero-class certificate (a cycle
-    with non-integral pairing) attached when one exists."""
-    targets = []
-    zero = Cochain.zero(complex, degree, Ring.QMODZ)
-    targets.append((zero, None))
-    for _ in range(max(1, trials // 3)):
+def _qmodz_cocycle_targets(ctx, rng):
+    """Sample Q/Z-cocycles one degree below the hexagon: coboundaries,
+    divisible classes and torsion classes, with a nonzero-class certificate
+    (a cycle with non-integral pairing) attached when one exists."""
+    complex, degree = ctx.complex, ctx.degree - 1
+    targets = [(Cochain.zero(complex, degree, Ring.QMODZ), None)]
+    for _ in range(max(1, ctx.trials // 3)):
         s = random_cochain(rng, complex, degree - 1, Ring.Q)
         targets.append((s.coboundary().mod1(), None))
-    st = complex.cohomology_structure(degree)
-    for g in st.free_gens:
-        for den in (2, 3):
-            v = Cochain(complex, degree, Ring.Q,
-                        [Fraction(x, den) for x in g])
-            targets.append((v.mod1(), _nonintegral_cycle(complex, v)))
-    for tor in complex.cohomology_structure(degree + 1).torsion_gens:
-        v = Cochain(complex, degree, Ring.Q,
-                    [Fraction(x, tor.order) for x in tor.primitive])
-        targets.append((v.mod1(), _nonintegral_cycle(complex, v)))
+    targets += [(v.mod1(), cert) for v, cert in ctx.fractional_km1]
+    targets += [(z.rational.mod1(), cert) for z, cert in ctx.torsion_cone_km1]
     return targets
 
 
@@ -212,8 +188,9 @@ def _nonintegral_cycle(complex, v):
     return None
 
 
-def cone_cohomology_compare(complex, degree, trials=25, seed=0):
-    """Two-sided witness check of the comparison [(u, v)] -> [v mod Z].
+def cone_cohomology_compare(ctx):
+    """Two-sided witness check of the comparison [(u, v)] -> [v mod Z] in
+    cone degree ctx.degree - 1.
 
     Well-definedness is checked on coboundary generators, surjectivity by
     constructing an explicit cone preimage for sampled Q/Z-cocycles
@@ -221,9 +198,11 @@ def cone_cohomology_compare(complex, degree, trials=25, seed=0):
     coboundary witness on sampled kernel elements while nonzero classes
     carry an independent non-integrality certificate.
     """
-    run = CheckRun("cone_comparison", seed=derive(seed, "cone_comparison", degree))
+    complex, degree, trials = ctx.complex, ctx.degree - 1, ctx.trials
+    run = CheckRun("cone_comparison",
+                   seed=derive(ctx.seed, "cone_comparison", degree))
     rng = rng_for(run.seed, "cone_comparison_rng")
-    solver = ConeCoboundarySolver(complex, degree)
+    solver = ctx.cone_cb_solver
 
     # well-definedness: generators of the coboundary group map to Q/Z
     # coboundaries with explicit primitives
@@ -244,7 +223,7 @@ def cone_cohomology_compare(complex, degree, trials=25, seed=0):
                     generator=s)
 
     # surjectivity with constructive lifts
-    for vbar, certificate in _qmodz_cocycle_targets(complex, degree, rng, trials):
+    for vbar, certificate in _qmodz_cocycle_targets(ctx, rng):
         run.require(vbar.coboundary().is_zero(), "target is a Q/Z-cocycle",
                     target=vbar)
         v = Cochain(complex, degree, Ring.Q, vbar.row)
@@ -278,31 +257,24 @@ def cone_cohomology_compare(complex, degree, trials=25, seed=0):
     return run.report()
 
 
-def les_exactness(complex, degree, trials=25, seed=0):
+def les_exactness(ctx):
     """Witness-checked exactness of the induced long exact sequence around
-    H^degree(cone): composites vanish with explicit primitives and sampled
-    kernel classes receive preimage witnesses."""
-    run = CheckRun("les_exactness", seed=derive(seed, "les_exactness", degree))
+    H^k(cone), k = ctx.degree - 1: composites vanish with explicit
+    primitives and sampled kernel classes receive preimage witnesses."""
+    complex, k, trials = ctx.complex, ctx.degree - 1, ctx.trials
+    run = CheckRun("les_exactness", seed=derive(ctx.seed, "les_exactness", k))
     rng = rng_for(run.seed, "les_exactness_rng")
-    k = degree
-    delta_q = complex.coboundary_matrix(k + 1)
 
     # gamma(alpha(c)) == 0 identically
-    zst = complex.cohomology_structure(k)
-    rational_cocycles = [Cochain(complex, k, Ring.Q, list(z))
-                         for z in zst.cocycle_basis]
+    rational_cocycles = [z.rational for z in ctx.cone_space]
     for c in rational_cocycles + [random_cochain(rng, complex, k, Ring.Q)
                                   for _ in range(trials // 4 + 1)]:
         run.require(gamma_cone(alpha_cone(c)).is_zero(),
                     "gamma after alpha vanishes", input=c)
 
     # j(gamma(z)) is exactly a coboundary, with primitive -v
-    lattice, space = cone_cocycle_generators(complex, k)
-    samples = list(lattice) + list(space)
-    for _ in range(trials // 2 + 1):
-        z = random_combination(rng, ConeCochain.zero(complex, k),
-                               lattice, space)
-        samples.append(z)
+    samples = list(ctx.cone_lattice) + list(ctx.cone_space)
+    samples += [ctx.random_cone_cocycle(rng) for _ in range(trials // 2 + 1)]
     for z in samples:
         run.require(z.is_cocycle(), "sample is a cone cocycle", sample=z)
         jg = gamma_cone(z).as_q()
@@ -311,24 +283,16 @@ def les_exactness(complex, degree, trials=25, seed=0):
                     sample=z)
 
     # alpha(j(u)) is exactly a cone coboundary, with primitive (-u, 0)
-    for zvec in complex.cohomology_structure(k + 1).cocycle_basis:
-        u = Cochain(complex, k + 1, Ring.Z, list(zvec))
+    for u in ctx.cocycle_basis_k:
         lhs = alpha_cone(u.as_q())
         prim = ConeCochain(complex, k, -u,
                            Cochain.zero(complex, k, Ring.Q))
         run.require(delta_cone(prim) == lhs,
                     "alpha(j(u)) is the cone coboundary of (-u, 0)", input=u)
 
-    # exactness at H^k(cone): gamma-kernel classes decompose as
-    # alpha(cocycle) + cone coboundary, witnessed by a mixed solve
-    sub = cone_coboundary_subgroup(complex, k)
-    nup = complex.n_simplices(k + 1)
-    ndn = complex.n_simplices(k)
-    space_gens = list(sub.space_gens) + [
-        [Fraction(0)] * nup + [Fraction(x) for x in z]
-        for z in zst.cocycle_basis]
-    decomp = MixedSolver(MixedSubgroup(nup + ndn, sub.lattice_gens, space_gens))
-    n_delta_space = len(sub.space_gens)
+    # exactness at H^k(cone): a gamma-kernel sample (u, v) has u = -delta m
+    # over Z, and then (u, v) = alpha(v + j m) + delta_cone(m, 0)
+    smith_k = complex.coboundary_smith(k)
     for _ in range(trials):
         c = random_combination(rng, Cochain.zero(complex, k, Ring.Q), (),
                                rational_cocycles)
@@ -337,15 +301,12 @@ def les_exactness(complex, degree, trials=25, seed=0):
         z = alpha_cone(c) + delta_cone(ConeCochain(complex, k - 1, m, s))
         run.require(gamma_cone(z).coboundary().is_zero(),
                     "gamma image of sample is an integral cocycle", sample=z)
-        res = decomp.membership(z._row())
-        if run.require(isinstance(res, MixedWitness),
+        prim = smith_k.solve((-z.integral).row.nums)
+        if run.require(prim is not None,
                        "gamma-kernel sample decomposes", sample=z):
-            y = ConeCochain(complex, k - 1,
-                            Cochain(complex, k, Ring.Z, res.lattice_coeffs),
-                            Cochain(complex, k - 1, Ring.Q,
-                                    res.space_coeffs[:n_delta_space]))
-            cc = combine(Cochain.zero(complex, k, Ring.Q), (), (),
-                         res.space_coeffs[n_delta_space:], rational_cocycles)
+            y = ConeCochain(complex, k - 1, Cochain(complex, k, Ring.Z, prim),
+                            Cochain.zero(complex, k - 1, Ring.Q))
+            cc = z.rational + y.integral.as_q()
             run.require(alpha_cone(cc) + delta_cone(y) == z,
                         "decomposition re-verifies", sample=z)
             run.require(cc.is_cocycle(), "alpha part is a cocycle", sample=z)

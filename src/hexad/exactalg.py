@@ -9,10 +9,11 @@ A rational vector is kept as an `IntRow`, integer numerators over one
 denominator, so vector arithmetic and solves run on integers.
 
 The module provides Smith normal form with unimodular transforms (and
-their inverses), integer and rational linear solvers, and decision
-procedures for subgroups of Q^n that mix a lattice part (integer spans)
-with a vector-space part (rational spans).  Membership answers always come
-with a witness or a certificate that re-verifies independently.
+the inverse of the row transform), integer and rational linear solvers,
+and decision procedures for subgroups of Q^n that mix a lattice part
+(integer spans) with a vector-space part (rational spans).  Membership
+answers always come with a witness or a certificate that re-verifies
+independently.
 """
 
 from __future__ import annotations
@@ -250,13 +251,13 @@ def det_bareiss(m):
 
 @dataclass(frozen=True)
 class SmithForm:
-    """u * m * v == d with u, v unimodular and d diagonal, d_1 | d_2 | ..."""
+    """u * m * v == d with u, v unimodular and d diagonal, d_1 | d_2 | ...;
+    u_inv is the inverse of u."""
 
     u: Matrix
     d: Matrix
     v: Matrix
     u_inv: Matrix
-    v_inv: Matrix
 
     @property
     def rank(self):
@@ -270,7 +271,7 @@ class SmithForm:
     def solve(self, b):
         """Integer x with m*x == b, or None when there is none.
 
-        With m = u_inv d v_inv the system splits into one divisibility
+        With m = u_inv d v^-1 the system splits into one divisibility
         condition per invariant factor.
         """
         if len(b) != self.d.rows:
@@ -307,7 +308,6 @@ def smith_form(m):
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     uinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    vinv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def row_swap(i, j):
         if i == j:
@@ -324,7 +324,6 @@ def smith_form(m):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
@@ -349,9 +348,6 @@ def smith_form(m):
             row[i] += q * row[j]
         for row in v:
             row[i] += q * row[j]
-        vj, vi = vinv[j], vinv[i]
-        for t in range(c):
-            vj[t] -= q * vi[t]
 
     def row_gcd(i, j, col):
         # combine rows i and j so a[i][col] = gcd, a[j][col] = 0
@@ -397,11 +393,6 @@ def smith_form(m):
                 s, w = rr[i], rr[j]
                 rr[i] = x * s + y * w
                 rr[j] = pp * w - qq * s
-        ri, rj = vinv[i], vinv[j]
-        for t in range(c):
-            s, w = ri[t], rj[t]
-            ri[t] = pp * s + qq * w
-            rj[t] = x * w - y * s
 
     n = min(r, c)
     for t in range(n):
@@ -459,7 +450,6 @@ def smith_form(m):
         d=Matrix(r, c, a),
         v=Matrix(c, c, v),
         u_inv=Matrix(r, r, uinv),
-        v_inv=Matrix(c, c, vinv),
     )
 
 

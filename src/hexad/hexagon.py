@@ -35,7 +35,7 @@ from .exactalg import (
     MixedWitness,
     rational_rank,
 )
-from .hscomplex import CoboundarySolver, DiffCochain, dhat, evaluate_character, is_cocycle
+from .hscomplex import DiffCochain, dhat, evaluate_character, is_cocycle
 from .plforms import (
     WhitneyForm,
     d as d_form,
@@ -294,8 +294,9 @@ class HexagonContext:
     """Everything one degree's checks need, precomputed once.
 
     Holds the generator systems for cone cocycles, differential cocycles
-    and integer-period forms, plus the reusable membership solvers.  All
-    fields are populated at construction and never mutated.
+    and integer-period forms, the fixed samples one degree down, and the
+    only membership solvers of the degree; all twelve checks take it.
+    All fields are populated at construction and never mutated.
     """
 
     def __init__(self, complex, degree, seed=0, trials=25):
@@ -334,15 +335,22 @@ class HexagonContext:
         self.omega_gens_k = self._omega_gens(k)
         self.omega_gens_km1 = self._omega_gens(k - 1)
         # closed forms one degree down (rational spans)
-        st_km1 = complex.cohomology_structure(k - 1)
-        self.closed_km1 = [whitney(Cochain(complex, k - 1, Ring.Q, list(z)))
-                           for z in st_km1.cocycle_basis]
-        self.free_gens_km1 = [Cochain(complex, k - 1, Ring.Z, list(g))
-                              for g in st_km1.free_gens]
-        self.torsion_km1 = st_km1.torsion_gens
-        # reusable solvers
-        self.bhat_solver = CoboundarySolver(complex, k)
+        self.closed_km1 = [whitney(z.rational) for z in self.cone_space]
+        # fixed samples one degree down, each with its non-integrality
+        # certificate (None when there is none): the 1/2 and 1/3 multiples
+        # of the free classes, and the torsion-type cone cocycles
+        self.fractional_km1 = []
+        for g in complex.cohomology_structure(k - 1).free_gens:
+            for den in (2, 3):
+                v = Cochain(complex, k - 1, Ring.Q,
+                            [Fraction(x, den) for x in g])
+                self.fractional_km1.append((v, _nonintegral_cycle(complex, v)))
+        self.torsion_cone_km1 = [(z, _nonintegral_cycle(complex, z.rational))
+                                 for z in self.cone_lattice[n_trivial:]]
+        # reusable solvers; the cone coboundary test is the differential
+        # one conjugated by i, so both share one CoboundarySolver
         self.cone_cb_solver = ConeCoboundarySolver(complex, k - 1)
+        self.bhat_solver = self.cone_cb_solver.solver
         self.decomposer_k = OmegaDecomposer(complex, k)
         self.decomposer_km1 = OmegaDecomposer(complex, k - 1)
 
@@ -553,20 +561,15 @@ def _form_node_exactness(ctx, run, rng, degree, decomposer):
             run.require(dhat(wit) == map_a(eta), "solver witness re-verifies",
                         eta=eta, witness=wit)
     # fractional-period forms survive a, certified by a non-integral pairing
-    st = cx.cohomology_structure(degree)
-    for g in st.free_gens:
-        for den in (2, 3):
-            vc = Cochain(cx, degree, Ring.Q, [Fraction(x, den) for x in g])
-            cert = _nonintegral_cycle(cx, vc)
-            if cert is None:
-                continue
-            eta = whitney(vc)
-            run.require(not in_omega_A(eta),
-                        "fractional-period form is outside Omega_Z", eta=eta)
-            wit = ctx.bhat_solver.solve(map_a(eta))
-            run.require(wit is None,
-                        "fractional-period form survives a", eta=eta,
-                        cycle=cert)
+    for vc, cert in ctx.fractional_km1:
+        if cert is None:
+            continue
+        eta = whitney(vc)
+        run.require(not in_omega_A(eta),
+                    "fractional-period form is outside Omega_Z", eta=eta)
+        wit = ctx.bhat_solver.solve(map_a(eta))
+        run.require(wit is None,
+                    "fractional-period form survives a", eta=eta, cycle=cert)
     # non-closed forms survive a outright (their image has curvature)
     for _ in range(3):
         eta = WhitneyForm(cx, degree, [random_fraction(rng)
@@ -672,32 +675,21 @@ def check_induced_hexagon(ctx):
         m = random_cochain(rng, cx, k - 1, Ring.Z)
         s = random_cochain(rng, cx, k - 2, Ring.Q)
         z = delta_cone(ConeCochain(cx, k - 2, m, s))
-        wit = ctx.bhat_solver.solve(map_i(z))
+        wit = ctx.cone_cb_solver.solve(z)
         if run.require(wit is not None,
                        "i of a cone coboundary is recognized", z=z):
-            back = ConeCochain(cx, k - 2, wit.integral, -wit.potential)
-            run.require(delta_cone(back) == z,
+            run.require(delta_cone(wit) == z,
                         "recovered cone primitive re-verifies", z=z,
-                        primitive=back)
-    st_km1 = cx.cohomology_structure(k - 1)
-    for g in st_km1.free_gens:
-        for den in (2, 3):
-            vc = Cochain(cx, k - 1, Ring.Q, [Fraction(x, den) for x in g])
-            cert = _nonintegral_cycle(cx, vc)
-            if cert is None:
-                continue
-            z = ConeCochain(cx, k - 1, Cochain.zero(cx, k, Ring.Z), vc)
-            run.require(z.is_cocycle(), "divisible sample is a cone cocycle",
-                        z=z)
-            run.require(ctx.bhat_solver.solve(map_i(z)) is None,
-                        "nonzero divisible class stays nonzero under i",
-                        z=z, cycle=cert)
-    for tor in cx.cohomology_structure(k).torsion_gens:
-        t = Cochain(cx, k, Ring.Z, list(tor.gen))
-        s = Cochain(cx, k - 1, Ring.Q,
-                    [Fraction(v, tor.order) for v in tor.primitive])
-        z = ConeCochain(cx, k - 1, t, s)
-        cert = _nonintegral_cycle(cx, s)
+                        primitive=wit)
+    for vc, cert in ctx.fractional_km1:
+        if cert is None:
+            continue
+        z = ConeCochain(cx, k - 1, Cochain.zero(cx, k, Ring.Z), vc)
+        run.require(z.is_cocycle(), "divisible sample is a cone cocycle", z=z)
+        run.require(ctx.bhat_solver.solve(map_i(z)) is None,
+                    "nonzero divisible class stays nonzero under i",
+                    z=z, cycle=cert)
+    for z, cert in ctx.torsion_cone_km1:
         run.require(z.is_cocycle(), "torsion sample is a cone cocycle", z=z)
         if cert is not None:
             run.require(ctx.bhat_solver.solve(map_i(z)) is None,
@@ -772,12 +764,10 @@ def check_induced_hexagon(ctx):
                     eta=eta)
         run.require(map_R(map_a(eta + etaA)) == d_form(eta + etaA),
                     "lower triangle holds exactly", eta=eta)
-    st_km1_cocycles = [Cochain(cx, k - 1, Ring.Q, list(z))
-                       for z in st_km1.cocycle_basis]
-    for v in st_km1_cocycles:
-        s_form = derham_representative(v)
-        lhs = map_a(s_form)
-        rhs = map_i(ConeCochain(cx, k - 1, Cochain.zero(cx, k, Ring.Z), v))
+    for z in ctx.cone_space:
+        v = z.rational
+        lhs = map_a(derham_representative(v))
+        rhs = map_i(z)
         run.require(lhs == rhs, "left square holds exactly", v=v)
         w = random_cochain(rng, cx, k - 2, Ring.Q)
         shifted = derham_representative(v + w.coboundary())
@@ -1013,9 +1003,7 @@ def run_all_checks(ctx):
         check_induced_hexagon(ctx),
         check_bunke_schick(ctx),
         check_off_diagonal_note(ctx),
-        cone_cohomology_compare(ctx.complex, ctx.degree - 1,
-                                trials=ctx.trials, seed=ctx.seed),
-        les_exactness(ctx.complex, ctx.degree - 1,
-                      trials=ctx.trials, seed=ctx.seed),
+        cone_cohomology_compare(ctx),
+        les_exactness(ctx),
     ]
     return sorted(reports, key=lambda r: r.name)

@@ -676,15 +676,24 @@ def _parse_int(tok, lineno, col, what):
         raise ComplexParseError(lineno, col, "expected %s, got %r" % (what, tok))
 
 
+# Bound on the faces a complex file may ask the face closure to enumerate,
+# summed as 2^|f| - 1 over its facets: about 1,000 times the ~1,000
+# simplices of the largest complexes the checks are meant for.
+MAX_FACE_ENUMERATION = 1 << 20
+
+
 def load_complex(text):
     """Parse the complex file format.
 
     Lines: `name <identifier>`, `vertices <n>`, `facet v0 v1 ...`,
-    with `#` comments.  Facets are closed under faces automatically.
+    with `#` comments.  Facets are closed under faces automatically; a
+    file whose facets would enumerate more than MAX_FACE_ENUMERATION faces
+    is rejected at the facet that passes the bound.
     """
     name = None
     n_vertices = None
     facets = []
+    enumerated = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize(raw)
         if not toks:
@@ -719,6 +728,12 @@ def load_complex(text):
             if len(set(verts)) != len(verts):
                 raise ComplexParseError(lineno, kcol,
                                         "facet repeats a vertex: %r" % (verts,))
+            enumerated += (1 << len(verts)) - 1
+            if enumerated > MAX_FACE_ENUMERATION:
+                raise ComplexParseError(
+                    lineno, kcol,
+                    "facets so far enumerate %d faces, over the limit of %d"
+                    % (enumerated, MAX_FACE_ENUMERATION))
             facets.append(tuple(sorted(verts)))
         else:
             raise ComplexParseError(lineno, kcol, "unknown directive %r" % key)

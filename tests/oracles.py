@@ -343,3 +343,65 @@ def oracle_integrate(coeffs, chain_coeffs):
         if c and w:
             total += c * w
     return total
+
+
+# ---------------------------------------------------------------------------
+# the cone coboundary subgroup, laid out by hand as the package did before
+# it decided cone coboundaries through the differential solver; kept as the
+# reference for `cone.ConeCoboundarySolver`
+
+def oracle_cone_coboundary_generators(complex, degree):
+    """Image of delta_cone landing in cone degree `degree`, in the
+    flattened (u, v) coordinates: (ambient dimension, lattice generators
+    (-delta e_i, -e_i), space generators (0, delta e_j))."""
+    nup = complex.n_simplices(degree + 1)
+    ndn = complex.n_simplices(degree)
+    nprev = complex.n_simplices(degree - 1)
+    delta_dn = complex.coboundary_matrix(degree)
+    delta_prev = complex.coboundary_matrix(degree - 1)
+    lattice = []
+    for i in range(ndn):
+        vec = [-v for v in delta_dn.column(i)] + [0] * ndn
+        vec[nup + i] = -1
+        lattice.append(vec)
+    space = [[0] * nup + list(delta_prev.column(j)) for j in range(nprev)]
+    return nup + ndn, lattice, space
+
+
+def oracle_mixed_member(ambient, lattice, space):
+    """Decider for membership in the Z-span of `lattice` plus the Q-span of
+    `space`: returns a function of a coordinate list x.
+
+    Projects the space part away with a rational kernel basis, then
+    compares the projected lattice with the lattice extended by the
+    projected x: x is a member exactly when both have the same rank and the
+    same product of nonzero invariant factors (the index of one in the
+    other is the ratio of the products)."""
+    if space:
+        phis = oracle_kernel(space, ambient)
+    else:
+        phis = [[Fraction(int(i == j)) for j in range(ambient)]
+                for i in range(ambient)]
+    part = [[sum(p * g for p, g in zip(phi, gen)) for gen in lattice]
+            for phi in phis]
+
+    def invariants(rows):
+        den = 1
+        for row in rows:
+            for v in row:
+                den = den * v.denominator // _gcd(den, v.denominator)
+        diag = oracle_smith_diagonal([[int(v * den) for v in row]
+                                      for row in rows])
+        prod = 1
+        for d in diag:
+            prod *= d
+        # scaling by den multiplies each invariant factor by den
+        return len(diag), Fraction(prod, den ** len(diag))
+
+    reference = invariants(part)
+
+    def member(x):
+        px = [sum(p * Fraction(y) for p, y in zip(phi, x)) for phi in phis]
+        return invariants([row + [v] for row, v in zip(part, px)]) == reference
+
+    return member

@@ -146,9 +146,9 @@ def test_criterion_07_mapping_cone_comparison_and_les():
     for name in CATALOG:
         cx = catalog(name)
         for deg in range(0, cx.dim + 1):
-            rep = cone_cohomology_compare(cx, deg, trials=25, seed=SEED)
+            rep = cone_cohomology_compare(ctx_for(name, deg + 1))
             assert rep.status == "PASS", (name, deg, rep.counterexample)
-            rep = les_exactness(cx, deg, trials=25, seed=SEED)
+            rep = les_exactness(ctx_for(name, deg + 1))
             assert rep.status == "PASS", (name, deg, rep.counterexample)
     # the 2-torsion classes of RP^2 and the Klein bottle are among the
     # sampled targets at degree 1 because H^2(X; Z) has a Z/2 summand

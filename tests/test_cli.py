@@ -8,7 +8,13 @@ from hexad.cli import main
 from hexad.plforms import format_whitney_form, load_whitney_form, whitney
 from hexad.hscomplex import load_diff_cochain
 from hexad.hexagon import map_I, map_R
-from hexad.simplicial import Cochain, Ring, catalog, format_cochain
+from hexad.simplicial import (
+    Cochain,
+    Ring,
+    SimplicialComplex,
+    catalog,
+    format_cochain,
+)
 
 
 def run_cli(args):
@@ -19,7 +25,22 @@ def run_cli(args):
 # the same code, so only a pinned digest catches a change to a report.  The
 # klein-bottle verify report carries torsion and WhitneyForm and Cochain
 # reprs; compute carries cycle bases; the torus verify covers degrees 1-3.
+# The point, interval, circle and sphere reports at seed 0 equal the
+# seed-0 catalog-verify digests of perfbench/hashes.json, so every catalog
+# complex is pinned at every hexagon degree.
 PINNED_REPORTS = {
+    "verify-point": (
+        ["verify", "--complex", "point", "--seed", "0", "--trials", "25"],
+        "84eb46e53a56c465f483f6816388377fe1759942e2df147c6ee110489be259a1"),
+    "verify-interval": (
+        ["verify", "--complex", "interval", "--seed", "0", "--trials", "25"],
+        "4dbe2d5672eb90418802e1dae261480b4ee81dc97828a92370ef33b16fde7494"),
+    "verify-circle": (
+        ["verify", "--complex", "circle", "--seed", "0", "--trials", "25"],
+        "80b754fa5e3b1e80ac3419d0feeae219493fbdb66189f812faef235c4acf129e"),
+    "verify-sphere": (
+        ["verify", "--complex", "sphere", "--seed", "0", "--trials", "25"],
+        "f7bd8492140e7e3278f65612ca6ffb38e1e4d4a88c8cebb934950887c17e9073"),
     "verify-projective-plane": (
         ["verify", "--complex", "projective-plane", "--degree", "2",
          "--seed", "42", "--trials", "5"],
@@ -167,6 +188,54 @@ def test_witness_rejects_bad_targets(tmp_path, capsys):
                     "--form", str(form_file)])
     assert code == 2
     assert "periods" in capsys.readouterr().err
+
+
+def test_verify_internal_errors_exit_three(monkeypatch, capsys):
+    # a raise while checks run on validated inputs is an internal error,
+    # not a parse or validation error, and it never escapes as a traceback
+    for exc in (ArithmeticError("witness failed to re-verify"),
+                ValueError("map rejected input")):
+        def boom(ctx, exc=exc):
+            raise exc
+        monkeypatch.setattr("hexad.cli.run_all_checks", boom)
+        assert run_cli(["verify", "--complex", "circle", "--degree", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "degree 1" in err and type(exc).__name__ in err
+
+
+def test_verify_context_build_error_exits_three(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise ValueError("context build failed")
+    monkeypatch.setattr("hexad.cli.HexagonContext", boom)
+    assert run_cli(["verify", "--complex", "circle", "--degree", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "degree 2" in err and "ValueError" in err
+
+
+def test_witness_reverification_failure_exits_three(tmp_path, monkeypatch,
+                                                    capsys):
+    cx = catalog("circle")
+    form_file = tmp_path / "period1.wform"
+    form_file.write_text(format_whitney_form(
+        whitney(Cochain(cx, 1, Ring.Z, [1, 0, 0]).as_q())))
+
+    def boom(omega):
+        raise ArithmeticError("curvature witness failed to re-verify")
+    monkeypatch.setattr("hexad.cli.witness_R_surjective", boom)
+    assert run_cli(["witness", "--complex", "circle", "--kind", "R",
+                    "--form", str(form_file)]) == 3
+    assert "ArithmeticError" in capsys.readouterr().err
+
+
+def test_over_bound_complex_file_exits_two(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("face closure ran on an over-bound file")
+    monkeypatch.setattr(SimplicialComplex, "from_facets", refuse)
+    big = tmp_path / "big.cplx"
+    big.write_text("name big\nvertices 30\nfacet "
+                   + " ".join(str(v) for v in range(30)) + "\n")
+    assert run_cli(["compute", "--complex", str(big)]) == 2
+    assert "line 3, column 1" in capsys.readouterr().err
 
 
 def test_bad_flag_values(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hexad.cone import ConeCochain, delta_cone
+from hexad.exactalg import MixedSolver
 from hexad.hexagon import (
     DEFAULT_MAPS,
     HexagonContext,
@@ -312,3 +313,22 @@ def test_context_rejects_bad_degrees():
         HexagonContext(cx, 4)
     with pytest.raises(ValueError):
         HexagonContext(cx, 1, trials=0)
+
+
+@pytest.mark.parametrize("name,k", [("circle", 1), ("circle", 2),
+                                    ("projective-plane", 2), ("torus", 3)])
+def test_context_owns_every_membership_solver(name, k, monkeypatch):
+    # the context builds bhat (shared with the cone solver), decomposer_k
+    # and decomposer_km1; no check builds a solver of its own
+    built = []
+    init = MixedSolver.__init__
+
+    def counting_init(self, subgroup):
+        built.append(subgroup)
+        init(self, subgroup)
+    monkeypatch.setattr(MixedSolver, "__init__", counting_init)
+    ctx = HexagonContext(catalog(name), k, seed=1, trials=2)
+    assert len(built) == 3
+    assert ctx.bhat_solver is ctx.cone_cb_solver.solver
+    run_all_checks(ctx)
+    assert len(built) == 3

@@ -5,6 +5,7 @@ import pytest
 
 from hexad.exactalg import FgAbelianGroup, MixedSubgroup, quotient_group
 from hexad.simplicial import (
+    MAX_FACE_ENUMERATION,
     Chain,
     Cochain,
     ComplexParseError,
@@ -208,6 +209,38 @@ facet 0 2
         load_complex("name x\nfacet 0 1\n")
     with pytest.raises(ComplexParseError):
         load_complex("name x\nvertices 2\nwibble\n")
+
+
+def _refuse_closure(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("face closure ran on an over-bound file")
+    monkeypatch.setattr(SimplicialComplex, "from_facets", refuse)
+
+
+def test_load_complex_bounds_face_enumeration(monkeypatch):
+    # arithmetic only: the closure is never allowed to run on these files
+    assert MAX_FACE_ENUMERATION == 1 << 20
+    _refuse_closure(monkeypatch)
+    # one 30-vertex facet asks for 2^30 - 1 faces
+    text = ("name big\nvertices 30\n  facet "
+            + " ".join(str(v) for v in range(30)) + "\n")
+    with pytest.raises(ComplexParseError) as err:
+        load_complex(text)
+    assert (err.value.line, err.value.column) == (3, 3)
+    assert str(MAX_FACE_ENUMERATION) in str(err.value)
+    # the sum runs over facets: a 20-vertex facet fits (2^20 - 1 faces),
+    # a second one passes the bound on its own line
+    facet20 = "facet " + " ".join(str(v) for v in range(20)) + "\n"
+    with pytest.raises(ComplexParseError) as err:
+        load_complex("name two\nvertices 21\n" + facet20 + "# gap\n"
+                     + "facet " + " ".join(str(v) for v in range(1, 21)))
+    assert (err.value.line, err.value.column) == (5, 1)
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(SimplicialComplex, "from_facets",
+                        lambda *args: calls.append(args) or "built")
+    assert load_complex("name one\nvertices 20\n" + facet20) == "built"
+    assert len(calls) == 1
 
 
 def test_catalog_unknown_name():
