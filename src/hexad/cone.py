@@ -62,7 +62,15 @@ class ConeCochain(Coords):
                            Cochain(cx, k, Ring.Q, IntRow(nums[n:], den)))
 
     def is_cocycle(self):
-        return delta_cone(self).is_zero()
+        """Whether delta_cone(self) == 0, decided on the integer rows
+        without building the image: delta u == 0 and delta v == j(u)."""
+        cx, k = self.complex, self.degree
+        u = self.integral.row.nums
+        if any(cx.coboundary_values(k + 1, u)):
+            return False
+        vnums, vden = self.rational.row
+        return (cx.coboundary_values(k, vnums)
+                == list(map(vden.__mul__, u)))
 
     def __repr__(self):
         return "ConeCochain(deg=%d, u=%r, v=%r)" % (

@@ -16,6 +16,7 @@ that is re-verified by direct evaluation before it is counted.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from .cone import (
     _nonintegral_cycle,
 )
 from .exactalg import (
+    IntRow,
     Matrix,
     MixedSolver,
     MixedSubgroup,
@@ -46,7 +48,13 @@ from .plforms import (
     integrate,
     whitney,
 )
-from .report import NO_COUNTEREXAMPLE, NOT_EXACT_CONFIRMED, CheckRun
+from .report import (
+    FAIL,
+    NO_COUNTEREXAMPLE,
+    NOT_EXACT_CONFIRMED,
+    CheckReport,
+    CheckRun,
+)
 from .sampling import (
     derive_seed,
     random_chain,
@@ -54,6 +62,9 @@ from .sampling import (
     random_combination,
     random_diff_cochain,
     random_fraction,
+    random_ints,
+    random_row,
+    random_whitney,
     rng_for,
 )
 from .simplicial import Chain, Cochain, Ring, combine, validate
@@ -313,9 +324,9 @@ class HexagonContext:
         self.cone_lattice, self.cone_space = cone_cocycle_generators(
             complex, k - 1)
         # the first n_{k-1} cone generators are of coboundary type
-        # (delta m, j m); their i images have trivial characteristic class,
-        # unlike the torsion-type generators that follow them
-        n_trivial = complex.n_simplices(k - 1)
+        # (delta e_i, j e_i); their i images have trivial characteristic
+        # class, unlike the torsion-type generators that follow them
+        self.n_trivial = n_trivial = complex.n_simplices(k - 1)
         # differential cocycle generators: images of the cone generators,
         # curvature witnesses over the integer cocycle basis, and the a
         # images of the standard cochain basis one degree down
@@ -353,6 +364,20 @@ class HexagonContext:
         self.bhat_solver = self.cone_cb_solver.solver
         self.decomposer_k = OmegaDecomposer(complex, k)
         self.decomposer_km1 = OmegaDecomposer(complex, k - 1)
+        # the fixed targets of the form node, solved once for every check
+        # that uses them: each integer-period generator one degree down
+        # with its decomposition and coboundary-solver witness, and each
+        # certified fractional sample with its period test and solver answer
+        lattice, space = self.omega_gens_km1
+        self.form_node_gens = [self.form_node_target(eta)
+                               for eta in lattice + space]
+        self.form_node_fractional = []
+        for vc, cert in self.fractional_km1:
+            if cert is not None:
+                eta = whitney(vc)
+                self.form_node_fractional.append(
+                    (eta, cert, in_omega_A(eta),
+                     self.bhat_solver.solve(map_a(eta))))
 
     def _omega_gens(self, m):
         st = self.complex.cohomology_structure(m)
@@ -363,27 +388,81 @@ class HexagonContext:
                  for j in range(delta_prev.cols)]
         return lattice, space
 
+    def form_node_target(self, eta):
+        """(eta, a(eta), decomposition, coboundary-solver witness) for an
+        integer-period form one degree below the hexagon; the solver runs
+        only when the decomposition exists."""
+        a_eta = map_a(eta)
+        dec = self.decomposer_km1.decompose(eta)
+        wit = self.bhat_solver.solve(a_eta) if dec is not None else None
+        return eta, a_eta, dec, wit
+
     # sampling helpers -----------------------------------------------------
 
     def rng(self, check_name):
         return rng_for(self.seed, "%s@%s@deg%d"
                        % (check_name, self.complex.name, self.degree))
 
+    # Each sampler draws exactly what random_combination over the full
+    # generator lists draws (one int per lattice generator in list order,
+    # then one fraction per space generator) and returns the same value.
+    # The coboundary-type generators are summed in closed form: with m the
+    # ints of the (delta e_i, e_i)-type generators and q the fractions over
+    # a-images of elementary forms or over the delta-columns,
+    #     cone cocycle          (delta m, m)
+    #     differential cocycle  (-delta m, m + q, W(delta q))
+    #     integer-period form   W(delta q)
+    # and only the remaining generators go through `combine`.
+
+    def _trivial_class(self, m, q):
+        """(-delta m, m + q, W(delta q)): the sum of the first len(m)
+        generators of zhat_lattice and of zhat_space with coefficients m
+        and q."""
+        cx, k = self.complex, self.degree
+        qnums, qden = q
+        return DiffCochain(
+            cx, k, k,
+            Cochain(cx, k, Ring.Z,
+                    IntRow([-v for v in cx.coboundary_values(k - 1, m)], 1)),
+            Cochain(cx, k - 1, Ring.Q,
+                    IntRow([qden * a + b for a, b in zip(m, qnums)], qden)),
+            WhitneyForm(cx, k, IntRow(cx.coboundary_values(k - 1, qnums),
+                                      qden)))
+
     def random_zhat(self, rng):
-        return random_combination(
-            rng, DiffCochain.zero(self.complex, self.degree, self.degree),
-            self.zhat_lattice, self.zhat_space)
+        n = self.n_trivial
+        ints = random_ints(rng, len(self.zhat_lattice))
+        start = self._trivial_class(ints[:n],
+                                    random_row(rng, len(self.zhat_space)))
+        return combine(start, ints[n:], self.zhat_lattice[n:], (), ())
+
+    def random_trivial_zhat(self, rng):
+        """Random combination of zhat_trivial_lattice and zhat_space: a
+        differential cocycle of trivial characteristic class."""
+        m = random_ints(rng, self.n_trivial)
+        return self._trivial_class(m, random_row(rng, len(self.zhat_space)))
 
     def random_cone_cocycle(self, rng):
-        return random_combination(
-            rng, ConeCochain.zero(self.complex, self.degree - 1),
-            self.cone_lattice, self.cone_space)
+        cx, k, n = self.complex, self.degree, self.n_trivial
+        ints = random_ints(rng, len(self.cone_lattice))
+        q = [random_fraction(rng) for _ in self.cone_space]
+        m = ints[:n]
+        start = ConeCochain(
+            cx, k - 1,
+            Cochain(cx, k, Ring.Z, IntRow(cx.coboundary_values(k - 1, m), 1)),
+            Cochain(cx, k - 1, Ring.Q, IntRow(m, 1)))
+        return combine(start, ints[n:], self.cone_lattice[n:],
+                       q, self.cone_space)
 
     def random_omega(self, rng, degree):
         lattice, space = (self.omega_gens_k if degree == self.degree
                           else self.omega_gens_km1)
-        return random_combination(
-            rng, WhitneyForm.zero(self.complex, degree), lattice, space)
+        ints = random_ints(rng, len(lattice))
+        qnums, qden = random_row(rng, len(space))
+        start = WhitneyForm(
+            self.complex, degree,
+            IntRow(self.complex.coboundary_values(degree - 1, qnums), qden))
+        return combine(start, ints, lattice, (), ())
 
     def random_closed(self, rng):
         return random_combination(
@@ -430,9 +509,7 @@ def check_faces(ctx, maps=None):
     # R(a(eta)) == d(eta), eta over the Whitney basis and random forms
     etas = [WhitneyForm.elementary(cx, k - 1, j)
             for j in range(cx.n_simplices(k - 1))]
-    etas += [WhitneyForm(cx, k - 1, [random_fraction(rng)
-                                     for _ in range(cx.n_simplices(k - 1))])
-             for _ in range(ctx.trials)]
+    etas += [random_whitney(rng, cx, k - 1) for _ in range(ctx.trials)]
     for eta in etas:
         lhs = _guarded(run, "R(a(eta))", lambda: maps.R(maps.a(eta)), eta=eta)
         if lhs is not None:
@@ -534,46 +611,38 @@ def check_main_diagonal(ctx, maps=None):
     return run.report()
 
 
-def _form_node_exactness(ctx, run, rng, degree, decomposer):
-    """Exactness at the form node: a(eta) is a coboundary exactly when eta
-    is closed with integer periods, witnessed in both directions."""
-    cx = ctx.complex
-    lattice, space = (ctx.omega_gens_k if degree == ctx.degree
-                      else ctx.omega_gens_km1)
-    if degree != ctx.degree - 1:
-        raise ValueError("form node lives one degree below the hexagon")
+def _form_node_exactness(ctx, run, rng):
+    """Exactness at the form node, one degree below the hexagon: a(eta) is
+    a coboundary exactly when eta is closed with integer periods, witnessed
+    in both directions.  The generator targets and fractional samples are
+    the context's, solved once; the random samples are this check's."""
+    cx, k = ctx.complex, ctx.degree
     # integer-period forms die under a, with explicit dhat preimages
-    targets = list(lattice) + list(space)
-    targets += [ctx.random_omega(rng, degree) for _ in range(ctx.trials)]
-    for eta in targets:
-        dec = decomposer.decompose(eta)
+    samples = [ctx.random_omega(rng, k - 1) for _ in range(ctx.trials)]
+    targets = itertools.chain(ctx.form_node_gens,
+                              map(ctx.form_node_target, samples))
+    for eta, a_eta, dec, wit in targets:
         if not run.require(dec is not None,
                            "integer-period form decomposes", eta=eta):
             continue
         c, t = dec
-        y = DiffCochain(cx, ctx.degree, degree, -c, -t, None)
-        run.require(dhat(y) == map_a(eta),
+        y = DiffCochain(cx, k, k - 1, -c, -t, None)
+        run.require(dhat(y) == a_eta,
                     "a(eta) == dhat(-c, -T) for integer-period eta",
                     eta=eta, preimage=y)
-        wit = ctx.bhat_solver.solve(map_a(eta))
         if run.require(wit is not None,
                        "coboundary solver confirms a(eta)", eta=eta):
-            run.require(dhat(wit) == map_a(eta), "solver witness re-verifies",
+            run.require(dhat(wit) == a_eta, "solver witness re-verifies",
                         eta=eta, witness=wit)
     # fractional-period forms survive a, certified by a non-integral pairing
-    for vc, cert in ctx.fractional_km1:
-        if cert is None:
-            continue
-        eta = whitney(vc)
-        run.require(not in_omega_A(eta),
+    for eta, cert, integral_periods, wit in ctx.form_node_fractional:
+        run.require(not integral_periods,
                     "fractional-period form is outside Omega_Z", eta=eta)
-        wit = ctx.bhat_solver.solve(map_a(eta))
         run.require(wit is None,
                     "fractional-period form survives a", eta=eta, cycle=cert)
     # non-closed forms survive a outright (their image has curvature)
     for _ in range(3):
-        eta = WhitneyForm(cx, degree, [random_fraction(rng)
-                                       for _ in range(cx.n_simplices(degree))])
+        eta = random_whitney(rng, cx, k - 1)
         if d_form(eta).is_zero():
             continue
         wit = ctx.bhat_solver.solve(map_a(eta))
@@ -585,9 +654,7 @@ def _khat_node_exactness(ctx, run, rng):
     class exactly means a(eta) plus a coboundary, witnessed."""
     cx, k = ctx.complex, ctx.degree
     for _ in range(ctx.trials):
-        x = random_combination(
-            rng, DiffCochain.zero(cx, k, k), ctx.zhat_trivial_lattice,
-            ctx.zhat_space)
+        x = ctx.random_trivial_zhat(rng)
         cb, y0 = ctx.random_coboundary(rng)
         x = x + cb
         m = cx.coboundary_smith(k - 1).solve(x.integral.row.nums)
@@ -636,14 +703,12 @@ def check_induced_hexagon(ctx):
                     "R vanishes on coboundary generators", y=y)
 
     # (a) lemma 2: integer-period forms map into coboundaries
-    lattice, space = ctx.omega_gens_km1
-    for eta in list(lattice) + list(space):
-        dec = ctx.decomposer_km1.decompose(eta)
+    for eta, a_eta, dec, _ in ctx.form_node_gens:
         if run.require(dec is not None, "Omega_Z generator decomposes",
                        eta=eta):
             c, t = dec
             y = DiffCochain(cx, k, k - 1, -c, -t, None)
-            run.require(dhat(y) == map_a(eta),
+            run.require(dhat(y) == a_eta,
                         "a(Omega_Z generator) is an explicit coboundary",
                         eta=eta, preimage=y)
 
@@ -717,7 +782,7 @@ def check_induced_hexagon(ctx):
                     omega=omega)
 
     # (b) diagonal 2: the form node and the differential cocycle node
-    _form_node_exactness(ctx, run, rng, k - 1, ctx.decomposer_km1)
+    _form_node_exactness(ctx, run, rng)
     _khat_node_exactness(ctx, run, rng)
 
     # (b) diagonal 2: I surjectivity (torsion classes included)
@@ -814,7 +879,7 @@ def check_bunke_schick(ctx):
         run.require(dhat(y) == map_a(eta),
                     "integral class image dies under a with dhat preimage",
                     u=u)
-    _form_node_exactness(ctx, run, rng, k - 1, ctx.decomposer_km1)
+    _form_node_exactness(ctx, run, rng)
     _khat_node_exactness(ctx, run, rng)
 
     # I surjectivity, restated for the axiom sequence
@@ -991,19 +1056,33 @@ def check_validate(ctx):
 
 
 def run_all_checks(ctx):
-    """Every check for one (complex, degree), sorted by check name."""
-    reports = [
-        check_validate(ctx),
-        check_dhat_square(ctx),
-        check_cone_square(ctx),
-        check_derham_whitney(ctx),
-        check_character_compat(ctx),
-        check_faces(ctx),
-        check_main_diagonal(ctx),
-        check_induced_hexagon(ctx),
-        check_bunke_schick(ctx),
-        check_off_diagonal_note(ctx),
-        cone_cohomology_compare(ctx),
-        les_exactness(ctx),
-    ]
+    """Every check for one (complex, degree), sorted by check name.
+
+    A check that raises ValueError or ArithmeticError becomes a FAIL
+    report under its own name, carrying the exception, and the other
+    checks still run."""
+    checks = (
+        ("validate", check_validate),
+        ("dhat_square_zero", check_dhat_square),
+        ("delta_cone_square_zero", check_cone_square),
+        ("derham_whitney", check_derham_whitney),
+        ("character_compatibility", check_character_compat),
+        ("faces", check_faces),
+        ("main_diagonal", check_main_diagonal),
+        ("induced_hexagon", check_induced_hexagon),
+        ("bunke_schick", check_bunke_schick),
+        ("off_diagonal", check_off_diagonal_note),
+        ("cone_comparison", cone_cohomology_compare),
+        ("les_exactness", les_exactness),
+    )
+    reports = []
+    for name, check in checks:
+        try:
+            reports.append(check(ctx))
+        except (ValueError, ArithmeticError) as exc:
+            reports.append(CheckReport(name, FAIL, 0, {
+                "check": "check raised an exception",
+                "error_type": type(exc).__name__,
+                "error": str(exc),
+            }))
     return sorted(reports, key=lambda r: r.name)

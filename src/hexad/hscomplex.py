@@ -17,6 +17,9 @@ cocycle's class.
 
 from __future__ import annotations
 
+from math import lcm
+from operator import add
+
 from .exactalg import IntRow, MixedSolver, MixedSubgroup, MixedWitness
 from .plforms import WhitneyForm, d as d_form, derham_cochain
 from .simplicial import Chain, Cochain, Coords, Ring
@@ -112,7 +115,23 @@ def dhat(x):
 
 
 def is_cocycle(x):
-    return dhat(x).is_zero()
+    """Whether dhat(x) == 0, decided slot by slot on the integer rows
+    without building the image: delta c == 0, int(w) - j(c) - delta T == 0
+    (w read as 0 below the level) and d w == 0."""
+    cx, k = x.complex, x.degree
+    c = x.integral.row.nums
+    if any(cx.coboundary_values(k, c)):
+        return False
+    tnums, tden = x.potential.row
+    dt = cx.coboundary_values(k - 1, tnums)
+    if x.curvature is None:
+        return not any(map(add, map(tden.__mul__, c), dt))
+    wnums, wden = x.curvature.row
+    den = lcm(wden, tden)
+    fw, ft = den // wden, den // tden
+    if any(fw * w - den * a - ft * b for w, a, b in zip(wnums, c, dt)):
+        return False
+    return not any(cx.coboundary_values(k, wnums))
 
 
 class CoboundarySolver:

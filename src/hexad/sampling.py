@@ -11,12 +11,15 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
+from .exactalg import IntRow
 from .hscomplex import DiffCochain
 from .plforms import WhitneyForm
 from .simplicial import Chain, Cochain, Ring, combine
 
 _DENOMS = (1, 2, 3, 4, 6)
+_COMMON_DEN = lcm(*_DENOMS)
 _MASK64 = (1 << 64) - 1
 
 
@@ -37,25 +40,36 @@ def random_fraction(rng):
     return Fraction(rng.randint(-9, 9), rng.choice(_DENOMS))
 
 
+def random_ints(rng, n):
+    """n random_int draws."""
+    randint = rng.randint
+    return [randint(-9, 9) for _ in range(n)]
+
+
+def random_row(rng, n):
+    """The IntRow of n random_fraction draws, in the same order, built
+    over the common denominator of _DENOMS without any Fraction object."""
+    randint, choice = rng.randint, rng.choice
+    return IntRow([randint(-9, 9) * (_COMMON_DEN // choice(_DENOMS))
+                   for _ in range(n)], _COMMON_DEN)
+
+
 def random_chain(rng, complex, degree):
     return Chain(complex, degree,
-                 [random_int(rng) for _ in range(complex.n_simplices(degree))])
+                 IntRow(random_ints(rng, complex.n_simplices(degree)), 1))
 
 
 def random_cochain(rng, complex, degree, ring):
     ring = Ring(ring) if not isinstance(ring, Ring) else ring
     n = complex.n_simplices(degree)
     if ring is Ring.Z:
-        vals = [random_int(rng) for _ in range(n)]
-    else:
-        vals = [random_fraction(rng) for _ in range(n)]
-    return Cochain(complex, degree, ring, vals)
+        return Cochain(complex, degree, ring, IntRow(random_ints(rng, n), 1))
+    return Cochain(complex, degree, ring, random_row(rng, n))
 
 
 def random_whitney(rng, complex, degree):
     return WhitneyForm(complex, degree,
-                       [random_fraction(rng)
-                        for _ in range(complex.n_simplices(degree))])
+                       random_row(rng, complex.n_simplices(degree)))
 
 
 def random_diff_cochain(rng, complex, level, degree):
@@ -72,6 +86,6 @@ def random_combination(rng, zero, lattice_elems, space_elems):
 
     Draws one integer per lattice generator, then one fraction per space
     generator, zeros included, and sums them with `combine`."""
-    lattice_coeffs = [random_int(rng) for _ in lattice_elems]
+    lattice_coeffs = random_ints(rng, len(lattice_elems))
     space_coeffs = [random_fraction(rng) for _ in space_elems]
     return combine(zero, lattice_coeffs, lattice_elems, space_coeffs, space_elems)

@@ -405,3 +405,21 @@ def oracle_mixed_member(ambient, lattice, space):
         return invariants([row + [v] for row, v in zip(part, px)]) == reference
 
     return member
+
+
+# ---------------------------------------------------------------------------
+# the image-building cocycle tests, kept as the reference for the row-level
+# predicates `hscomplex.is_cocycle` and `ConeCochain.is_cocycle`; they use
+# the package's differentials, which are checked against their defining
+# formulas elsewhere in the suite
+
+def oracle_is_cocycle(x):
+    """dhat(x) == 0, by building dhat(x)."""
+    from hexad.hscomplex import dhat
+    return dhat(x).is_zero()
+
+
+def oracle_cone_is_cocycle(z):
+    """delta_cone(z) == 0, by building delta_cone(z)."""
+    from hexad.cone import delta_cone
+    return delta_cone(z).is_zero()

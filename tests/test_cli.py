@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from hexad import hexagon
 from hexad.cli import main
 from hexad.plforms import format_whitney_form, load_whitney_form, whitney
 from hexad.hscomplex import load_diff_cochain
@@ -25,9 +26,10 @@ def run_cli(args):
 # the same code, so only a pinned digest catches a change to a report.  The
 # klein-bottle verify report carries torsion and WhitneyForm and Cochain
 # reprs; compute carries cycle bases; the torus verify covers degrees 1-3.
-# The point, interval, circle and sphere reports at seed 0 equal the
-# seed-0 catalog-verify digests of perfbench/hashes.json, so every catalog
-# complex is pinned at every hexagon degree.
+# The seed-0 reports with 25 trials (point, interval, circle, sphere and
+# the three *-seed0 entries) equal the seed-0 catalog-verify digests of
+# perfbench/hashes.json, so every catalog complex is pinned at every
+# hexagon degree, and a changed draw order shows on the larger complexes.
 PINNED_REPORTS = {
     "verify-point": (
         ["verify", "--complex", "point", "--seed", "0", "--trials", "25"],
@@ -55,6 +57,15 @@ PINNED_REPORTS = {
     "verify-torus-all-degrees": (
         ["verify", "--complex", "torus", "--seed", "7", "--trials", "3"],
         "7260ea1db5d2f29c0fa6756b8fbf08c80798f032c97b19353f60e60b945fbf25"),
+    "verify-torus-seed0": (
+        ["verify", "--complex", "torus", "--seed", "0", "--trials", "25"],
+        "02f05a23d5d7f120cbd864f25e51400bfbcbcafcf42b2f5e0d0bba31a3881093"),
+    "verify-projective-plane-seed0": (
+        ["verify", "--complex", "projective-plane", "--seed", "0", "--trials", "25"],
+        "4d39ce694aa36978ec2f01108651f0471777cbb2ea8a5b34927f05c10e19bf7c"),
+    "verify-klein-bottle-seed0": (
+        ["verify", "--complex", "klein-bottle", "--seed", "0", "--trials", "25"],
+        "906738ee43cca1f8c2a428c7a72b4a2d3aec04aaa40da091281da53e9c1d82b8"),
 }
 
 
@@ -210,6 +221,47 @@ def test_verify_context_build_error_exits_three(monkeypatch, capsys):
     assert run_cli(["verify", "--complex", "circle", "--degree", "2"]) == 3
     err = capsys.readouterr().err
     assert "degree 2" in err and "ValueError" in err
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError("witness failed to re-verify"),
+                                 ValueError("map rejected input")])
+def test_a_raising_check_fails_alone(tmp_path, monkeypatch, exc):
+    # one check raising at one degree becomes a FAIL of that check only;
+    # every other check and degree is reported as in the unpatched run
+    args = ["verify", "--complex", "circle", "--seed", "0", "--trials", "4"]
+    clean = tmp_path / "clean.json"
+    assert run_cli(args + ["--report", str(clean)]) == 0
+    original = hexagon.check_bunke_schick
+
+    def boom(ctx):
+        if ctx.degree == 2:
+            raise exc
+        return original(ctx)
+    monkeypatch.setattr(hexagon, "check_bunke_schick", boom)
+    patched = tmp_path / "patched.json"
+    assert run_cli(args + ["--report", str(patched)]) == 1
+    want = json.loads(clean.read_text())
+    got = json.loads(patched.read_text())
+    failed = got["runs"][1]["checks"]
+    index = [c["name"] for c in failed].index("bunke_schick")
+    assert failed[index] == {
+        "name": "bunke_schick", "status": "FAIL", "witness_count": 0,
+        "counterexample": {"check": "check raised an exception",
+                           "error_type": type(exc).__name__,
+                           "error": str(exc)}}
+    assert want["runs"][1]["checks"][index]["status"] == "PASS"
+    failed[index] = want["runs"][1]["checks"][index]
+    assert got == want
+
+
+def test_form_node_reverification_failure_exits_three(monkeypatch, capsys):
+    # the fixed form-node targets are solved while the context is built
+    def boom(self, eta):
+        raise ArithmeticError("period decomposition failed to re-verify")
+    monkeypatch.setattr(hexagon.HexagonContext, "form_node_target", boom)
+    assert run_cli(["verify", "--complex", "circle", "--degree", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "degree 1" in err and "ArithmeticError" in err
 
 
 def test_witness_reverification_failure_exits_three(tmp_path, monkeypatch,

@@ -228,3 +228,51 @@ def test_cone_solver_agrees_with_the_cone_subgroup_oracle(name):
                 assert delta_cone(wit) == z, where
             outcomes.add(wit is None)
     assert outcomes == {True, False}  # members and non-members were asked
+
+
+def _cone_cocycle_test_samples(rng, cx, deg):
+    """Basis generators, random cochains, cocycles (delta_cone images and
+    the cocycle generators) and those cocycles perturbed in one coordinate
+    of each slot: +1 in u, +1/2 in v."""
+    zero = ConeCochain.zero(cx, deg)
+    samples = [ConeCochain(cx, deg, Cochain.basis(cx, deg + 1, Ring.Z, i),
+                           zero.rational)
+               for i in range(cx.n_simplices(deg + 1))]
+    samples += [ConeCochain(cx, deg, zero.integral,
+                            Cochain.basis(cx, deg, Ring.Q, j))
+                for j in range(cx.n_simplices(deg))]
+    samples += [ConeCochain(cx, deg, random_cochain(rng, cx, deg + 1, Ring.Z),
+                            random_cochain(rng, cx, deg, Ring.Q))
+                for _ in range(3)]
+    lattice, space = cone_cocycle_generators(cx, deg)
+    cocycles = [zero] + lattice + space
+    cocycles += [delta_cone(ConeCochain(cx, deg - 1,
+                                        random_cochain(rng, cx, deg, Ring.Z),
+                                        random_cochain(rng, cx, deg - 1,
+                                                       Ring.Q)))
+                 for _ in range(3)]
+    samples += cocycles
+    for z in cocycles:
+        if cx.n_simplices(deg + 1):
+            i = rng.randrange(cx.n_simplices(deg + 1))
+            samples.append(z + ConeCochain(
+                cx, deg, Cochain.basis(cx, deg + 1, Ring.Z, i), zero.rational))
+        if cx.n_simplices(deg):
+            j = rng.randrange(cx.n_simplices(deg))
+            samples.append(z + ConeCochain(
+                cx, deg, zero.integral,
+                Cochain.basis(cx, deg, Ring.Q, j).scale(Fraction(1, 2))))
+    return samples
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_row_level_cone_cocycle_test_agrees_with_the_image(name):
+    rng = random.Random("cone-cocycle-test@" + name)
+    cx = catalog(name)
+    outcomes = set()
+    for deg in range(-1, cx.dim + 2):
+        for z in _cone_cocycle_test_samples(rng, cx, deg):
+            want = oracles.oracle_cone_is_cocycle(z)
+            assert z.is_cocycle() == want, (name, deg, z)
+            outcomes.add(want)
+    assert outcomes == {True, False}

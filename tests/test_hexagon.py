@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hexad.cone import ConeCochain, delta_cone
+from hexad import hexagon
 from hexad.exactalg import MixedSolver
 from hexad.hexagon import (
     DEFAULT_MAPS,
@@ -332,3 +333,54 @@ def test_context_owns_every_membership_solver(name, k, monkeypatch):
     assert ctx.bhat_solver is ctx.cone_cb_solver.solver
     run_all_checks(ctx)
     assert len(built) == 3
+
+
+def test_a_raising_check_fails_under_its_own_report_name(monkeypatch):
+    # report name -> the module attribute run_all_checks calls for it
+    checks = {
+        "validate": "check_validate",
+        "dhat_square_zero": "check_dhat_square",
+        "delta_cone_square_zero": "check_cone_square",
+        "derham_whitney": "check_derham_whitney",
+        "character_compatibility": "check_character_compat",
+        "faces": "check_faces",
+        "main_diagonal": "check_main_diagonal",
+        "induced_hexagon": "check_induced_hexagon",
+        "bunke_schick": "check_bunke_schick",
+        "off_diagonal": "check_off_diagonal_note",
+        "cone_comparison": "cone_cohomology_compare",
+        "les_exactness": "les_exactness",
+    }
+    ctx = HexagonContext(catalog("circle"), 1, seed=1, trials=1)
+    assert sorted(r.name for r in run_all_checks(ctx)) == sorted(checks)
+    for attr in checks.values():
+        def boom(ctx, attr=attr):
+            raise ArithmeticError(attr)
+        monkeypatch.setattr(hexagon, attr, boom)
+    reports = run_all_checks(ctx)
+    assert {r.name: r.counterexample["error"] for r in reports} == checks
+    assert all(r.status == "FAIL" and r.witness_count == 0
+               and r.counterexample["error_type"] == "ArithmeticError"
+               for r in reports)
+
+
+@pytest.mark.parametrize("name,k", [("circle", 2), ("torus", 2),
+                                    ("projective-plane", 2)])
+def test_form_node_generators_are_solved_once_per_context(name, k,
+                                                          monkeypatch):
+    # the checks decompose only their own random samples one degree down
+    # (trials per form node, two form nodes); the generators were solved
+    # while the context was built
+    trials = 2
+    ctx = HexagonContext(catalog(name), k, seed=1, trials=trials)
+    assert len(ctx.form_node_gens) == sum(map(len, ctx.omega_gens_km1)) > 0
+    calls = []
+    decompose = OmegaDecomposer.decompose
+
+    def counting(self, form):
+        if self is ctx.decomposer_km1:
+            calls.append(form)
+        return decompose(self, form)
+    monkeypatch.setattr(OmegaDecomposer, "decompose", counting)
+    assert all(r.ok for r in run_all_checks(ctx))
+    assert len(calls) == 2 * trials

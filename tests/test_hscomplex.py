@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from hexad.hexagon import HexagonContext
 from hexad.hscomplex import (
     CoboundarySolver,
     DiffClass,
@@ -16,7 +18,7 @@ from hexad.hscomplex import (
 )
 from hexad.plforms import WhitneyForm, d, derham_cochain, whitney
 from hexad.sampling import random_cochain, random_diff_cochain
-from hexad.simplicial import Chain, Cochain, Ring, catalog
+from hexad.simplicial import Chain, Cochain, Ring, catalog, catalog_names
 
 CIRCLE_CYCLE = [1, -1, 1]
 
@@ -184,3 +186,73 @@ def test_diff_cochain_file_round_trip():
     assert load_diff_cochain(text, cx) == x
     y = DiffCochain(cx, 2, 1, c, Cochain(cx, 0, Ring.Q, [0, 0, 0]), None)
     assert load_diff_cochain(format_diff_cochain(y), cx) == y
+
+
+def _slot_perturbations(rng, x):
+    """x moved in one random coordinate of each nonempty slot: +1 in c,
+    +1/2 in T, +1/3 in w."""
+    cx, q, k = x.complex, x.level, x.degree
+    zero = DiffCochain.zero(cx, q, k)
+    out = []
+    if cx.n_simplices(k):
+        i = rng.randrange(cx.n_simplices(k))
+        out.append(x + DiffCochain(cx, q, k, Cochain.basis(cx, k, Ring.Z, i),
+                                   zero.potential, zero.curvature))
+    if cx.n_simplices(k - 1):
+        j = rng.randrange(cx.n_simplices(k - 1))
+        out.append(x + DiffCochain(
+            cx, q, k, zero.integral,
+            Cochain.basis(cx, k - 1, Ring.Q, j).scale(Fraction(1, 2)),
+            zero.curvature))
+    if x.curvature is not None and cx.n_simplices(k):
+        i = rng.randrange(cx.n_simplices(k))
+        out.append(x + DiffCochain(
+            cx, q, k, zero.integral, zero.potential,
+            WhitneyForm.elementary(cx, k, i).scale(Fraction(1, 3))))
+    return out
+
+
+def _diff_cocycle_test_samples(rng, cx, q, k):
+    """Basis generators, random cochains, cocycles (dhat images, the zero
+    cochain and, at q == k, the hexagon context's generators and samples)
+    and those cocycles perturbed in one coordinate of each slot."""
+    zero = DiffCochain.zero(cx, q, k)
+    samples = [DiffCochain(cx, q, k, Cochain.basis(cx, k, Ring.Z, i),
+                           zero.potential, zero.curvature)
+               for i in range(cx.n_simplices(k))]
+    samples += [DiffCochain(cx, q, k, zero.integral,
+                            Cochain.basis(cx, k - 1, Ring.Q, j),
+                            zero.curvature)
+                for j in range(cx.n_simplices(k - 1))]
+    if k >= q:
+        samples += [DiffCochain(cx, q, k, zero.integral, zero.potential,
+                                WhitneyForm.elementary(cx, k, i))
+                    for i in range(cx.n_simplices(k))]
+    samples += [random_diff_cochain(rng, cx, q, k) for _ in range(3)]
+    cocycles = [zero] + [dhat(random_diff_cochain(rng, cx, q, k - 1))
+                         for _ in range(3)]
+    if q == k:
+        ctx = HexagonContext(cx, k, seed=3, trials=1)
+        cocycles += ctx.zhat_lattice + ctx.zhat_space
+        cocycles += [ctx.random_zhat(rng) for _ in range(3)]
+    samples += cocycles
+    for x in cocycles:
+        samples += _slot_perturbations(rng, x)
+    return samples
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_row_level_cocycle_test_agrees_with_the_image(name):
+    # every level regime: degree k >= q, k == q - 1 and k < q - 1
+    rng = random.Random("cocycle-test@" + name)
+    cx = catalog(name)
+    outcomes = set()
+    for q in range(1, cx.dim + 2):
+        for k in range(q - 2, q + 2):
+            for x in _diff_cocycle_test_samples(rng, cx, q, k):
+                want = oracles.oracle_is_cocycle(x)
+                assert is_cocycle(x) == want, (name, q, k, x)
+                outcomes.add((k >= q, want))
+    # on the point every cochain at or above the level is zero
+    assert outcomes == {(True, True), (False, True), (False, False)} | (
+        {(True, False)} if cx.dim else set())

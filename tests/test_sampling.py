@@ -4,10 +4,17 @@ import pytest
 
 import oracles
 from hexad.cone import ConeCochain
+from hexad.exactalg import IntRow
 from hexad.hexagon import HexagonContext
 from hexad.hscomplex import DiffCochain
 from hexad.plforms import WhitneyForm
-from hexad.sampling import random_combination
+from hexad.sampling import (
+    random_cochain,
+    random_combination,
+    random_fraction,
+    random_row,
+    random_whitney,
+)
 from hexad.simplicial import Cochain, Ring, catalog, catalog_names, combine
 
 
@@ -54,3 +61,74 @@ def test_combine_checks_compatibility():
         combine(zero, [1], [Cochain.basis(cx, 0, Ring.Z, 0)], (), ())
     # zero coefficients are skipped, so they never combine anything
     assert combine(zero, [0], [Cochain.basis(cx, 0, Ring.Z, 0)], (), ()) == zero
+
+
+def clone(rng):
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+def structured_samplers(ctx):
+    """(label, sampler, zero, lattice, space): each structured sampler of
+    a context with the full generator lists it must agree with."""
+    cx, k = ctx.complex, ctx.degree
+    return (
+        ("zhat", ctx.random_zhat, DiffCochain.zero(cx, k, k),
+         ctx.zhat_lattice, ctx.zhat_space),
+        ("trivial_zhat", ctx.random_trivial_zhat, DiffCochain.zero(cx, k, k),
+         ctx.zhat_trivial_lattice, ctx.zhat_space),
+        ("cone", ctx.random_cone_cocycle, ConeCochain.zero(cx, k - 1),
+         ctx.cone_lattice, ctx.cone_space),
+        ("omega_k", lambda rng: ctx.random_omega(rng, k),
+         WhitneyForm.zero(cx, k)) + tuple(ctx.omega_gens_k),
+        ("omega_km1", lambda rng: ctx.random_omega(rng, k - 1),
+         WhitneyForm.zero(cx, k - 1)) + tuple(ctx.omega_gens_km1),
+    )
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_structured_samplers_equal_the_generator_by_generator_sum(name):
+    # the closed forms (delta m, m), (-delta m, m + q, W(delta q)) and
+    # W(delta q) must draw and return exactly what summing every generator
+    # draws and returns
+    cx = catalog(name)
+    for k in range(1, cx.dim + 2):
+        ctx = HexagonContext(cx, k, seed=5, trials=1)
+        for label, sampler, zero, lattice, space in structured_samplers(ctx):
+            for seed in range(3):
+                rng = random.Random("%s@%d@%s@%d" % (name, k, label, seed))
+                ref, oracle_rng = clone(rng), clone(rng)
+                got = sampler(rng)
+                want = random_combination(ref, zero, lattice, space)
+                oracle = oracles.oracle_random_combination(oracle_rng, zero,
+                                                           lattice, space)
+                where = (name, k, label, seed)
+                assert got == want == oracle, where
+                assert repr(got) == repr(want) == repr(oracle), where
+                assert rng.getstate() == ref.getstate(), where
+                assert rng.getstate() == oracle_rng.getstate(), where
+
+
+def test_random_row_equals_fraction_draws():
+    for n in (0, 1, 7, 40):
+        for seed in range(5):
+            rng = random.Random(seed)
+            ref = clone(rng)
+            row = random_row(rng, n)
+            assert row == IntRow.of([random_fraction(ref) for _ in range(n)])
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("ring", [Ring.Q, Ring.QMODZ])
+def test_rational_cochain_and_form_draws_equal_fraction_draws(ring):
+    cx = catalog("torus")
+    for deg in range(cx.dim + 1):
+        n = cx.n_simplices(deg)
+        rng = random.Random(deg)
+        ref = clone(rng)
+        assert random_cochain(rng, cx, deg, ring) == Cochain(
+            cx, deg, ring, [random_fraction(ref) for _ in range(n)])
+        assert random_whitney(rng, cx, deg) == WhitneyForm(
+            cx, deg, [random_fraction(ref) for _ in range(n)])
+        assert rng.getstate() == ref.getstate()
