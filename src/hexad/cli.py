@@ -271,7 +271,7 @@ PARSER = build_parser()
 
 def main(argv=None):
     args = PARSER.parse_args(argv)
-    if getattr(args, "seed", 0) is not None and getattr(args, "seed", 0) < 0:
+    if not 0 <= getattr(args, "seed", 0) < 1 << 64:
         print("error: --seed must be a non-negative 64-bit integer",
               file=sys.stderr)
         return 2

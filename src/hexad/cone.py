@@ -25,7 +25,7 @@ from .simplicial import Chain, Cochain, Coords, Ring
 class ConeCochain(Coords):
     """Element (u, v) of the cone complex in the given cone degree."""
 
-    __slots__ = ("complex", "degree", "integral", "rational")
+    __slots__ = ("complex", "degree", "integral", "rational", "_joined")
 
     def __init__(self, complex, degree, integral, rational):
         if integral.complex is not complex or rational.complex is not complex:
@@ -40,6 +40,7 @@ class ConeCochain(Coords):
         self.degree = degree
         self.integral = integral
         self.rational = rational
+        self._joined = None
 
     @classmethod
     def zero(cls, complex, degree):
@@ -51,15 +52,22 @@ class ConeCochain(Coords):
         return (self.complex, self.degree)
 
     def _row(self):
-        # integral values, then rational values, over one denominator
-        return IntRow.join((self.integral.row, self.rational.row))
+        # integral values, then rational values, over one denominator;
+        # joined on first use and kept
+        row = self._joined
+        if row is None:
+            row = self._joined = IntRow.join((self.integral.row,
+                                              self.rational.row))
+        return row
 
     def _like(self, row):
         cx, k = self.complex, self.degree
         nums, den = row
         n = len(self.integral.row.nums)
-        return ConeCochain(cx, k, Cochain(cx, k + 1, Ring.Z, IntRow(nums[:n], den)),
-                           Cochain(cx, k, Ring.Q, IntRow(nums[n:], den)))
+        z = ConeCochain(cx, k, Cochain(cx, k + 1, Ring.Z, IntRow(nums[:n], den)),
+                        Cochain(cx, k, Ring.Q, IntRow(nums[n:], den)))
+        z._joined = row
+        return z
 
     def is_cocycle(self):
         """Whether delta_cone(self) == 0, decided on the integer rows
@@ -79,10 +87,19 @@ class ConeCochain(Coords):
 
 
 def delta_cone(x):
-    """delta_cone(u, v) = (-delta u, delta v - j(u)); squares to zero."""
-    return ConeCochain(x.complex, x.degree + 1,
-                       -x.integral.coboundary(),
-                       x.rational.coboundary() - x.integral.as_q())
+    """delta_cone(u, v) = (-delta u, delta v - j(u)); squares to zero.
+
+    Each slot is computed on the integer rows and built once."""
+    cx, k = x.complex, x.degree
+    u = x.integral.row.nums
+    vnums, vden = x.rational.row
+    du = cx.coboundary_values(k + 1, u)
+    dv = cx.coboundary_values(k, vnums)
+    return ConeCochain(
+        cx, k + 1,
+        Cochain(cx, k + 2, Ring.Z, IntRow([-a for a in du], 1)),
+        Cochain(cx, k + 1, Ring.Q,
+                IntRow([b - vden * a for a, b in zip(u, dv)], vden)))
 
 
 def alpha_cone(c):
@@ -327,7 +344,7 @@ def les_exactness(ctx):
         v = factored_k.solve(t.row)
         if run.require(v is not None, "torsion class dies rationally", cls=t):
             z = ConeCochain(complex, k, -t,
-                            Cochain(complex, k, Ring.Q, [-x for x in v]))
+                            Cochain(complex, k, Ring.Q, v.scaled(-1)))
             run.require(z.is_cocycle(), "gamma preimage is a cocycle", cls=t)
             run.require(gamma_cone(z) == t, "gamma preimage hits the class",
                         cls=t)
@@ -338,7 +355,7 @@ def les_exactness(ctx):
         if run.require(v is not None, "coboundary class dies rationally",
                        cls=t):
             z = ConeCochain(complex, k, -t,
-                            Cochain(complex, k, Ring.Q, [-x for x in v]))
+                            Cochain(complex, k, Ring.Q, v.scaled(-1)))
             run.require(z.is_cocycle() and gamma_cone(z) == t,
                         "gamma preimage for coboundary class", cls=t)
     # free classes do not die under j: certified and unreachable

@@ -545,7 +545,8 @@ class Factored:
         self._a_rows = a_rows
 
     def solve(self, b):
-        """Exact solution of a*x == b over Q, or None when inconsistent.
+        """Exact solution of a*x == b over Q as an IntRow, or None when
+        inconsistent.
 
         `b` is an IntRow or a sequence of rationals.  Free variables are
         zero.  The answer is re-checked against `a`; a failed re-check
@@ -567,14 +568,18 @@ class Factored:
         for (nums, den), bi in zip(self._a_rows, bnum):
             if sum(map(mul, nums, xnum)) * bden != bi * den * xden:
                 raise ArithmeticError("solution failed to re-verify against the matrix")
-        return [Fraction(v, xden) for v in xnum]
+        return IntRow(xnum, xden)
 
     def kernel(self):
         """Basis of the rational nullspace {x : a*x == 0}, as column vectors."""
         # free column fj gives e_fj - y with a*y == column fj (y_fj == 0)
-        return [[(1 if j == fj else 0) - y
-                 for j, y in enumerate(self.solve(self.matrix.column(fj)))]
-                for fj in range(self.matrix.cols) if fj not in self.pivots]
+        basis = []
+        for fj in range(self.matrix.cols):
+            if fj not in self.pivots:
+                ynums, yden = self.solve(self.matrix.column(fj))
+                basis.append([Fraction((yden if j == fj else 0) - y, yden)
+                              for j, y in enumerate(ynums)])
+        return basis
 
 
 def rational_rank(a):
@@ -582,7 +587,8 @@ def rational_rank(a):
 
 
 def rational_solve(a, b):
-    """Exact solution of a*x == b over Q, or None when inconsistent.
+    """Exact solution of a*x == b over Q as an IntRow, or None when
+    inconsistent.
 
     One-shot form of Factored(a).solve(b); factor once when solving many
     right-hand sides against the same matrix.
@@ -657,7 +663,8 @@ class MixedSubgroup:
 
 @dataclass(frozen=True)
 class MixedWitness:
-    """x == sum z_i * lattice_gens_i + sum q_j * space_gens_j, exactly."""
+    """x == sum z_i * lattice_gens_i + sum q_j * space_gens_j, exactly:
+    `lattice_coeffs` a tuple of ints, `space_coeffs` the IntRow of the q_j."""
 
     lattice_coeffs: tuple
     space_coeffs: tuple
@@ -744,10 +751,10 @@ class MixedSolver:
             if q is None:
                 raise ArithmeticError("projection residue left the space span")
         else:
-            q = []
+            q = IntRow((), 1)
             if any(residue):
                 raise ArithmeticError("nonzero residue with no space part")
-        return MixedWitness(tuple(zz), tuple(q))
+        return MixedWitness(tuple(zz), q)
 
     def _certificate(self, i, modulus, value):
         phi = [0] * self.subgroup.ambient_dim
@@ -770,7 +777,7 @@ def verify_witness(x, subgroup, witness):
     acc = [Fraction(0)] * n
     for z, g in zip(witness.lattice_coeffs, subgroup.lattice_gens):
         acc = [a + z * gi for a, gi in zip(acc, g)]
-    for q, g in zip(witness.space_coeffs, subgroup.space_gens):
+    for q, g in zip(witness.space_coeffs.fractions(), subgroup.space_gens):
         acc = [a + q * gi for a, gi in zip(acc, g)]
     return all(Fraction(xi) == ai for xi, ai in zip(x, acc))
 
@@ -816,9 +823,9 @@ def quotient_group(z_group, b_group):
     coords = []
     for g in b_group.lattice_gens:
         sol = basis_fact.solve(g)
-        if sol is None or any(s.denominator != 1 for s in sol):
+        if sol is None or sol.den != 1:
             raise ArithmeticError("lattice member without integral coordinates")
-        coords.append([int(s) for s in sol])
+        coords.append(list(sol.nums))
     if not coords:
         return FgAbelianGroup(len(basis))
     rel = Matrix.from_columns(coords, rows=len(basis))

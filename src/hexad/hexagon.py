@@ -358,6 +358,12 @@ class HexagonContext:
                 self.fractional_km1.append((v, _nonintegral_cycle(complex, v)))
         self.torsion_cone_km1 = [(z, _nonintegral_cycle(complex, z.rational))
                                  for z in self.cone_lattice[n_trivial:]]
+        # homology-basis cycles in degree k-1 (free plus torsion)
+        st_km1 = complex.homology_structure(k - 1)
+        self.cycles_km1 = [Chain(complex, k - 1, list(c))
+                           for c in st_km1.free_cycles]
+        self.cycles_km1 += [Chain(complex, k - 1, list(t.cycle))
+                            for t in st_km1.torsion_cycles]
         # reusable solvers; the cone coboundary test is the differential
         # one conjugated by i, so both share one CoboundarySolver
         self.cone_cb_solver = ConeCoboundarySolver(complex, k - 1)
@@ -476,15 +482,6 @@ class HexagonContext:
             random_cochain(rng, self.complex, self.degree - 2, Ring.Q),
             None)
         return dhat(y), y
-
-    def cycles_km1(self):
-        """Homology-basis cycles in degree k-1 (free plus torsion)."""
-        st = self.complex.homology_structure(self.degree - 1)
-        cycles = [Chain(self.complex, self.degree - 1, list(c))
-                  for c in st.free_cycles]
-        cycles += [Chain(self.complex, self.degree - 1, list(t.cycle))
-                   for t in st.torsion_cycles]
-        return cycles
 
 
 def _guarded(run, label, fn, **detail):
@@ -817,7 +814,7 @@ def check_induced_hexagon(ctx):
         x, xprime = map_i(z), map_i(z) + cb
         run.require(map_R(x) == map_R(xprime),
                     "curvature is class-invariant", z=z)
-        for cyc in ctx.cycles_km1():
+        for cyc in ctx.cycles_km1:
             run.require(evaluate_character(x, cyc)
                         == evaluate_character(xprime, cyc),
                         "character is class-invariant", z=z, cycle=cyc)
@@ -1024,7 +1021,7 @@ def check_character_compat(ctx):
                    seed=derive_seed(ctx.seed, "character_compatibility"))
     rng = ctx.rng("character_compatibility")
     cx, k = ctx.complex, ctx.degree
-    cycles = ctx.cycles_km1()
+    cycles = ctx.cycles_km1
     for _ in range(ctx.trials):
         x = ctx.random_zhat(rng)
         b = random_chain(rng, cx, k)

@@ -18,10 +18,9 @@ cocycle's class.
 from __future__ import annotations
 
 from math import lcm
-from operator import add
 
 from .exactalg import IntRow, MixedSolver, MixedSubgroup, MixedWitness
-from .plforms import WhitneyForm, d as d_form, derham_cochain
+from .plforms import WhitneyForm, d as d_form
 from .simplicial import Chain, Cochain, Coords, Ring
 
 
@@ -34,7 +33,7 @@ class DiffCochain(Coords):
     """
 
     __slots__ = ("complex", "level", "degree", "integral", "potential",
-                 "curvature")
+                 "curvature", "_joined")
 
     def __init__(self, complex, level, degree, integral, potential,
                  curvature=None):
@@ -60,6 +59,7 @@ class DiffCochain(Coords):
         self.integral = integral
         self.potential = potential
         self.curvature = curvature
+        self._joined = None
 
     @classmethod
     def zero(cls, complex, level, degree):
@@ -74,11 +74,15 @@ class DiffCochain(Coords):
 
     def _row(self):
         # integral values, then potential values, then curvature
-        # coefficients when present, over one common denominator
-        rows = [self.integral.row, self.potential.row]
-        if self.curvature is not None:
-            rows.append(self.curvature.row)
-        return IntRow.join(rows)
+        # coefficients when present, over one common denominator; joined
+        # on first use and kept
+        row = self._joined
+        if row is None:
+            rows = [self.integral.row, self.potential.row]
+            if self.curvature is not None:
+                rows.append(self.curvature.row)
+            row = self._joined = IntRow.join(rows)
+        return row
 
     def _like(self, row):
         cx, k = self.complex, self.degree
@@ -88,10 +92,12 @@ class DiffCochain(Coords):
         curv = None
         if self.curvature is not None:
             curv = WhitneyForm(cx, k, IntRow(nums[m:], den))
-        return DiffCochain(cx, self.level, k,
-                           Cochain(cx, k, Ring.Z, IntRow(nums[:n], den)),
-                           Cochain(cx, k - 1, Ring.Q, IntRow(nums[n:m], den)),
-                           curv)
+        x = DiffCochain(cx, self.level, k,
+                        Cochain(cx, k, Ring.Z, IntRow(nums[:n], den)),
+                        Cochain(cx, k - 1, Ring.Q, IntRow(nums[n:m], den)),
+                        curv)
+        x._joined = row
+        return x
 
     def __repr__(self):
         return ("DiffCochain(q=%d, k=%d, c=%r, T=%r, w=%r)"
@@ -101,37 +107,47 @@ class DiffCochain(Coords):
                    else [str(v) for v in self.curvature.coeffs]))
 
 
+def _dhat_potential(x):
+    """(nums, den) of int(w) - j(c) - delta T, the potential slot of
+    dhat(x), with w read as 0 below the level."""
+    cx, k = x.complex, x.degree
+    c = x.integral.row.nums
+    tnums, tden = x.potential.row
+    dt = cx.coboundary_values(k - 1, tnums)
+    if x.curvature is None:
+        return [-tden * a - b for a, b in zip(c, dt)], tden
+    wnums, wden = x.curvature.row
+    den = lcm(wden, tden)
+    fw, ft = den // wden, den // tden
+    return [fw * w - den * a - ft * b for w, a, b in zip(wnums, c, dt)], den
+
+
 def dhat(x):
-    """The differential, in all three degree regimes; dhat(dhat(x)) == 0."""
+    """The differential, in all three degree regimes; dhat(dhat(x)) == 0.
+
+    Each slot is computed on the integer rows and built once."""
     cx, q, k = x.complex, x.level, x.degree
-    dc = x.integral.coboundary()
-    mid = -x.integral.as_q() - x.potential.coboundary()
-    if k >= q:
-        mid = mid + derham_cochain(x.curvature)
-        return DiffCochain(cx, q, k + 1, dc, mid, d_form(x.curvature))
-    if k == q - 1:
-        return DiffCochain(cx, q, k + 1, dc, mid, WhitneyForm.zero(cx, k + 1))
-    return DiffCochain(cx, q, k + 1, dc, mid, None)
+    dc = cx.coboundary_values(k, x.integral.row.nums)
+    if x.curvature is not None:
+        curv = d_form(x.curvature)
+    else:
+        curv = WhitneyForm.zero(cx, k + 1) if k == q - 1 else None
+    return DiffCochain(cx, q, k + 1, Cochain(cx, k + 1, Ring.Z, IntRow(dc, 1)),
+                       Cochain(cx, k, Ring.Q, IntRow(*_dhat_potential(x))),
+                       curv)
 
 
 def is_cocycle(x):
     """Whether dhat(x) == 0, decided slot by slot on the integer rows
     without building the image: delta c == 0, int(w) - j(c) - delta T == 0
-    (w read as 0 below the level) and d w == 0."""
+    and d w == 0."""
     cx, k = x.complex, x.degree
-    c = x.integral.row.nums
-    if any(cx.coboundary_values(k, c)):
+    if any(cx.coboundary_values(k, x.integral.row.nums)):
         return False
-    tnums, tden = x.potential.row
-    dt = cx.coboundary_values(k - 1, tnums)
-    if x.curvature is None:
-        return not any(map(add, map(tden.__mul__, c), dt))
-    wnums, wden = x.curvature.row
-    den = lcm(wden, tden)
-    fw, ft = den // wden, den // tden
-    if any(fw * w - den * a - ft * b for w, a, b in zip(wnums, c, dt)):
+    if any(_dhat_potential(x)[0]):
         return False
-    return not any(cx.coboundary_values(k, wnums))
+    return (x.curvature is None
+            or not any(cx.coboundary_values(k, x.curvature.row.nums)))
 
 
 class CoboundarySolver:
@@ -173,8 +189,10 @@ class CoboundarySolver:
             raise ValueError("coboundary test lives at level q = degree k")
         if x.curvature is not None and not x.curvature.is_zero():
             return None
+        # the curvature is zero: the kept row is (c, T) followed by zeros
+        nums, den = x._row()
         res = self._solver.membership(
-            IntRow.join((x.integral.row, x.potential.row)))
+            IntRow(nums[:self._solver.subgroup.ambient_dim], den))
         if not isinstance(res, MixedWitness):
             return None
         cx = self.complex

@@ -54,13 +54,14 @@ class WhitneyForm(Coords):
 
     @classmethod
     def zero(cls, complex, degree):
-        return cls(complex, degree, [0] * complex.n_simplices(degree))
+        return cls(complex, degree,
+                   IntRow((0,) * complex.n_simplices(degree), 1))
 
     @classmethod
     def elementary(cls, complex, degree, i):
-        coeffs = [0] * complex.n_simplices(degree)
-        coeffs[i] = 1
-        return cls(complex, degree, coeffs)
+        nums = [0] * complex.n_simplices(degree)
+        nums[i] = 1
+        return cls(complex, degree, IntRow(nums, 1))
 
     def __repr__(self):
         return "WhitneyForm(deg=%d, %s)" % (self.degree,

@@ -4,6 +4,12 @@ Policy: integer entries are uniform in [-9, 9]; rational entries have
 numerators in [-9, 9] and denominators from {1, 2, 3, 4, 6}.  Per-check
 seeds are derived from the run seed by stable hashing of the check name,
 so reports are reproducible byte for byte.
+
+The vector draws `random_ints` and `random_row` read `rng.getrandbits`
+under the rejection rule of `Random._randbelow`: an integer is 5 bits,
+redrawn while >= 19, minus 9, and a denominator index is 3 bits, redrawn
+while >= 5.  That is the stream `randint(-9, 9)` and `choice(_DENOMS)`
+draw, without their per-call overhead.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from .simplicial import Chain, Cochain, Ring, combine
 
 _DENOMS = (1, 2, 3, 4, 6)
 _COMMON_DEN = lcm(*_DENOMS)
+# a numerator over _DENOMS[i] is scaled by _SCALES[i] over _COMMON_DEN
+_SCALES = tuple(_COMMON_DEN // d for d in _DENOMS)
 _MASK64 = (1 << 64) - 1
 
 
@@ -42,16 +50,30 @@ def random_fraction(rng):
 
 def random_ints(rng, n):
     """n random_int draws."""
-    randint = rng.randint
-    return [randint(-9, 9) for _ in range(n)]
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(n):
+        r = getrandbits(5)
+        while r >= 19:
+            r = getrandbits(5)
+        out.append(r - 9)
+    return out
 
 
 def random_row(rng, n):
     """The IntRow of n random_fraction draws, in the same order, built
     over the common denominator of _DENOMS without any Fraction object."""
-    randint, choice = rng.randint, rng.choice
-    return IntRow([randint(-9, 9) * (_COMMON_DEN // choice(_DENOMS))
-                   for _ in range(n)], _COMMON_DEN)
+    getrandbits = rng.getrandbits
+    nums = []
+    for _ in range(n):
+        r = getrandbits(5)
+        while r >= 19:
+            r = getrandbits(5)
+        i = getrandbits(3)
+        while i >= 5:
+            i = getrandbits(3)
+        nums.append((r - 9) * _SCALES[i])
+    return IntRow(nums, _COMMON_DEN)
 
 
 def random_chain(rng, complex, degree):

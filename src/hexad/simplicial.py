@@ -429,13 +429,14 @@ class Cochain(Coords):
 
     @classmethod
     def zero(cls, complex, degree, ring):
-        return cls(complex, degree, ring, [0] * complex.n_simplices(degree))
+        return cls(complex, degree, ring,
+                   IntRow((0,) * complex.n_simplices(degree), 1))
 
     @classmethod
     def basis(cls, complex, degree, ring, i):
-        values = [0] * complex.n_simplices(degree)
-        values[i] = 1
-        return cls(complex, degree, ring, values)
+        nums = [0] * complex.n_simplices(degree)
+        nums[i] = 1
+        return cls(complex, degree, ring, IntRow(nums, 1))
 
     def coboundary(self):
         """(delta x)(sigma) = x(boundary sigma); ring tag preserved."""
@@ -552,9 +553,9 @@ def _quotient_presentation(kernel_vecs, image_cols, image_smith):
         coords = []
         for col in image_cols:
             sol = kernel_fact.solve(col)
-            if sol is None or any(s.denominator != 1 for s in sol):
+            if sol is None or sol.den != 1:
                 raise ArithmeticError("image generator is not in the kernel lattice")
-            coords.append([int(s) for s in sol])
+            coords.append(list(sol.nums))
     if coords:
         f = image_smith if standard else smith_form(Matrix.from_columns(coords, rows=z))
         diag = f.diagonal

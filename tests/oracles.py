@@ -409,17 +409,44 @@ def oracle_mixed_member(ambient, lattice, space):
 
 # ---------------------------------------------------------------------------
 # the image-building cocycle tests, kept as the reference for the row-level
-# predicates `hscomplex.is_cocycle` and `ConeCochain.is_cocycle`; they use
-# the package's differentials, which are checked against their defining
-# formulas elsewhere in the suite
+# predicates `hscomplex.is_cocycle` and `ConeCochain.is_cocycle`; they build
+# the image with the object-by-object differentials below, not with the
+# package's row-level ones, which share their arithmetic with the predicates
 
 def oracle_is_cocycle(x):
     """dhat(x) == 0, by building dhat(x)."""
-    from hexad.hscomplex import dhat
-    return dhat(x).is_zero()
+    return oracle_dhat(x).is_zero()
 
 
 def oracle_cone_is_cocycle(z):
     """delta_cone(z) == 0, by building delta_cone(z)."""
-    from hexad.cone import delta_cone
-    return delta_cone(z).is_zero()
+    return oracle_delta_cone(z).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the differentials built object by object through the cochain and form
+# operations, as the package built them before it computed each slot on
+# the integer rows; kept as the reference for `hscomplex.dhat` and
+# `cone.delta_cone`
+
+def oracle_dhat(x):
+    """(delta c, int(w) - j(c) - delta T, d w), with the curvature slot
+    zero at degree level - 1 and absent below it."""
+    from hexad.hscomplex import DiffCochain
+    from hexad.plforms import WhitneyForm, d, derham_cochain
+    cx, q, k = x.complex, x.level, x.degree
+    dc = x.integral.coboundary()
+    mid = -x.integral.as_q() - x.potential.coboundary()
+    if k >= q:
+        mid = mid + derham_cochain(x.curvature)
+        return DiffCochain(cx, q, k + 1, dc, mid, d(x.curvature))
+    if k == q - 1:
+        return DiffCochain(cx, q, k + 1, dc, mid, WhitneyForm.zero(cx, k + 1))
+    return DiffCochain(cx, q, k + 1, dc, mid, None)
+
+
+def oracle_delta_cone(z):
+    """(-delta u, delta v - j(u))."""
+    from hexad.cone import ConeCochain
+    return ConeCochain(z.complex, z.degree + 1, -z.integral.coboundary(),
+                       z.rational.coboundary() - z.integral.as_q())

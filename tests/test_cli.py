@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 
@@ -293,6 +294,44 @@ def test_over_bound_complex_file_exits_two(tmp_path, monkeypatch, capsys):
 def test_bad_flag_values(capsys):
     assert run_cli(["verify", "--complex", "circle", "--seed", "-1"]) == 2
     assert run_cli(["verify", "--complex", "circle", "--trials", "0"]) == 2
+
+
+def test_seeds_are_refused_from_two_to_the_64(capsys):
+    # seeds are masked to 64 bits when derived, so 2^64 would run as seed 0
+    assert run_cli(["verify", "--complex", "point", "--trials", "1",
+                    "--seed", str(1 << 64)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be a non-negative 64-bit integer" in captured.err
+    assert run_cli(["verify", "--complex", "point", "--trials", "1",
+                    "--seed", str((1 << 64) - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == (1 << 64) - 1
+
+
+def _perfbench_module(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        name + ".py")
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_grid_verify_report_matches_the_recorded_digest(tmp_path):
+    # the grid-verify workload's T_4 report at seed 3, built as the
+    # benchmark builds it, against the digest the benchmark records
+    complexes = _perfbench_module("complexes")
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "hashes.json")
+    with open(path) as fh:
+        digest = json.load(fh)["grid-verify"]["3"]["verify-T4"]
+    cplx = tmp_path / "T4.cplx"
+    cplx.write_text(complexes.generate("T4", *complexes.grid_torus(4), 3))
+    report = tmp_path / "report.json"
+    assert run_cli(["verify", "--complex", str(cplx), "--degree", "2",
+                    "--trials", "10", "--seed", "3",
+                    "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def test_repeated_calls_share_no_parsed_state(capsys):

@@ -176,7 +176,7 @@ def test_les_gamma_hits_torsion_on_projective_plane():
     v = rational_solve(cx.coboundary_matrix(1),
                        [Fraction(x) for x in t.values])
     assert v is not None
-    z = ConeCochain(cx, 1, -t, Cochain(cx, 1, Ring.Q, [-x for x in v]))
+    z = ConeCochain(cx, 1, -t, Cochain(cx, 1, Ring.Q, v.scaled(-1)))
     assert z.is_cocycle()
     assert gamma_cone(z) == t
 
@@ -263,6 +263,17 @@ def _cone_cocycle_test_samples(rng, cx, deg):
                 cx, deg, zero.integral,
                 Cochain.basis(cx, deg, Ring.Q, j).scale(Fraction(1, 2))))
     return samples
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_delta_cone_equals_the_slot_by_slot_construction(name):
+    rng = random.Random("delta-cone@" + name)
+    cx = catalog(name)
+    for deg in range(-1, cx.dim + 2):
+        for z in _cone_cocycle_test_samples(rng, cx, deg):
+            got, want = delta_cone(z), oracles.oracle_delta_cone(z)
+            assert got == want, (name, deg, z)
+            assert repr(got) == repr(want), (name, deg, z)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -6,6 +6,7 @@ import pytest
 
 from hexad.exactalg import (
     FgAbelianGroup,
+    IntRow,
     Matrix,
     MixedSolver,
     MixedSubgroup,
@@ -100,7 +101,7 @@ def test_kernel_and_column_lattice():
             for j in range(m.cols):
                 sol = rational_solve(bm, [Fraction(x) for x in m.column(j)])
                 assert sol is not None
-                assert all(s.denominator == 1 for s in sol)
+                assert sol.den == 1
 
 
 def test_hnf_solve_trivial_cases():
@@ -139,11 +140,11 @@ def test_hnf_solve_random_consistency():
 def test_rational_solve_examples():
     ident = Matrix.identity(2)
     b = [Fraction(3), Fraction(1, 2)]
-    assert rational_solve(ident, b) == b
+    assert rational_solve(ident, b) == IntRow.of(b)
     m = Matrix(2, 2, [[1, 1], [2, 2]])
     assert rational_solve(m, [1, 3]) is None
     x = rational_solve(m, [1, 2])
-    assert x is not None and x[0] + x[1] == 1
+    assert x is not None and sum(x.fractions()) == 1
 
 
 def test_rational_kernel_and_rank():
@@ -168,7 +169,7 @@ def test_mixed_membership_examples():
     res2 = mixed_membership([4, Fraction(1, 3)], s2)
     assert isinstance(res2, MixedWitness)
     assert res2.lattice_coeffs == (2,)
-    assert res2.space_coeffs == (Fraction(1, 3),)
+    assert res2.space_coeffs == IntRow.of([Fraction(1, 3)])
 
 
 def test_mixed_membership_sound_and_complete():

@@ -9,7 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexad.exactalg import Factored, Matrix, rational_kernel, rational_rank, rational_solve
+from hexad.exactalg import (
+    Factored,
+    IntRow,
+    Matrix,
+    rational_kernel,
+    rational_rank,
+    rational_solve,
+)
 from oracles import oracle_eliminate, oracle_kernel, oracle_solve
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -57,12 +64,15 @@ def test_reused_factorization_solves_like_fresh_elimination(system):
     f = Factored(a)
     for b in rhs:
         expected = oracle_solve(a.data, a.cols, b)
+        if expected is not None:
+            expected = IntRow.of(expected)
         x = f.solve(b)
         assert x == expected
         assert rational_solve(a, b) == expected
         if x is not None:
-            assert all(type(v) is Fraction for v in x)
-            assert [Fraction(v) for v in a.mul_vec(x)] == [Fraction(v) for v in b]
+            assert type(x) is IntRow
+            assert ([Fraction(v) for v in a.mul_vec(x.fractions())]
+                    == [Fraction(v) for v in b])
 
 
 @PROPERTY
@@ -78,7 +88,7 @@ def test_factorization_rank_and_kernel_match_fresh_elimination(a):
 def test_failed_recheck_raises_instead_of_reading_as_inconsistent():
     a = Matrix(2, 2, [[1, 1], [0, 1]])
     f = Factored(a)
-    assert f.solve([1, 1]) == [0, 1]
+    assert f.solve([1, 1]) == IntRow.of([0, 1])
     nums, den = f._transform[0]
     nums[0] += den  # E[0][0] is now off by one
     with pytest.raises(ArithmeticError):

@@ -252,7 +252,7 @@ def test_descent_consistency_under_coboundary_shift():
         # difference of I images is a coboundary pair with explicit primitive
         m = shift.integral
         assert c1 - c0 == m
-        for cyc in ctx.cycles_km1():
+        for cyc in ctx.cycles_km1:
             assert evaluate_character(x, cyc) == evaluate_character(xp, cyc)
 
 

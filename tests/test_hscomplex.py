@@ -242,6 +242,20 @@ def _diff_cocycle_test_samples(rng, cx, q, k):
 
 
 @pytest.mark.parametrize("name", catalog_names())
+def test_dhat_equals_the_slot_by_slot_construction(name):
+    # every level regime, on basis generators, random cochains, cocycles
+    # and perturbed cocycles
+    rng = random.Random("dhat@" + name)
+    cx = catalog(name)
+    for q in range(1, cx.dim + 2):
+        for k in range(q - 2, q + 2):
+            for x in _diff_cocycle_test_samples(rng, cx, q, k):
+                got, want = dhat(x), oracles.oracle_dhat(x)
+                assert got == want, (name, q, k, x)
+                assert repr(got) == repr(want), (name, q, k, x)
+
+
+@pytest.mark.parametrize("name", catalog_names())
 def test_row_level_cocycle_test_agrees_with_the_image(name):
     # every level regime: degree k >= q, k == q - 1 and k < q - 1
     rng = random.Random("cocycle-test@" + name)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,10 +13,18 @@ from hexad.sampling import (
     random_cochain,
     random_combination,
     random_fraction,
+    random_ints,
     random_row,
     random_whitney,
 )
-from hexad.simplicial import Cochain, Ring, catalog, catalog_names, combine
+from hexad.simplicial import (
+    Cochain,
+    Ring,
+    SimplicialComplex,
+    catalog,
+    catalog_names,
+    combine,
+)
 
 
 def generator_sets(ctx):
@@ -132,3 +141,54 @@ def test_rational_cochain_and_form_draws_equal_fraction_draws(ring):
         assert random_whitney(rng, cx, deg) == WhitneyForm(
             cx, deg, [random_fraction(ref) for _ in range(n)])
         assert rng.getstate() == ref.getstate()
+
+
+# The vector draws read getrandbits directly; they must take exactly the
+# values, and leave exactly the state, of the randint/choice calls the
+# sampling policy names.  Each size is the vertex count of a discrete
+# complex (size 0: the point's degree-1 cochains).
+
+STREAM_SIZES = (0, 1, 2, 19, 64)
+POLICY_DENOMS = (1, 2, 3, 4, 6)
+
+
+def randint_draws(rng, n):
+    return [rng.randint(-9, 9) for _ in range(n)]
+
+
+def fraction_draws(rng, n):
+    return [Fraction(rng.randint(-9, 9), rng.choice(POLICY_DENOMS))
+            for _ in range(n)]
+
+
+def discrete(n):
+    """(complex, degree) whose cochains have n values."""
+    if n == 0:
+        return catalog("point"), 1
+    return SimplicialComplex.from_facets("discrete%d" % n, n,
+                                         [(v,) for v in range(n)]), 0
+
+
+def test_vector_draws_follow_the_randint_and_choice_stream():
+    for n in STREAM_SIZES:
+        cx, deg = discrete(n)
+        assert cx.n_simplices(deg) == n
+        for seed in range(100):
+            rng = random.Random(seed)
+            ref = clone(rng)
+            draws = (
+                (random_ints(rng, n), randint_draws(ref, n)),
+                (random_row(rng, n), IntRow.of(fraction_draws(ref, n))),
+                (random_cochain(rng, cx, deg, Ring.Z),
+                 Cochain(cx, deg, Ring.Z, randint_draws(ref, n))),
+                (random_cochain(rng, cx, deg, Ring.Q),
+                 Cochain(cx, deg, Ring.Q, fraction_draws(ref, n))),
+                (random_cochain(rng, cx, deg, Ring.QMODZ),
+                 Cochain(cx, deg, Ring.QMODZ, fraction_draws(ref, n))),
+                (random_whitney(rng, cx, deg),
+                 WhitneyForm(cx, deg, fraction_draws(ref, n))),
+            )
+            for got, want in draws:
+                assert got == want, (n, seed)
+                assert repr(got) == repr(want), (n, seed)
+            assert rng.getstate() == ref.getstate(), (n, seed)
