@@ -308,22 +308,15 @@ def test_seeds_are_refused_from_two_to_the_64(capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == (1 << 64) - 1
 
 
-def _perfbench_module(name):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        name + ".py")
-    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_grid_verify_report_matches_the_recorded_digest(tmp_path):
     # the grid-verify workload's T_4 report at seed 3, built as the
     # benchmark builds it, against the digest the benchmark records
-    complexes = _perfbench_module("complexes")
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        "hashes.json")
-    with open(path) as fh:
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_complexes", os.path.join(bench, "complexes.py"))
+    complexes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(complexes)
+    with open(os.path.join(bench, "hashes.json")) as fh:
         digest = json.load(fh)["grid-verify"]["3"]["verify-T4"]
     cplx = tmp_path / "T4.cplx"
     cplx.write_text(complexes.generate("T4", *complexes.grid_torus(4), 3))
