@@ -18,25 +18,20 @@ from .exactalg import (
     NonMembership,
     Rational,
     hnf_solve,
-    mixed_membership,
     quotient_group,
     rational_solve,
     smith_form,
-    snf,
 )
 from .simplicial import (
     Chain,
     Cochain,
     ComplexParseError,
-    HomologyBasis,
     InvalidComplexError,
     Ring,
     SimplicialComplex,
-    boundary_matrix,
     catalog,
     catalog_names,
     cohomology,
-    homology_basis,
     load_complex,
     validate,
 )
@@ -54,11 +49,9 @@ from .plforms import (
     whitney,
 )
 from .hscomplex import (
-    DiffClass,
     DiffCochain,
     dhat,
     evaluate_character,
-    is_coboundary,
     is_cocycle,
 )
 from .cone import (
@@ -96,11 +89,9 @@ __all__ = [
     "Cochain",
     "ComplexParseError",
     "ConeCochain",
-    "DiffClass",
     "DiffCochain",
     "FgAbelianGroup",
     "HexagonContext",
-    "HomologyBasis",
     "InvalidComplexError",
     "Matrix",
     "MixedSubgroup",
@@ -113,7 +104,6 @@ __all__ = [
     "SimplicialComplex",
     "WhitneyForm",
     "alpha_cone",
-    "boundary_matrix",
     "catalog",
     "catalog_names",
     "check_bunke_schick",
@@ -132,10 +122,8 @@ __all__ = [
     "find_primitive",
     "gamma_cone",
     "hnf_solve",
-    "homology_basis",
     "in_omega_A",
     "integrate",
-    "is_coboundary",
     "is_cocycle",
     "les_exactness",
     "load_complex",
@@ -147,13 +135,11 @@ __all__ = [
     "map_ch",
     "map_i",
     "map_iota",
-    "mixed_membership",
     "period_vector",
     "quotient_group",
     "rational_solve",
     "run_all_checks",
     "smith_form",
-    "snf",
     "validate",
     "whitney",
     "witness_I_surjective",

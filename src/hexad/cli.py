@@ -167,6 +167,10 @@ def _report_text(payload):
 
 
 def cmd_verify(args):
+    if not 0 <= args.seed < 1 << 64:
+        raise CliError("--seed must be a non-negative 64-bit integer")
+    if args.trials < 1:
+        raise CliError("--trials must be positive")
     cx = _resolve_complex(args.complex)
     degrees = _degrees(args, cx, list(range(1, cx.dim + 2)))
     runs = []
@@ -226,35 +230,42 @@ def build_parser():
                     "hexagon on finite simplicial complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def complex_arg(p):
         p.add_argument("--complex", help="catalog name or complex file path")
+
+    def degree_arg(p):
         p.add_argument("--degree", type=int, action="append",
                        help="degree to process (repeatable)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks (default 0)")
-        p.add_argument("--trials", type=int, default=25,
-                       help="random samples per check (default 25)")
+
+    def output_args(p):
         p.add_argument("--report", help="write output to this path")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p_catalog = sub.add_parser("catalog", help="list built-in complexes")
-    p_catalog.add_argument("--report", help="write output to this path")
-    p_catalog.add_argument("--format", choices=("json", "text"),
-                           default="json")
+    output_args(p_catalog)
     p_catalog.set_defaults(func=cmd_catalog)
 
     p_compute = sub.add_parser("compute",
                                help="cohomology and period tables")
-    common(p_compute)
+    complex_arg(p_compute)
+    degree_arg(p_compute)
+    output_args(p_compute)
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    common(p_verify)
+    complex_arg(p_verify)
+    degree_arg(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed for randomized checks (default 0)")
+    p_verify.add_argument("--trials", type=int, default=25,
+                          help="random samples per check (default 25)")
+    output_args(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_witness = sub.add_parser("witness",
                                help="construct surjectivity witnesses")
-    common(p_witness)
+    complex_arg(p_witness)
+    output_args(p_witness)
     p_witness.add_argument("--kind", choices=("R", "I"), required=True)
     p_witness.add_argument("--form", help="whitney form file (kind R)")
     p_witness.add_argument("--cocycle", help="integral cocycle file (kind I)")
@@ -271,13 +282,6 @@ PARSER = build_parser()
 
 def main(argv=None):
     args = PARSER.parse_args(argv)
-    if not 0 <= getattr(args, "seed", 0) < 1 << 64:
-        print("error: --seed must be a non-negative 64-bit integer",
-              file=sys.stderr)
-        return 2
-    if getattr(args, "trials", 1) is not None and getattr(args, "trials", 1) < 1:
-        print("error: --trials must be positive", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except CliError as exc:

@@ -115,19 +115,6 @@ def gamma_cone(x):
     return -x.integral
 
 
-def cone_section(u):
-    """Right inverse of gamma on cochains: u -> (-u, 0)."""
-    if u.ring is not Ring.Z:
-        raise ValueError("section expects an integral cochain")
-    return ConeCochain(u.complex, u.degree - 1, -u,
-                       Cochain.zero(u.complex, u.degree - 1, Ring.Q))
-
-
-def cone_retraction(x):
-    """Left inverse of alpha on cochains: (u, v) -> v."""
-    return x.rational
-
-
 class ConeCoboundarySolver:
     """Reusable witness finder: x = delta_cone(y) with y reconstructed.
 
@@ -224,9 +211,9 @@ def cone_cohomology_compare(ctx):
     carry an independent non-integrality certificate.
     """
     complex, degree, trials = ctx.complex, ctx.degree - 1, ctx.trials
-    run = CheckRun("cone_comparison",
-                   seed=derive(ctx.seed, "cone_comparison", degree))
-    rng = rng_for(run.seed, "cone_comparison_rng")
+    run = CheckRun("cone_comparison")
+    rng = rng_for(derive(ctx.seed, "cone_comparison", degree),
+                  "cone_comparison_rng")
     solver = ctx.cone_cb_solver
 
     # well-definedness: generators of the coboundary group map to Q/Z
@@ -287,8 +274,8 @@ def les_exactness(ctx):
     H^k(cone), k = ctx.degree - 1: composites vanish with explicit
     primitives and sampled kernel classes receive preimage witnesses."""
     complex, k, trials = ctx.complex, ctx.degree - 1, ctx.trials
-    run = CheckRun("les_exactness", seed=derive(ctx.seed, "les_exactness", k))
-    rng = rng_for(run.seed, "les_exactness_rng")
+    run = CheckRun("les_exactness")
+    rng = rng_for(derive(ctx.seed, "les_exactness", k), "les_exactness_rng")
 
     # gamma(alpha(c)) == 0 identically
     rational_cocycles = [z.rational for z in ctx.cone_space]

@@ -28,7 +28,7 @@ Rational = Fraction
 
 
 # ---------------------------------------------------------------------------
-# rational vectors as integer rows, and small vector helpers
+# rational vectors as integer rows
 
 class IntRow(namedtuple("IntRow", "nums den")):
     """The rational vector nums / den: `nums` a tuple of ints, `den` >= 1.
@@ -99,16 +99,6 @@ class IntRow(namedtuple("IntRow", "nums den")):
     def fractions(self):
         """The coordinates as Fractions."""
         return tuple([Fraction(x, self.den) for x in self.nums])
-
-
-def vec_dot(u, v):
-    if len(u) != len(v):
-        raise ValueError("dot product of vectors of different lengths")
-    acc = Fraction(0)
-    for a, b in zip(u, v):
-        if a and b:
-            acc += a * b
-    return acc
 
 
 def xgcd(a, b):
@@ -217,33 +207,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%d, %d, %r)" % (self.rows, self.cols, [list(r) for r in self.data])
-
-
-def det_bareiss(m):
-    """Exact determinant of a square integer matrix (fraction-free)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +414,6 @@ def smith_form(m):
         v=Matrix(c, c, v),
         u_inv=Matrix(r, r, uinv),
     )
-
-
-def snf(m):
-    """Smith normal form: returns (u, d, v) with u*m*v == d diagonal."""
-    f = smith_form(m)
-    return f.u, f.d, f.v
 
 
 def kernel_basis(m):
@@ -764,42 +721,6 @@ class MixedSolver:
                 for j in range(len(phi)):
                     phi[j] += coeff * row_phi[j]
         return NonMembership(tuple(phi), modulus, Fraction(value))
-
-
-def mixed_membership(x, subgroup):
-    """Decide x in subgroup; returns a MixedWitness or a NonMembership."""
-    return MixedSolver(subgroup).membership(x)
-
-
-def verify_witness(x, subgroup, witness):
-    """Re-check a membership witness by direct expansion."""
-    n = subgroup.ambient_dim
-    acc = [Fraction(0)] * n
-    for z, g in zip(witness.lattice_coeffs, subgroup.lattice_gens):
-        acc = [a + z * gi for a, gi in zip(acc, g)]
-    for q, g in zip(witness.space_coeffs.fractions(), subgroup.space_gens):
-        acc = [a + q * gi for a, gi in zip(acc, g)]
-    return all(Fraction(xi) == ai for xi, ai in zip(x, acc))
-
-
-def verify_non_membership(x, subgroup, cert):
-    """Re-check a non-membership certificate by direct evaluation."""
-    phi = cert.functional
-    for g in subgroup.space_gens:
-        if vec_dot(phi, g) != 0:
-            return False
-    for g in subgroup.lattice_gens:
-        val = vec_dot(phi, g)
-        if cert.modulus == 0:
-            if val != 0:
-                return False
-        else:
-            if val.denominator != 1 or val % cert.modulus != 0:
-                return False
-    val = vec_dot(phi, [Fraction(v) for v in x])
-    if cert.modulus == 0:
-        return val != 0
-    return val.denominator != 1 or val % cert.modulus != 0
 
 
 def quotient_group(z_group, b_group):

@@ -17,7 +17,6 @@ that is re-verified by direct evaluation before it is counted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cone import (
@@ -56,12 +55,10 @@ from .report import (
     CheckRun,
 )
 from .sampling import (
-    derive_seed,
     random_chain,
     random_cochain,
     random_combination,
     random_diff_cochain,
-    random_fraction,
     random_ints,
     random_row,
     random_whitney,
@@ -147,62 +144,6 @@ def map_iota(omega):
     if not d_form(omega).is_zero():
         raise ValueError("iota is defined on closed forms")
     return omega
-
-
-@dataclass(frozen=True)
-class HexagonMaps:
-    """The nine hexagon maps as a bundle, so single-sign mutations can be
-    injected by the test harness."""
-
-    I: object = map_I
-    R: object = map_R
-    der: object = map_der
-    a: object = map_a
-    ch: object = map_ch
-    beta: object = map_beta
-    b: object = map_b
-    iota: object = map_iota
-    i: object = map_i
-
-
-DEFAULT_MAPS = HexagonMaps()
-
-MUTATION_NAMES = ("I", "R", "der", "a", "ch", "beta", "b", "iota", "i")
-
-
-def mutated_maps(name):
-    """A copy of the canonical bundle with one sign flipped in one map."""
-    if name == "I":
-        return replace(DEFAULT_MAPS, I=lambda x: (lambda p: (-p[0], p[1]))(map_I(x)))
-    if name == "R":
-        return replace(DEFAULT_MAPS, R=lambda x: -map_R(x))
-    if name == "der":
-        return replace(DEFAULT_MAPS, der=lambda w: -map_der(w))
-    if name == "a":
-        def a_flip(eta):
-            x = map_a(eta)
-            return DiffCochain(x.complex, x.level, x.degree, x.integral,
-                               -x.potential, x.curvature)
-        return replace(DEFAULT_MAPS, a=a_flip)
-    if name == "ch":
-        return replace(DEFAULT_MAPS, ch=lambda c, t: map_ch(c, t) - t.scale(2))
-    if name == "beta":
-        return replace(DEFAULT_MAPS,
-                       beta=lambda z: (lambda p: (-p[0], p[1]))(map_beta(z)))
-    if name == "b":
-        def b_flip(omega):
-            z = map_b(omega)
-            return ConeCochain(z.complex, z.degree, z.integral, -z.rational)
-        return replace(DEFAULT_MAPS, b=b_flip)
-    if name == "iota":
-        return replace(DEFAULT_MAPS, iota=lambda w: -map_iota(w))
-    if name == "i":
-        def i_flip(z):
-            x = map_i(z)
-            return DiffCochain(x.complex, x.level, x.degree, -x.integral,
-                               x.potential, x.curvature)
-        return replace(DEFAULT_MAPS, i=i_flip)
-    raise KeyError("unknown map %r" % name)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +272,6 @@ class HexagonContext:
         # curvature witnesses over the integer cocycle basis, and the a
         # images of the standard cochain basis one degree down
         self.zhat_lattice = [map_i(z) for z in self.cone_lattice]
-        self.zhat_trivial_lattice = self.zhat_lattice[:n_trivial]
         st_k = complex.cohomology_structure(k)
         self.cocycle_basis_k = [Cochain(complex, k, Ring.Z, list(z))
                                 for z in st_k.cocycle_basis]
@@ -443,15 +383,16 @@ class HexagonContext:
         return combine(start, ints[n:], self.zhat_lattice[n:], (), ())
 
     def random_trivial_zhat(self, rng):
-        """Random combination of zhat_trivial_lattice and zhat_space: a
-        differential cocycle of trivial characteristic class."""
+        """Random combination of the first n_trivial generators of
+        zhat_lattice and of zhat_space: a differential cocycle of trivial
+        characteristic class."""
         m = random_ints(rng, self.n_trivial)
         return self._trivial_class(m, random_row(rng, len(self.zhat_space)))
 
     def random_cone_cocycle(self, rng):
         cx, k, n = self.complex, self.degree, self.n_trivial
         ints = random_ints(rng, len(self.cone_lattice))
-        q = [random_fraction(rng) for _ in self.cone_space]
+        q = random_row(rng, len(self.cone_space)).fractions()
         m = ints[:n]
         start = ConeCochain(
             cx, k - 1,
@@ -496,10 +437,9 @@ def _guarded(run, label, fn, **detail):
 # ---------------------------------------------------------------------------
 # checks
 
-def check_faces(ctx, maps=None):
+def check_faces(ctx):
     """The four face identities, on spanning generators and random samples."""
-    maps = maps or DEFAULT_MAPS
-    run = CheckRun("faces", seed=derive_seed(ctx.seed, "faces"))
+    run = CheckRun("faces")
     rng = ctx.rng("faces")
     cx, k = ctx.complex, ctx.degree
 
@@ -508,7 +448,7 @@ def check_faces(ctx, maps=None):
             for j in range(cx.n_simplices(k - 1))]
     etas += [random_whitney(rng, cx, k - 1) for _ in range(ctx.trials)]
     for eta in etas:
-        lhs = _guarded(run, "R(a(eta))", lambda: maps.R(maps.a(eta)), eta=eta)
+        lhs = _guarded(run, "R(a(eta))", lambda: map_R(map_a(eta)), eta=eta)
         if lhs is not None:
             run.require(lhs == d_form(eta), "R(a(eta)) == d(eta)",
                         eta=eta, lhs=lhs, rhs=d_form(eta))
@@ -517,8 +457,8 @@ def check_faces(ctx, maps=None):
     zs = list(ctx.cone_lattice) + list(ctx.cone_space)
     zs += [ctx.random_cone_cocycle(rng) for _ in range(ctx.trials)]
     for z in zs:
-        lhs = _guarded(run, "I(i(z))", lambda: maps.I(maps.i(z)), z=z)
-        rhs = _guarded(run, "beta(z)", lambda: maps.beta(z), z=z)
+        lhs = _guarded(run, "I(i(z))", lambda: map_I(map_i(z)), z=z)
+        rhs = _guarded(run, "beta(z)", lambda: map_beta(z), z=z)
         if lhs is not None and rhs is not None:
             run.require(lhs[0] == rhs[0] and lhs[1] == rhs[1],
                         "I(i(z)) == beta(z)", z=z,
@@ -528,8 +468,8 @@ def check_faces(ctx, maps=None):
     closed = list(ctx.closed_km1)
     closed += [ctx.random_closed(rng) for _ in range(ctx.trials)]
     for w in closed:
-        lhs = _guarded(run, "i(b(w))", lambda: maps.i(maps.b(w)), w=w)
-        rhs = _guarded(run, "a(iota(w))", lambda: maps.a(maps.iota(w)), w=w)
+        lhs = _guarded(run, "i(b(w))", lambda: map_i(map_b(w)), w=w)
+        rhs = _guarded(run, "a(iota(w))", lambda: map_a(map_iota(w)), w=w)
         if lhs is not None and rhs is not None:
             run.require(lhs == rhs, "i(b(w)) == a(iota(w))", w=w,
                         lhs=lhs, rhs=rhs)
@@ -539,8 +479,8 @@ def check_faces(ctx, maps=None):
     xs += [ctx.random_zhat(rng) for _ in range(ctx.trials)]
     for x in xs:
         def rightsq():
-            c, t = maps.I(x)
-            return maps.ch(c, t), maps.der(maps.R(x))
+            c, t = map_I(x)
+            return map_ch(c, t), map_der(map_R(x))
         pair = _guarded(run, "right square maps", rightsq, x=x)
         if pair is not None:
             run.require(pair[0] == pair[1], "ch(I(x)) == der(R(x))",
@@ -548,15 +488,14 @@ def check_faces(ctx, maps=None):
     return run.report()
 
 
-def check_main_diagonal(ctx, maps=None):
+def check_main_diagonal(ctx):
     """Exactness of the main diagonal inside the cocycle groups.
 
     R(i(z)) == 0 identically; sampled curvature-kernel elements receive
     re-verified i preimages; i and a have zero kernel, computed as exact
     matrix ranks rather than sampled.
     """
-    maps = maps or DEFAULT_MAPS
-    run = CheckRun("main_diagonal", seed=derive_seed(ctx.seed, "main_diagonal"))
+    run = CheckRun("main_diagonal")
     rng = ctx.rng("main_diagonal")
     cx, k = ctx.complex, ctx.degree
     nk, nkm1 = cx.n_simplices(k), cx.n_simplices(k - 1)
@@ -565,7 +504,7 @@ def check_main_diagonal(ctx, maps=None):
     zs = list(ctx.cone_lattice) + list(ctx.cone_space)
     zs += [ctx.random_cone_cocycle(rng) for _ in range(ctx.trials)]
     for z in zs:
-        img = _guarded(run, "R(i(z))", lambda: maps.R(maps.i(z)), z=z)
+        img = _guarded(run, "R(i(z))", lambda: map_R(map_i(z)), z=z)
         if img is not None:
             run.require(img.is_zero(), "R(i(z)) == 0", z=z, image=img)
 
@@ -574,14 +513,14 @@ def check_main_diagonal(ctx, maps=None):
         z = ctx.random_cone_cocycle(rng)
         eta = ctx.random_closed(rng)
         x = map_i(z) + map_a(eta)
-        rimg = _guarded(run, "R on kernel sample", lambda: maps.R(x), x=x)
+        rimg = _guarded(run, "R on kernel sample", lambda: map_R(x), x=x)
         if rimg is not None:
             run.require(rimg.is_zero(), "kernel sample has zero curvature",
                         x=x)
         pre = ConeCochain(cx, k - 1, -x.integral, x.potential)
         run.require(pre.is_cocycle(), "reconstructed preimage is a cone cocycle",
                     x=x, preimage=pre)
-        img = _guarded(run, "i(preimage)", lambda: maps.i(pre), x=x)
+        img = _guarded(run, "i(preimage)", lambda: map_i(pre), x=x)
         if img is not None:
             run.require(img == x, "i(preimage) == x", x=x, preimage=pre)
 
@@ -681,8 +620,7 @@ def check_induced_hexagon(ctx):
     (c) the induced squares and triangles on sampled classes, with
         representative independence made explicit.
     """
-    run = CheckRun("induced_hexagon",
-                   seed=derive_seed(ctx.seed, "induced_hexagon"))
+    run = CheckRun("induced_hexagon")
     rng = ctx.rng("induced_hexagon")
     cx, k = ctx.complex, ctx.degree
 
@@ -850,7 +788,7 @@ def check_bunke_schick(ctx):
     """The differential-extension axioms for ordinary cohomology: the
     curvature square commutes and the characteristic sequence is exact at
     the form node and the differential cocycle node."""
-    run = CheckRun("bunke_schick", seed=derive_seed(ctx.seed, "bunke_schick"))
+    run = CheckRun("bunke_schick")
     rng = ctx.rng("bunke_schick")
     cx, k = ctx.complex, ctx.degree
 
@@ -891,8 +829,7 @@ def check_off_diagonal_note(ctx):
     """Demonstration that the off-diagonal sequence fails to be exact at
     the cocycle level: the composite I after a does not vanish whenever a
     non-closed form exists in degree k-1."""
-    run = CheckRun("off_diagonal",
-                   seed=derive_seed(ctx.seed, "off_diagonal"))
+    run = CheckRun("off_diagonal")
     cx, k = ctx.complex, ctx.degree
     rank = cx.coboundary_factored(k - 1).rank
     counterexample = None
@@ -923,8 +860,7 @@ def check_off_diagonal_note(ctx):
 
 def check_dhat_square(ctx):
     """dhat o dhat == 0 in all three degree regimes at level k."""
-    run = CheckRun("dhat_square_zero",
-                   seed=derive_seed(ctx.seed, "dhat_square_zero"))
+    run = CheckRun("dhat_square_zero")
     rng = ctx.rng("dhat_square_zero")
     cx, q = ctx.complex, ctx.degree
     for deg in (q - 2, q - 1, q):
@@ -955,8 +891,7 @@ def check_dhat_square(ctx):
 
 def check_cone_square(ctx):
     """delta_cone o delta_cone == 0 around the hexagon degrees."""
-    run = CheckRun("delta_cone_square_zero",
-                   seed=derive_seed(ctx.seed, "delta_cone_square_zero"))
+    run = CheckRun("delta_cone_square_zero")
     rng = ctx.rng("delta_cone_square_zero")
     cx, k = ctx.complex, ctx.degree
     for deg in (k - 2, k - 1, k):
@@ -981,8 +916,7 @@ def check_cone_square(ctx):
 
 def check_derham_whitney(ctx):
     """The de Rham and Whitney identities, plus vanishing torsion periods."""
-    run = CheckRun("derham_whitney",
-                   seed=derive_seed(ctx.seed, "derham_whitney"))
+    run = CheckRun("derham_whitney")
     rng = ctx.rng("derham_whitney")
     cx = ctx.complex
     for deg in range(0, cx.dim + 1):
@@ -1017,8 +951,7 @@ def check_derham_whitney(ctx):
 def check_character_compat(ctx):
     """Characters: the defining relation T(boundary b) == int_b(omega) mod
     Z, vanishing on coboundaries, and additivity."""
-    run = CheckRun("character_compatibility",
-                   seed=derive_seed(ctx.seed, "character_compatibility"))
+    run = CheckRun("character_compatibility")
     rng = ctx.rng("character_compatibility")
     cx, k = ctx.complex, ctx.degree
     cycles = ctx.cycles_km1
@@ -1045,7 +978,7 @@ def check_character_compat(ctx):
 
 
 def check_validate(ctx):
-    run = CheckRun("validate", seed=derive_seed(ctx.seed, "validate"))
+    run = CheckRun("validate")
     violations = validate(ctx.complex)
     run.require(not violations, "complex satisfies all structural invariants",
                 violations=violations)

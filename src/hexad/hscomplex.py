@@ -204,12 +204,6 @@ class CoboundarySolver:
         return y
 
 
-def is_coboundary(x):
-    """Witness y with dhat(y) == x, or None.  One-shot convenience around
-    CoboundarySolver; build the solver directly when testing many elements."""
-    return CoboundarySolver(x.complex, x.degree).solve(x)
-
-
 def evaluate_character(x, z):
     """The differential character of a cocycle: potential mod Z on cycles.
 
@@ -230,33 +224,6 @@ def evaluate_character(x, z):
         raise ValueError("character evaluation needs a cocycle")
     val = x.potential.evaluate(z)
     return val - (val.numerator // val.denominator)
-
-
-class DiffClass:
-    """A differential cohomology class, held by a verified cocycle."""
-
-    __slots__ = ("representative",)
-
-    def __init__(self, representative):
-        if not is_cocycle(representative):
-            raise ValueError("class representative must be a cocycle")
-        if representative.level != representative.degree:
-            raise ValueError("classes live at level q = degree k")
-        self.representative = representative
-
-    @property
-    def complex(self):
-        return self.representative.complex
-
-    @property
-    def degree(self):
-        return self.representative.degree
-
-    def character(self, z):
-        return evaluate_character(self.representative, z)
-
-    def __repr__(self):
-        return "DiffClass(%r)" % (self.representative,)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ class CheckReport:
     status: str
     witness_count: int = 0
     counterexample: dict | None = None
-    seed: int | None = None
 
     @property
     def ok(self):
@@ -45,9 +44,8 @@ class CheckRun:
     plus the evidence.
     """
 
-    def __init__(self, name, seed=None):
+    def __init__(self, name):
         self.name = name
-        self.seed = seed
         self.witnesses = 0
         self.failure = None
 
@@ -69,7 +67,5 @@ class CheckRun:
 
     def report(self, status_when_ok=PASS):
         if self.failure is not None:
-            return CheckReport(self.name, FAIL, self.witnesses,
-                               self.failure, self.seed)
-        return CheckReport(self.name, status_when_ok, self.witnesses,
-                           None, self.seed)
+            return CheckReport(self.name, FAIL, self.witnesses, self.failure)
+        return CheckReport(self.name, status_when_ok, self.witnesses)

@@ -5,18 +5,17 @@ numerators in [-9, 9] and denominators from {1, 2, 3, 4, 6}.  Per-check
 seeds are derived from the run seed by stable hashing of the check name,
 so reports are reproducible byte for byte.
 
-The vector draws `random_ints` and `random_row` read `rng.getrandbits`
-under the rejection rule of `Random._randbelow`: an integer is 5 bits,
-redrawn while >= 19, minus 9, and a denominator index is 3 bits, redrawn
-while >= 5.  That is the stream `randint(-9, 9)` and `choice(_DENOMS)`
-draw, without their per-call overhead.
+Every draw goes through `random_ints` or `random_row`, which read
+`rng.getrandbits` under the rejection rule of `Random._randbelow`: an
+integer is 5 bits, redrawn while >= 19, minus 9, and a denominator index
+is 3 bits, redrawn while >= 5.  That is the stream `randint(-9, 9)` and
+`choice(_DENOMS)` draw, without their per-call overhead.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
 from math import lcm
 
 from .exactalg import IntRow
@@ -40,16 +39,8 @@ def rng_for(base_seed, check_name):
     return random.Random(derive_seed(base_seed, check_name))
 
 
-def random_int(rng):
-    return rng.randint(-9, 9)
-
-
-def random_fraction(rng):
-    return Fraction(rng.randint(-9, 9), rng.choice(_DENOMS))
-
-
 def random_ints(rng, n):
-    """n random_int draws."""
+    """n integer draws, each uniform in [-9, 9]."""
     getrandbits = rng.getrandbits
     out = []
     for _ in range(n):
@@ -61,8 +52,9 @@ def random_ints(rng, n):
 
 
 def random_row(rng, n):
-    """The IntRow of n random_fraction draws, in the same order, built
-    over the common denominator of _DENOMS without any Fraction object."""
+    """The IntRow of n fraction draws (a numerator in [-9, 9], then a
+    denominator from _DENOMS), built over the common denominator of
+    _DENOMS without any Fraction object."""
     getrandbits = rng.getrandbits
     nums = []
     for _ in range(n):
@@ -109,5 +101,5 @@ def random_combination(rng, zero, lattice_elems, space_elems):
     Draws one integer per lattice generator, then one fraction per space
     generator, zeros included, and sums them with `combine`."""
     lattice_coeffs = random_ints(rng, len(lattice_elems))
-    space_coeffs = [random_fraction(rng) for _ in space_elems]
+    space_coeffs = random_row(rng, len(space_elems)).fractions()
     return combine(zero, lattice_coeffs, lattice_elems, space_coeffs, space_elems)

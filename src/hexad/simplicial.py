@@ -105,7 +105,7 @@ class SimplicialComplex:
     one rational factorization per coboundary degree and one Smith form
     per boundary and coboundary matrix."""
 
-    __slots__ = ("name", "n_vertices", "simplices", "_index",
+    __slots__ = ("name", "n_vertices", "simplices", "_sizes", "_index",
                  "_bound", "_cob_sparse", "_cob_factored", "_cob_smith",
                  "_bd_smith", "_cohom", "_homol")
 
@@ -118,6 +118,7 @@ class SimplicialComplex:
         while simps and not simps[-1]:
             simps.pop()
         self.simplices = tuple(simps)
+        self._sizes = {k: len(lst) for k, lst in enumerate(self.simplices)}
         self._index = tuple({s: i for i, s in enumerate(lst)} for lst in self.simplices)
         self._bound = {}
         self._cob_sparse = {}
@@ -170,7 +171,7 @@ class SimplicialComplex:
         return ()
 
     def n_simplices(self, k):
-        return len(self.simplices[k]) if 0 <= k < len(self.simplices) else 0
+        return self._sizes.get(k, 0)
 
     def index_of(self, k, simplex):
         try:
@@ -258,22 +259,9 @@ class SimplicialComplex:
         return "SimplicialComplex(%s: %s)" % (self.name, counts)
 
 
-def validate(complex_or_data, simplices_by_dim=None):
-    """Structural validity check.
-
-    Accepts either a SimplicialComplex or (n_vertices, simplices_by_dim).
-    Returns the list of violations (empty = ok).
-    """
-    if isinstance(complex_or_data, SimplicialComplex):
-        return validate_data(complex_or_data.n_vertices, complex_or_data.simplices)
-    return validate_data(complex_or_data, simplices_by_dim)
-
-
-def boundary_matrix(complex, k):
-    """Boundary matrix of degree k; columns are k-simplices."""
-    if not (1 <= k <= complex.dim):
-        raise ValueError("boundary degree %d out of range 1..%d" % (k, complex.dim))
-    return complex.boundary(k)
+def validate(complex):
+    """Structural violations of a complex; an empty list means it is valid."""
+    return validate_data(complex.n_vertices, complex.simplices)
 
 
 # ---------------------------------------------------------------------------
@@ -613,22 +601,6 @@ def _homology_structure(complex, k):
     torsion_cycles = tuple(TorsionCycle(d, tuple(g), w) for d, g, w in torsion)
     return HomologyStructure(k, tuple(cycles), tuple(boundaries),
                              free_cycles, torsion_cycles, group)
-
-
-@dataclass(frozen=True)
-class HomologyBasis:
-    degree: int
-    free_cycles: tuple
-    torsion: FgAbelianGroup
-
-
-def homology_basis(complex, k):
-    """Cycles projecting to a Z-basis of H_k modulo torsion."""
-    if not (0 <= k <= complex.dim):
-        raise ValueError("degree %d out of range" % k)
-    st = complex.homology_structure(k)
-    cycles = tuple(Chain(complex, k, list(v)) for v in st.free_cycles)
-    return HomologyBasis(k, cycles, st.group)
 
 
 def cohomology(complex, k, ring):

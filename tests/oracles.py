@@ -218,11 +218,11 @@ def oracle_kernel(rows, ncols):
 _ORACLE_DENOMS = (1, 2, 3, 4, 6)
 
 
-def _oracle_random_int(rng):
+def oracle_random_int(rng):
     return rng.randint(-9, 9)
 
 
-def _oracle_random_fraction(rng):
+def oracle_random_fraction(rng):
     return Fraction(rng.randint(-9, 9), rng.choice(_ORACLE_DENOMS))
 
 
@@ -235,11 +235,11 @@ def oracle_random_combination(rng, zero, lattice_elems, space_elems):
     is restated here."""
     acc = zero
     for g in lattice_elems:
-        n = _oracle_random_int(rng)
+        n = oracle_random_int(rng)
         if n:
             acc = acc + g.scale(n)
     for g in space_elems:
-        q = _oracle_random_fraction(rng)
+        q = oracle_random_fraction(rng)
         if q:
             acc = acc + g.scale(q)
     return acc
@@ -450,3 +450,123 @@ def oracle_delta_cone(z):
     from hexad.cone import ConeCochain
     return ConeCochain(z.complex, z.degree + 1, -z.integral.coboundary(),
                        z.rational.coboundary() - z.integral.as_q())
+
+
+# ---------------------------------------------------------------------------
+# re-checks of the mixed-membership answers and of unimodularity, by direct
+# expansion and evaluation over Fractions
+
+def vec_dot(u, v):
+    if len(u) != len(v):
+        raise ValueError("dot product of vectors of different lengths")
+    acc = Fraction(0)
+    for a, b in zip(u, v):
+        if a and b:
+            acc += a * b
+    return acc
+
+
+def det_bareiss(m):
+    """Exact determinant of a square integer matrix (fraction-free)."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def verify_witness(x, subgroup, witness):
+    """Re-check a membership witness by direct expansion."""
+    n = subgroup.ambient_dim
+    acc = [Fraction(0)] * n
+    for z, g in zip(witness.lattice_coeffs, subgroup.lattice_gens):
+        acc = [a + z * gi for a, gi in zip(acc, g)]
+    for q, g in zip(witness.space_coeffs.fractions(), subgroup.space_gens):
+        acc = [a + q * gi for a, gi in zip(acc, g)]
+    return all(Fraction(xi) == ai for xi, ai in zip(x, acc))
+
+
+def verify_non_membership(x, subgroup, cert):
+    """Re-check a non-membership certificate by direct evaluation."""
+    phi = cert.functional
+    for g in subgroup.space_gens:
+        if vec_dot(phi, g) != 0:
+            return False
+    for g in subgroup.lattice_gens:
+        val = vec_dot(phi, g)
+        if cert.modulus == 0:
+            if val != 0:
+                return False
+        else:
+            if val.denominator != 1 or val % cert.modulus != 0:
+                return False
+    val = vec_dot(phi, [Fraction(v) for v in x])
+    if cert.modulus == 0:
+        return val != 0
+    return val.denominator != 1 or val % cert.modulus != 0
+
+
+# ---------------------------------------------------------------------------
+# single-sign mutations of the nine hexagon maps; a test patches
+# hexad.hexagon's "map_" + name with the flip after building its context
+
+SIGN_FLIPS = ("I", "R", "der", "a", "ch", "beta", "b", "iota", "i")
+
+
+def sign_flips():
+    """name -> the map with one sign flipped, for each name in SIGN_FLIPS;
+    every flip wraps the original map, taken when this is called."""
+    from hexad import hexagon
+    from hexad.cone import ConeCochain
+    from hexad.hscomplex import DiffCochain
+    orig = {name: getattr(hexagon, "map_" + name) for name in SIGN_FLIPS}
+
+    def first_slot_flip(fn):
+        def flipped(z):
+            p = fn(z)
+            return -p[0], p[1]
+        return flipped
+
+    def a_flip(eta):
+        x = orig["a"](eta)
+        return DiffCochain(x.complex, x.level, x.degree, x.integral,
+                           -x.potential, x.curvature)
+
+    def b_flip(omega):
+        z = orig["b"](omega)
+        return ConeCochain(z.complex, z.degree, z.integral, -z.rational)
+
+    def i_flip(z):
+        x = orig["i"](z)
+        return DiffCochain(x.complex, x.level, x.degree, -x.integral,
+                           x.potential, x.curvature)
+
+    return {
+        "I": first_slot_flip(orig["I"]),
+        "R": lambda x: -orig["R"](x),
+        "der": lambda w: -orig["der"](w),
+        "a": a_flip,
+        "ch": lambda c, t: orig["ch"](c, t) - t.scale(2),
+        "beta": first_slot_flip(orig["beta"]),
+        "b": b_flip,
+        "iota": lambda w: -orig["iota"](w),
+        "i": i_flip,
+    }

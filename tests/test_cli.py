@@ -296,6 +296,21 @@ def test_bad_flag_values(capsys):
     assert run_cli(["verify", "--complex", "circle", "--trials", "0"]) == 2
 
 
+def test_flags_a_subcommand_does_not_read_exit_two(capsys):
+    # compute reads no seed or trials; witness no degree, seed or trials
+    removed = [("compute", "--seed", "99"), ("compute", "--trials", "7"),
+               ("witness", "--degree", "9"), ("witness", "--seed", "5"),
+               ("witness", "--trials", "3")]
+    for command, flag, value in removed:
+        args = [command, "--complex", "circle", flag, value]
+        if command == "witness":
+            args += ["--kind", "R", "--form", "F"]
+        with pytest.raises(SystemExit) as err:
+            run_cli(args)
+        assert err.value.code == 2, (command, flag)
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
 def test_seeds_are_refused_from_two_to_the_64(capsys):
     # seeds are masked to 64 bits when derived, so 2^64 would run as seed 0
     assert run_cli(["verify", "--complex", "point", "--trials", "1",

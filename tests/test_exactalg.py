@@ -13,21 +13,24 @@ from hexad.exactalg import (
     MixedWitness,
     NonMembership,
     column_lattice_basis,
-    det_bareiss,
     hnf_solve,
     kernel_basis,
-    mixed_membership,
     quotient_group,
     rational_kernel,
     rational_rank,
     rational_solve,
     smith_form,
-    snf,
-    verify_non_membership,
-    verify_witness,
     xgcd,
 )
-from oracles import CIRCLE, close_facets, oracle_boundary, oracle_smith_diagonal
+from oracles import (
+    CIRCLE,
+    close_facets,
+    det_bareiss,
+    oracle_boundary,
+    oracle_smith_diagonal,
+    verify_non_membership,
+    verify_witness,
+)
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -47,11 +50,10 @@ def test_xgcd_basic():
 
 def test_snf_identity_and_zero():
     ident = Matrix.identity(3)
-    u, d, v = snf(ident)
-    assert d == ident and u == ident and v == ident
+    f = smith_form(ident)
+    assert f.d == ident and f.u == ident and f.v == ident
     zero = Matrix.zeros(2, 3)
-    _, d, _ = snf(zero)
-    assert d == zero
+    assert smith_form(zero).d == zero
 
 
 def test_snf_circle_boundary_matches_textbook_reduction():
@@ -161,12 +163,12 @@ def test_rational_kernel_and_rank():
 
 def test_mixed_membership_examples():
     s1 = MixedSubgroup(1, [[2]], [])
-    assert isinstance(mixed_membership([0], s1), MixedWitness)
-    res = mixed_membership([1], s1)
+    assert isinstance(MixedSolver(s1).membership([0]), MixedWitness)
+    res = MixedSolver(s1).membership([1])
     assert isinstance(res, NonMembership)
     assert verify_non_membership([1], s1, res)
     s2 = MixedSubgroup(2, [[2, 0]], [[0, 1]])
-    res2 = mixed_membership([4, Fraction(1, 3)], s2)
+    res2 = MixedSolver(s2).membership([4, Fraction(1, 3)])
     assert isinstance(res2, MixedWitness)
     assert res2.lattice_coeffs == (2,)
     assert res2.space_coeffs == IntRow.of([Fraction(1, 3)])

@@ -23,8 +23,6 @@ from hexad.exactalg import (
     MixedSolver,
     MixedSubgroup,
     MixedWitness,
-    verify_non_membership,
-    verify_witness,
 )
 from hexad.hscomplex import DiffCochain
 from hexad.plforms import WhitneyForm, d, integrate
@@ -394,9 +392,9 @@ def test_membership_of_introw_matches_fraction_list(case):
         res = solver.membership(IntRow.of(x))
         assert res == solver.membership(x)
         if isinstance(res, MixedWitness):
-            assert verify_witness(x, sub, res)
+            assert oracles.verify_witness(x, sub, res)
         else:
-            assert verify_non_membership(x, sub, res)
+            assert oracles.verify_non_membership(x, sub, res)
 
 
 @st.composite

@@ -12,16 +12,15 @@ from hexad.simplicial import (
     InvalidComplexError,
     Ring,
     SimplicialComplex,
-    boundary_matrix,
     catalog,
     catalog_names,
     cohomology,
     expected_homology,
     format_cochain,
-    homology_basis,
     load_cochain,
     load_complex,
     validate,
+    validate_data,
 )
 import oracles
 
@@ -55,13 +54,14 @@ def test_boundary_squares_to_zero(name):
 
 def test_boundary_matrix_circle_columns():
     cx = catalog("circle")
-    m = boundary_matrix(cx, 1)
+    m = cx.boundary(1)
     assert (m.rows, m.cols) == (3, 3)
     for j in range(3):
         col = m.column(j)
         assert sorted(col) == [-1, 0, 1]
-    with pytest.raises(ValueError):
-        boundary_matrix(cx, 2)
+    # off-range degrees have a zero shape: no 2-simplices on the circle
+    off = cx.boundary(2)
+    assert (off.rows, off.cols) == (3, 0)
 
 
 def test_coboundary_indicator_example():
@@ -121,29 +121,31 @@ def test_cohomology_z_matches_quotient_group_oracle(name):
 
 
 def test_homology_basis_circle_sphere_torus():
-    hb = homology_basis(catalog("circle"), 1)
-    assert len(hb.free_cycles) == 1
-    z = hb.free_cycles[0]
+    circle = catalog("circle")
+    free = circle.homology_structure(1).free_cycles
+    assert len(free) == 1
+    z = Chain(circle, 1, list(free[0]))
     assert z.is_cycle() and not z.is_zero()
-    assert homology_basis(catalog("sphere"), 1).free_cycles == ()
-    assert len(homology_basis(catalog("torus"), 1).free_cycles) == 2
+    assert catalog("sphere").homology_structure(1).free_cycles == ()
+    assert len(catalog("torus").homology_structure(1).free_cycles) == 2
 
 
 def test_homology_basis_certified_independent():
     # classes are Z-independent modulo boundaries: membership in the
     # boundary lattice is rejected for nonzero combinations
-    from hexad.exactalg import MixedSubgroup, NonMembership, mixed_membership
+    from hexad.exactalg import MixedSolver, MixedSubgroup, NonMembership
     cx = catalog("torus")
-    hb = homology_basis(cx, 1)
+    free = [Chain(cx, 1, list(v))
+            for v in cx.homology_structure(1).free_cycles]
     boundaries = [list(c) for c in cx.homology_structure(1).boundary_gens]
-    sub = MixedSubgroup(cx.n_simplices(1), boundaries, [])
+    solver = MixedSolver(MixedSubgroup(cx.n_simplices(1), boundaries, []))
     rng = random.Random(3)
     for _ in range(10):
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
         if a == 0 and b == 0:
             a = 1
-        combo = (hb.free_cycles[0].scale(a) + hb.free_cycles[1].scale(b))
-        res = mixed_membership(list(combo.coeffs), sub)
+        combo = free[0].scale(a) + free[1].scale(b)
+        res = solver.membership(list(combo.coeffs))
         assert isinstance(res, NonMembership)
 
 
@@ -168,11 +170,11 @@ def test_torsion_witnesses_on_projective_plane():
 def test_validate_detects_violations():
     assert validate(catalog("sphere")) == []
     assert validate(catalog("torus")) == []
-    viol = validate(2, [[(0,), (1,)], [(0, 1), (0, 2)]])
+    viol = validate_data(2, [[(0,), (1,)], [(0, 1), (0, 2)]])
     assert any("outside" in v for v in viol)
-    viol = validate(3, [[(0,), (1,)], [(0, 1), (1, 2)]])
+    viol = validate_data(3, [[(0,), (1,)], [(0, 1), (1, 2)]])
     assert any("missing face" in v for v in viol)
-    viol = validate(3, [[(0,), (1,), (2,)], [(1, 0)]])
+    viol = validate_data(3, [[(0,), (1,), (2,)], [(1, 0)]])
     assert any("strictly increasing" in v for v in viol)
     with pytest.raises(InvalidComplexError):
         SimplicialComplex("bad", 2, [[(0,), (1,)], [(0, 1), (0, 2)]])
