@@ -13,9 +13,6 @@ exactly.
 from .exactalg import (
     FgAbelianGroup,
     Matrix,
-    MixedSubgroup,
-    MixedWitness,
-    NonMembership,
     Rational,
     hnf_solve,
     quotient_group,
@@ -94,9 +91,6 @@ __all__ = [
     "HexagonContext",
     "InvalidComplexError",
     "Matrix",
-    "MixedSubgroup",
-    "MixedWitness",
-    "NonMembership",
     "NotExactError",
     "PeriodVector",
     "Rational",

@@ -2,9 +2,10 @@
 runs and witness construction, with deterministic JSON reports.
 
 Exit codes: 0 all checks passed, 1 at least one FAIL, 2 parse or
-validation errors, 3 an internal error: an exact computation or a witness
-failed to re-verify (an ArithmeticError), or a check or context build
-raised on inputs that were already validated.
+validation errors or a file that cannot be read or written, 3 an internal
+error: an exact computation or a witness failed to re-verify (an
+ArithmeticError), or a check or context build raised on inputs that were
+already validated.
 """
 
 from __future__ import annotations
@@ -297,6 +298,9 @@ def main(argv=None):
         print("error: internal error: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return 3
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -253,6 +253,29 @@ class SmithForm:
                 y[i] = wi // d
         return self.v.mul_vec(y)
 
+    def split(self, b):
+        """(c, x) with b == c + m*x, c a list of ints and x an IntRow, or
+        None when b is not in Z^n + m*Q^k.
+
+        Rows r, r+1, ... of u (r the rank) vanish on m*Q^k, since
+        u*m == d*v^-1, and u is unimodular; so with w = u*b the split
+        exists exactly when w_i is an integer for every i >= r.  Then
+        c = u_inv*(0, ..., 0, w_r, ...) and x = v*y with y_i = w_i / d_i.
+        """
+        bnum, bden = IntRow.of(b)
+        if len(bnum) != self.d.rows:
+            raise ValueError("right-hand side length does not match")
+        r = self.rank
+        w = self.u.mul_vec(bnum)
+        if any(wi % bden for wi in w[r:]):
+            return None
+        c = self.u_inv.mul_vec([0] * r + [wi // bden for wi in w[r:]])
+        # d_{r-1} is a multiple of every nonzero d_i
+        top = self.d.data[r - 1][r - 1] if r else 1
+        y = [wi * (top // di) for wi, di in zip(w, self.diagonal[:r])]
+        return c, IntRow(self.v.mul_vec(y + [0] * (self.d.cols - r)),
+                         bden * top)
+
     def kernel(self):
         """Z-basis of the integer kernel {x : m*x == 0}, as column vectors."""
         n = min(self.d.rows, self.d.cols)

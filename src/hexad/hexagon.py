@@ -28,14 +28,7 @@ from .cone import (
     les_exactness,
     _nonintegral_cycle,
 )
-from .exactalg import (
-    IntRow,
-    Matrix,
-    MixedSolver,
-    MixedSubgroup,
-    MixedWitness,
-    rational_rank,
-)
+from .exactalg import IntRow, Matrix, rational_rank
 from .hscomplex import DiffCochain, dhat, evaluate_character, is_cocycle
 from .plforms import (
     WhitneyForm,
@@ -152,48 +145,41 @@ def map_iota(omega):
 class OmegaDecomposer:
     """Solves int(omega) = j(c) + delta T with c an integral cocycle.
 
-    Membership of the integration cochain in the mixed subgroup generated
-    by the integer cocycle basis (over Z) and the coboundary columns
-    (over Q) is exactly integrality of all periods.
+    Membership is decided by periods (`in_omega_A`); the split itself is
+    read from the complex's Smith form of delta^{k-1}.  By universal
+    coefficients the two agree, so an integer-period form that does not
+    split is an internal inconsistency, raised, never a "no solution".
     """
 
     def __init__(self, complex, degree):
         self.complex = complex
         self.degree = degree
-        st = complex.cohomology_structure(degree)
-        self.cocycle_basis = [Cochain(complex, degree, Ring.Z, list(z))
-                              for z in st.cocycle_basis]
-        delta_prev = complex.coboundary_matrix(degree - 1)
-        space = [delta_prev.column(j) for j in range(delta_prev.cols)]
-        self.subgroup = MixedSubgroup(complex.n_simplices(degree),
-                                      list(st.cocycle_basis), space)
-        self._solver = MixedSolver(self.subgroup)
+        self._smith = complex.coboundary_smith(degree - 1)
 
     def decompose(self, form):
         if form.complex is not self.complex or form.degree != self.degree:
             raise ValueError("decomposer built for a different degree")
-        if not d_form(form).is_zero():
+        if not d_form(form).is_zero() or not in_omega_A(form):
             return None
-        res = self._solver.membership(form.row)
-        if not isinstance(res, MixedWitness):
-            return None
-        c = combine(Cochain.zero(self.complex, self.degree, Ring.Z),
-                    res.lattice_coeffs, self.cocycle_basis, (), ())
-        t = Cochain(self.complex, self.degree - 1, Ring.Q, res.space_coeffs)
+        res = self._smith.split(form.row)
+        if res is None:
+            raise ArithmeticError("integer-period form does not split as an "
+                                  "integral cocycle plus a coboundary")
+        cnums, tnums = res
+        c = Cochain(self.complex, self.degree, Ring.Z, cnums)
+        t = Cochain(self.complex, self.degree - 1, Ring.Q, tnums)
         if derham_cochain(form) != c.as_q() + t.coboundary():
             raise ArithmeticError("period decomposition failed to re-verify")
         return c, t
 
 
-def witness_R_surjective(omega, decomposer=None):
+def witness_R_surjective(omega):
     """Differential cocycle with the given integer-period curvature.
 
     Decomposes int(omega) = j(c) + delta T and returns (c, T, omega); the
     result is re-verified to be a cocycle with curvature exactly omega.
     """
-    if decomposer is None:
-        decomposer = OmegaDecomposer(omega.complex, omega.degree)
-    dec = decomposer.decompose(omega)
+    dec = OmegaDecomposer(omega.complex, omega.degree).decompose(omega)
     if dec is None:
         raise ValueError("form is not closed with integer periods")
     c, t = dec
@@ -247,7 +233,8 @@ class HexagonContext:
 
     Holds the generator systems for cone cocycles, differential cocycles
     and integer-period forms, the fixed samples one degree down, and the
-    only membership solvers of the degree; all twelve checks take it.
+    membership solvers of the degree, which read the complex's own Smith
+    forms and factor nothing of their own; all twelve checks take it.
     All fields are populated at construction and never mutated.
     """
 
@@ -308,7 +295,6 @@ class HexagonContext:
         # one conjugated by i, so both share one CoboundarySolver
         self.cone_cb_solver = ConeCoboundarySolver(complex, k - 1)
         self.bhat_solver = self.cone_cb_solver.solver
-        self.decomposer_k = OmegaDecomposer(complex, k)
         self.decomposer_km1 = OmegaDecomposer(complex, k - 1)
         # the fixed targets of the form node, solved once for every check
         # that uses them: each integer-period generator one degree down
@@ -712,7 +698,7 @@ def check_induced_hexagon(ctx):
     targets = list(lattice_k) + list(space_k)
     targets += [ctx.random_omega(rng, k) for _ in range(ctx.trials)]
     for omega in targets:
-        x = witness_R_surjective(omega, ctx.decomposer_k)
+        x = witness_R_surjective(omega)
         run.require(map_R(x) == omega, "curvature witness re-verifies",
                     omega=omega)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .exactalg import IntRow, MixedSolver, MixedSubgroup, MixedWitness
+from .exactalg import IntRow
 from .plforms import WhitneyForm, d as d_form
 from .simplicial import Chain, Cochain, Coords, Ring
 
@@ -152,34 +152,17 @@ def is_cocycle(x):
 
 class CoboundarySolver:
     """Decides membership in the coboundary subgroup of the level-k complex
-    at degree k, with reusable reduction data.
+    at degree k, on the complex's own Smith form of delta^{k-2}.
 
-    A coboundary dhat(c', T') has curvature zero and its (integral,
-    potential) pair lies in the mixed subgroup generated over Z by
-    (delta e_i, -e_i) for integral basis cochains e_i and over Q by
-    (0, -delta e_j) for rational basis cochains one degree lower.
+    Since dhat(c', T') = (delta c', -c' - delta T', 0), a triple (c, h, 0)
+    is a coboundary exactly when c == -delta h and -h splits as an
+    integral cochain c' plus a rational coboundary delta T'.
     """
 
     def __init__(self, complex, degree):
         self.complex = complex
         self.degree = degree
-        nk = complex.n_simplices(degree)
-        nkm1 = complex.n_simplices(degree - 1)
-        nkm2 = complex.n_simplices(degree - 2)
-        delta_km1 = complex.coboundary_matrix(degree - 1)
-        delta_km2 = complex.coboundary_matrix(degree - 2)
-        lattice = []
-        for i in range(nkm1):
-            col = delta_km1.column(i)
-            vec = list(col) + [0] * nkm1
-            vec[nk + i] = -1
-            lattice.append(vec)
-        space = []
-        for j in range(nkm2):
-            col = delta_km2.column(j)
-            space.append([0] * nk + [-v for v in col])
-        self.subgroup = MixedSubgroup(nk + nkm1, lattice, space)
-        self._solver = MixedSolver(self.subgroup)
+        self._smith = complex.coboundary_smith(degree - 2)
 
     def solve(self, x):
         """Witness y with dhat(y) == x, or None."""
@@ -189,16 +172,17 @@ class CoboundarySolver:
             raise ValueError("coboundary test lives at level q = degree k")
         if x.curvature is not None and not x.curvature.is_zero():
             return None
-        # the curvature is zero: the kept row is (c, T) followed by zeros
-        nums, den = x._row()
-        res = self._solver.membership(
-            IntRow(nums[:self._solver.subgroup.ambient_dim], den))
-        if not isinstance(res, MixedWitness):
+        cx, k = self.complex, self.degree
+        hnums, hden = x.potential.row
+        dh = cx.coboundary_values(k - 1, hnums)
+        if any(hden * c + v for c, v in zip(x.integral.row.nums, dh)):
             return None
-        cx = self.complex
-        cprime = Cochain(cx, self.degree - 1, Ring.Z, res.lattice_coeffs)
-        tprime = Cochain(cx, self.degree - 2, Ring.Q, res.space_coeffs)
-        y = DiffCochain(cx, self.degree, self.degree - 1, cprime, tprime, None)
+        res = self._smith.split(IntRow([-v for v in hnums], hden))
+        if res is None:
+            return None
+        cprime, tprime = res
+        y = DiffCochain(cx, k, k - 1, Cochain(cx, k - 1, Ring.Z, cprime),
+                        Cochain(cx, k - 2, Ring.Q, tprime), None)
         if dhat(y) != x:
             raise ArithmeticError("coboundary witness failed to re-verify")
         return y

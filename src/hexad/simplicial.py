@@ -739,6 +739,9 @@ def parse_cochain_lines(lines, complex, *, expect_ring=None, start_line=1):
         if not toks:
             continue
         key, kcol = toks[0]
+        if key in ("degree", "ring") and len(toks) != 2:
+            raise ComplexParseError(lineno, kcol,
+                                    "%s takes one argument" % key)
         if key == "degree":
             degree = _parse_int(toks[1][0], lineno, toks[1][1], "a degree")
         elif key == "ring":

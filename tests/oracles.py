@@ -368,6 +368,40 @@ def oracle_cone_coboundary_generators(complex, degree):
     return nup + ndn, lattice, space
 
 
+# ---------------------------------------------------------------------------
+# the two subgroups the package laid out by hand before it decided
+# differential coboundaries and integer-period splits on the complex's own
+# Smith forms; kept as the reference for `hscomplex.CoboundarySolver` and
+# `hexagon.OmegaDecomposer`
+
+def oracle_dhat_coboundary_generators(complex, degree):
+    """Coboundaries of the level-k complex landing in degree k, curvature
+    dropped, in the flattened (c, T) coordinates: (ambient dimension,
+    lattice generators (delta e_i, -e_i), space generators (0, -delta e_j))."""
+    nk = complex.n_simplices(degree)
+    nkm1 = complex.n_simplices(degree - 1)
+    nkm2 = complex.n_simplices(degree - 2)
+    delta_km1 = complex.coboundary_matrix(degree - 1)
+    delta_km2 = complex.coboundary_matrix(degree - 2)
+    lattice = []
+    for i in range(nkm1):
+        vec = list(delta_km1.column(i)) + [0] * nkm1
+        vec[nk + i] = -1
+        lattice.append(vec)
+    space = [[0] * nk + [-v for v in delta_km2.column(j)] for j in range(nkm2)]
+    return nk + nkm1, lattice, space
+
+
+def oracle_integer_period_generators(complex, degree):
+    """Integration cochains of the integer-period forms of a degree:
+    (ambient dimension, lattice generators the integer cocycle basis,
+    space generators the columns of the previous coboundary)."""
+    delta_prev = complex.coboundary_matrix(degree - 1)
+    lattice = [list(z) for z in complex.cohomology_structure(degree).cocycle_basis]
+    space = [delta_prev.column(j) for j in range(delta_prev.cols)]
+    return complex.n_simplices(degree), lattice, space
+
+
 def oracle_mixed_member(ambient, lattice, space):
     """Decider for membership in the Z-span of `lattice` plus the Q-span of
     `space`: returns a function of a coordinate list x.

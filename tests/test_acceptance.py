@@ -6,10 +6,7 @@ the run is reproducible.  Each test prints a single summary line.
 """
 
 import json
-import random
 from fractions import Fraction
-
-import pytest
 
 import oracles
 from hexad.cli import main as cli_main
@@ -34,7 +31,7 @@ from hexad.hexagon import (
     witness_R_surjective,
 )
 from hexad.hscomplex import DiffCochain, dhat
-from hexad.plforms import WhitneyForm, integrate, whitney
+from hexad.plforms import integrate, whitney
 from hexad.sampling import random_cochain, rng_for
 from hexad.simplicial import Chain, Cochain, Ring, catalog, catalog_names, cohomology
 
@@ -98,7 +95,7 @@ def test_criterion_04_constructive_surjectivity():
         rng = rng_for(SEED, "acceptance_c4@%s@%d" % (name, k))
         for _ in range(25):
             omega = ctx.random_omega(rng, k)
-            x = witness_R_surjective(omega, ctx.decomposer_k)
+            x = witness_R_surjective(omega)
             assert map_R(x) == omega
             c = Cochain.zero(ctx.complex, k, Ring.Z)
             for basis in ctx.cocycle_basis_k:

@@ -7,7 +7,7 @@ import pytest
 
 from hexad import hexagon
 from hexad.cli import main
-from hexad.plforms import format_whitney_form, load_whitney_form, whitney
+from hexad.plforms import format_whitney_form, whitney
 from hexad.hscomplex import load_diff_cochain
 from hexad.hexagon import map_I, map_R
 from hexad.simplicial import (
@@ -200,6 +200,36 @@ def test_witness_rejects_bad_targets(tmp_path, capsys):
                     "--form", str(form_file)])
     assert code == 2
     assert "periods" in capsys.readouterr().err
+
+
+def test_file_errors_exit_two(tmp_path, capsys):
+    # a file that cannot be read or written is a usage error, not a FAIL
+    missing = tmp_path / "missing"
+    assert run_cli(["witness", "--complex", "circle", "--kind", "R",
+                    "--form", str(missing / "F")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run_cli(["compute", "--complex", "circle",
+                    "--report", str(missing / "out.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("kind,text,where", [
+    ("I", "degree\nring Z\n", "line 1, column 1"),
+    ("I", "degree 1\nring\n", "line 2, column 1"),
+    ("R", "whitney-form\ndegree\nring Q\n", "line 2, column 1"),
+])
+def test_bare_degree_or_ring_line_exits_two(tmp_path, capsys, kind, text,
+                                            where):
+    path = tmp_path / "bare"
+    path.write_text(text)
+    if kind == "I":
+        files = ["--cocycle", str(path), "--coboundary", str(path)]
+    else:
+        files = ["--form", str(path)]
+    assert run_cli(["witness", "--complex", "circle", "--kind", kind]
+                   + files) == 2
+    assert where in capsys.readouterr().err
 
 
 def test_verify_internal_errors_exit_three(monkeypatch, capsys):

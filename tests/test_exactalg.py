@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexad.exactalg import (
     FgAbelianGroup,
@@ -207,6 +208,64 @@ def test_mixed_membership_sound_and_complete():
             rejected += 1
             assert verify_non_membership(y, sub, res)
     assert accepted > 0 and rejected > 0
+
+
+def test_smith_split_examples():
+    # 1/2 = 0 + 2 * 1/4; nothing rational can be split off a 1 x 0 matrix
+    c, x = smith_form(Matrix(1, 1, [[2]])).split([Fraction(1, 2)])
+    assert (c, x) == ([0], IntRow((1,), 4))
+    assert smith_form(Matrix.zeros(1, 0)).split([Fraction(1, 2)]) is None
+    assert smith_form(Matrix.zeros(1, 0)).split(IntRow((3,), 1)) == (
+        [3], IntRow((), 1))
+    # the circle's delta^0 (edges 01, 12, 02): a cochain splits exactly when
+    # its period b01 + b12 - b02 is an integer
+    delta0 = Matrix(3, 3, [[-1, 1, 0], [0, -1, 1], [-1, 0, 1]])
+    f = smith_form(delta0)
+    assert f.split([Fraction(1, 2)] * 3) is None
+    b = [Fraction(1, 2), Fraction(1, 2), 0]
+    c, x = f.split(b)
+    assert [ci + v for ci, v in zip(c, delta0.mul_vec(x.fractions()))] == b
+    with pytest.raises(ValueError):
+        f.split([0, 0])
+
+
+SPLIT_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                          database=None)
+split_fractions = st.builds(Fraction, st.integers(-6, 6),
+                            st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def split_queries(draw):
+    """A small integer matrix m (0 rows or 0 columns allowed) and a b that
+    is an integer vector plus m times a rational vector, moved in one
+    coordinate by a fraction half the time."""
+    n, k = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    m = Matrix(n, k, [[draw(st.integers(-3, 3)) for _ in range(k)]
+                      for _ in range(n)])
+    b = [draw(st.integers(-3, 3)) + v
+         for v in m.mul_vec([draw(split_fractions) for _ in range(k)])]
+    if n and draw(st.booleans()):
+        b[draw(st.integers(0, n - 1))] += draw(split_fractions)
+    return m, [Fraction(v) for v in b]
+
+
+@SPLIT_PROPERTY
+@given(split_queries())
+def test_smith_split_is_sound_and_complete(case):
+    # complete: split answers exactly when MixedSolver finds b in Z^n + m Q^k;
+    # sound: the split is an integral c and a rational x with c + m x == b
+    m, b = case
+    res = smith_form(m).split(b)
+    assert res == smith_form(m).split(IntRow.of(b))
+    oracle = MixedSolver(MixedSubgroup(
+        m.rows, Matrix.identity(m.rows).data,
+        [m.column(j) for j in range(m.cols)]))
+    assert (res is not None) == isinstance(oracle.membership(b), MixedWitness)
+    if res is not None:
+        c, x = res
+        assert all(type(v) is int for v in c)
+        assert [ci + v for ci, v in zip(c, m.mul_vec(x.fractions()))] == b
 
 
 def test_quotient_group_examples():

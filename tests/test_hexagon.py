@@ -4,9 +4,15 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from hexad.cone import ConeCochain, delta_cone
-from hexad import hexagon
-from hexad.exactalg import MixedSolver
+from hexad.cone import ConeCochain
+from hexad import exactalg, hexagon, simplicial
+from hexad.exactalg import (
+    MixedSolver,
+    MixedSubgroup,
+    NonMembership,
+    SmithForm,
+    smith_form,
+)
 from hexad.hexagon import (
     HexagonContext,
     OmegaDecomposer,
@@ -31,8 +37,8 @@ from hexad.hexagon import (
 )
 from hexad.hscomplex import DiffCochain, dhat, evaluate_character, is_cocycle
 from hexad.plforms import WhitneyForm, d, derham_cochain, whitney
-from hexad.sampling import random_cochain
-from hexad.simplicial import Chain, Cochain, Ring, catalog
+from hexad.sampling import random_cochain, random_combination
+from hexad.simplicial import Chain, Cochain, Ring, catalog, catalog_names
 
 CIRCLE_CYCLE = [1, -1, 1]
 
@@ -318,20 +324,26 @@ def test_context_rejects_bad_degrees():
 @pytest.mark.parametrize("name,k", [("circle", 1), ("circle", 2),
                                     ("projective-plane", 2), ("torus", 3)])
 def test_context_owns_every_membership_solver(name, k, monkeypatch):
-    # the context builds bhat (shared with the cone solver), decomposer_k
-    # and decomposer_km1; no check builds a solver of its own
+    # every membership question reads the complex's own Smith forms: the
+    # context and the checks build no MixedSolver and no Smith form
+    cx = catalog(name)
     built = []
     init = MixedSolver.__init__
 
     def counting_init(self, subgroup):
         built.append(subgroup)
         init(self, subgroup)
+
+    def counting_smith(m):
+        built.append(m)
+        return smith_form(m)
     monkeypatch.setattr(MixedSolver, "__init__", counting_init)
-    ctx = HexagonContext(catalog(name), k, seed=1, trials=2)
-    assert len(built) == 3
+    for module in (exactalg, simplicial):
+        monkeypatch.setattr(module, "smith_form", counting_smith)
+    ctx = HexagonContext(cx, k, seed=1, trials=2)
     assert ctx.bhat_solver is ctx.cone_cb_solver.solver
-    run_all_checks(ctx)
-    assert len(built) == 3
+    assert all(r.ok for r in run_all_checks(ctx))
+    assert built == []
 
 
 def test_a_raising_check_fails_under_its_own_report_name(monkeypatch):
@@ -383,3 +395,61 @@ def test_form_node_generators_are_solved_once_per_context(name, k,
     monkeypatch.setattr(OmegaDecomposer, "decompose", counting)
     assert all(r.ok for r in run_all_checks(ctx))
     assert len(calls) == 2 * trials
+
+
+def _omega_decomposer_samples(rng, cx, m):
+    """Forms of degree m: the oracle's generators, integer-period
+    combinations of them, the 1/2 and 1/3 multiples of the free classes,
+    and eight of those with 1/2 added to one coordinate."""
+    n, lattice, space = oracles.oracle_integer_period_generators(cx, m)
+    gens = [whitney(Cochain(cx, m, Ring.Q, v)) for v in lattice + space]
+    base = gens + [random_combination(rng, WhitneyForm.zero(cx, m),
+                                      gens[:len(lattice)], gens[len(lattice):])
+                   for _ in range(4)]
+    base += [whitney(Cochain(cx, m, Ring.Q, [Fraction(x, den) for x in g]))
+             for g in cx.cohomology_structure(m).free_gens for den in (2, 3)]
+    if n:
+        for eta in rng.sample(base, min(8, len(base))):
+            j = rng.randrange(n)
+            base.append(eta + WhitneyForm(
+                cx, m, [Fraction(int(i == j), 2) for i in range(n)]))
+    return base
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_omega_decomposer_agrees_with_the_mixed_subgroup_oracle(name):
+    # the decomposer decides by periods and splits on the complex's Smith
+    # form of delta^{m-1}; the references decide in the hand-laid subgroup
+    # (integer cocycles over Z, coboundaries over Q), by MixedSolver and by
+    # an independent invariant-factor comparison
+    rng = random.Random("omega-oracle@" + name)
+    cx = catalog(name)
+    outcomes = set()
+    for m in range(0, cx.dim + 2):
+        dec = OmegaDecomposer(cx, m)
+        n, lattice, space = oracles.oracle_integer_period_generators(cx, m)
+        decide = MixedSolver(MixedSubgroup(n, lattice, space))
+        member = oracles.oracle_mixed_member(n, lattice, space)
+        for eta in _omega_decomposer_samples(rng, cx, m):
+            got = dec.decompose(eta)
+            where = (name, m, eta)
+            assert (got is None) == isinstance(decide.membership(eta.row),
+                                               NonMembership), where
+            assert (got is None) == (not member(eta.coeffs)), where
+            if got is not None:
+                c, t = got
+                assert c.is_cocycle(), where
+                assert derham_cochain(eta) == c.as_q() + t.coboundary(), where
+            outcomes.add(got is None)
+    assert outcomes == {True, False}  # members and non-members were asked
+
+
+def test_omega_decomposer_raises_when_periods_and_split_disagree(monkeypatch):
+    # an integer-period form that does not split is an internal
+    # inconsistency, never an ordinary "no solution"
+    cx = catalog("circle")
+    dec = OmegaDecomposer(cx, 1)
+    monkeypatch.setattr(SmithForm, "split", lambda self, b: None)
+    with pytest.raises(ArithmeticError):
+        dec.decompose(whitney(Cochain(cx, 1, Ring.Z, [3, 0, 0]).as_q()))
+    assert dec.decompose(WhitneyForm(cx, 1, [Fraction(1, 2), 0, 0])) is None

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from hexad.hexagon import HexagonContext
+from hexad.exactalg import IntRow, MixedSolver, MixedSubgroup, NonMembership
+from hexad.hexagon import HexagonContext, map_a, map_i
 from hexad.hscomplex import (
     CoboundarySolver,
     DiffCochain,
@@ -267,3 +268,70 @@ def test_row_level_cocycle_test_agrees_with_the_image(name):
     # on the point every cochain at or above the level is zero
     assert outcomes == {(True, True), (False, True), (False, False)} | (
         {(True, False)} if cx.dim else set())
+
+
+def _perturbed(rng, x):
+    """x moved in one random coordinate of its (c, h) pair: by +1 in the
+    integral slot, by +1/2 in the potential; None when both are empty."""
+    cx, k = x.complex, x.degree
+    n, m = len(x.integral.row.nums), len(x.potential.row.nums)
+    if not n + m:
+        return None
+    j = rng.randrange(n + m)
+    bump = [Fraction(int(i == j)) for i in range(n)]
+    bump += [Fraction(int(i == j), 2) for i in range(n, n + m)]
+    return x + DiffCochain(cx, k, k, Cochain(cx, k, Ring.Z, bump[:n]),
+                           Cochain(cx, k - 1, Ring.Q, bump[n:]),
+                           WhitneyForm.zero(cx, k))
+
+
+def _coboundary_solver_samples(rng, cx, k):
+    """Zero-curvature triples (c, h, 0) in degree k: the oracle's
+    generators, dhat images, a images of integer-period forms one degree
+    down, i images of the torsion-type and rational cone cocycle generators
+    (c == -delta h, so only the split decides), and sixteen of those moved
+    in one coordinate: +1 in the integral slot or +1/2 in the potential."""
+    _, lattice, space = oracles.oracle_dhat_coboundary_generators(cx, k)
+    nk = cx.n_simplices(k)
+
+    def triple(vec):
+        return DiffCochain(cx, k, k, Cochain(cx, k, Ring.Z, vec[:nk]),
+                           Cochain(cx, k - 1, Ring.Q, vec[nk:]),
+                           WhitneyForm.zero(cx, k))
+    base = [triple(v) for v in lattice + space]
+    base += [dhat(DiffCochain(cx, k, k - 1,
+                              random_cochain(rng, cx, k - 1, Ring.Z),
+                              random_cochain(rng, cx, k - 2, Ring.Q), None))
+             for _ in range(4)]
+    ctx = HexagonContext(cx, k, seed=rng.randrange(1 << 32), trials=1)
+    base += [map_a(ctx.random_omega(rng, k - 1)) for _ in range(4)]
+    base += [map_i(z) for z in ctx.cone_lattice[ctx.n_trivial:]
+             + ctx.cone_space]
+    bumped = [_perturbed(rng, x) for x in rng.sample(base, min(16, len(base)))]
+    return base + [x for x in bumped if x is not None]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_coboundary_solver_agrees_with_the_mixed_subgroup_oracle(name):
+    # the solver decides on the complex's Smith form of delta^{k-2}; the
+    # references decide in the hand-laid subgroup, by MixedSolver and by an
+    # independent invariant-factor comparison
+    rng = random.Random("dhat-oracle@" + name)
+    cx = catalog(name)
+    outcomes = set()
+    for k in range(1, cx.dim + 2):
+        solver = CoboundarySolver(cx, k)
+        n, lattice, space = oracles.oracle_dhat_coboundary_generators(cx, k)
+        decide = MixedSolver(MixedSubgroup(n, lattice, space))
+        member = oracles.oracle_mixed_member(n, lattice, space)
+        for x in _coboundary_solver_samples(rng, cx, k):
+            wit = solver.solve(x)
+            pair = IntRow.join([x.integral.row, x.potential.row])
+            where = (name, k, x)
+            assert (wit is None) == isinstance(decide.membership(pair),
+                                               NonMembership), where
+            assert (wit is None) == (not member(pair.fractions())), where
+            if wit is not None:
+                assert dhat(wit) == x, where
+            outcomes.add(wit is None)
+    assert outcomes == {True, False}  # members and non-members were asked

@@ -261,6 +261,12 @@ def test_cochain_file_round_trip():
         load_cochain("degree 1\nring Q\nvalue 0,9 1\n", cx)
     with pytest.raises(ComplexParseError):
         load_cochain("degree 1\nring W\n", cx)
+    # degree and ring take exactly one argument
+    for text, line in (("degree\nring Z\n", 1), ("degree 1 2\nring Z\n", 1),
+                       ("degree 1\nring\n", 2), ("degree 1\nring Q Z\n", 2)):
+        with pytest.raises(ComplexParseError) as err:
+            load_cochain(text, cx)
+        assert (err.value.line, err.value.column) == (line, 1)
 
 
 def test_qmodz_representatives_reduced():
