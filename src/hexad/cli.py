@@ -60,15 +60,13 @@ def _resolve_complex(name_or_path):
                    % (name_or_path, ", ".join(catalog_names())))
 
 
-def _degrees(args, cx, default):
-    if args.degree:
-        degrees = sorted(set(args.degree))
-        for k in degrees:
-            if not (default[0] <= k <= default[-1]):
-                raise CliError("degree %d out of range %d..%d for %s"
-                               % (k, default[0], default[-1], cx.name))
-        return degrees
-    return list(default)
+def _degrees(cx, wanted, default):
+    degrees = sorted(set(wanted or ()))
+    for k in degrees:
+        if not (default[0] <= k <= default[-1]):
+            raise CliError("degree %d out of range %d..%d for %s"
+                           % (k, default[0], default[-1], cx.name))
+    return degrees or list(default)
 
 
 def _emit(args, text):
@@ -114,7 +112,7 @@ def cmd_catalog(args):
 
 def cmd_compute(args):
     cx = _resolve_complex(args.complex)
-    degrees = _degrees(args, cx, list(range(0, cx.dim + 1)))
+    degrees = _degrees(cx, args.degree, range(0, cx.dim + 1))
     table = []
     for k in degrees:
         divisible, finite = cohomology(cx, k, "QmodZ")
@@ -173,7 +171,7 @@ def cmd_verify(args):
     if args.trials < 1:
         raise CliError("--trials must be positive")
     cx = _resolve_complex(args.complex)
-    degrees = _degrees(args, cx, list(range(1, cx.dim + 2)))
+    degrees = _degrees(cx, args.degree, range(1, cx.dim + 2))
     runs = []
     failed = False
     for k in degrees:
@@ -205,6 +203,7 @@ def cmd_witness(args):
             raise CliError("--kind R needs --form FILE")
         with open(args.form, "r", encoding="utf-8") as fh:
             omega = load_whitney_form(fh.read(), cx)
+        _degrees(cx, [omega.degree], range(1, cx.dim + 2))
         x = witness_R_surjective(omega)
     else:
         if not (args.cocycle and args.coboundary):
@@ -213,6 +212,7 @@ def cmd_witness(args):
             c = load_cochain(fh.read(), cx)
         with open(args.coboundary, "r", encoding="utf-8") as fh:
             t = load_cochain(fh.read(), cx)
+        _degrees(cx, [c.degree, t.degree], range(1, cx.dim + 2))
         x = witness_I_surjective(c, t)
     text = format_diff_cochain(x)
     if args.format == "json":

@@ -153,10 +153,8 @@ def cone_cocycle_generators(complex, degree):
     every torsion class t of the next integral cohomology with its scaled
     primitive; the space part is (0, z) over a basis of rational cocycles.
     """
-    lattice = []
-    for i in range(complex.n_simplices(degree)):
-        m = Cochain.basis(complex, degree, Ring.Z, i)
-        lattice.append(ConeCochain(complex, degree, m.coboundary(), m.as_q()))
+    lattice = [ConeCochain(complex, degree, m.coboundary(), m.as_q())
+               for m in Cochain.zero(complex, degree, Ring.Z).units()]
     st = complex.cohomology_structure(degree + 1)
     for tor in st.torsion_gens:
         t = Cochain(complex, degree + 1, Ring.Z, list(tor.gen))
@@ -217,22 +215,12 @@ def cone_cohomology_compare(ctx):
     solver = ctx.cone_cb_solver
 
     # well-definedness: generators of the coboundary group map to Q/Z
-    # coboundaries with explicit primitives
-    for i in range(complex.n_simplices(degree)):
-        m = Cochain.basis(complex, degree, Ring.Z, i)
-        y = ConeCochain(complex, degree - 1, m,
-                        Cochain.zero(complex, degree - 1, Ring.Q))
+    # coboundaries with explicit primitives; (m, 0) maps to zero mod Z
+    for y in ConeCochain.zero(complex, degree - 1).units():
         img = delta_cone(y).rational.mod1()
-        run.require(img.is_zero(), "coboundary generator (m, 0) maps to zero mod Z",
-                    generator=m)
-    for j in range(complex.n_simplices(degree - 1)):
-        s = Cochain.basis(complex, degree - 1, Ring.Q, j)
-        y = ConeCochain(complex, degree - 1,
-                        Cochain.zero(complex, degree, Ring.Z), s)
-        img = delta_cone(y).rational.mod1()
-        run.require(img == s.coboundary().mod1(),
-                    "coboundary generator (0, s) maps to delta(s mod Z)",
-                    generator=s)
+        run.require(img == y.rational.coboundary().mod1(),
+                    "coboundary generator (m, s) maps to delta(s mod Z)",
+                    generator=y)
 
     # surjectivity with constructive lifts
     for vbar, certificate in _qmodz_cocycle_targets(ctx, rng):
@@ -325,10 +313,9 @@ def les_exactness(ctx):
 
     # exactness at H^{k+1}(Z): classes killed by j receive gamma preimages
     st_next = complex.cohomology_structure(k + 1)
-    factored_k = complex.coboundary_factored(k)
     for tor in st_next.torsion_gens:
         t = Cochain(complex, k + 1, Ring.Z, list(tor.gen))
-        v = factored_k.solve(t.row)
+        v = smith_k.solve_q(t.row)
         if run.require(v is not None, "torsion class dies rationally", cls=t):
             z = ConeCochain(complex, k, -t,
                             Cochain(complex, k, Ring.Q, v.scaled(-1)))
@@ -338,7 +325,7 @@ def les_exactness(ctx):
     for _ in range(trials // 2 + 1):
         m = random_cochain(rng, complex, k, Ring.Z)
         t = m.coboundary()
-        v = factored_k.solve(t.row)
+        v = smith_k.solve_q(t.row)
         if run.require(v is not None, "coboundary class dies rationally",
                        cls=t):
             z = ConeCochain(complex, k, -t,
@@ -351,7 +338,7 @@ def les_exactness(ctx):
         cert = _nonintegral_cycle(complex,
                                   Cochain(complex, k + 1, Ring.Q,
                                           [Fraction(x, 2) for x in g]))
-        v = factored_k.solve(t.row)
+        v = smith_k.solve_q(t.row)
         run.require(v is None, "free class survives j", cls=t, cert=cert)
     return run.report()
 

@@ -262,19 +262,34 @@ class SmithForm:
         exists exactly when w_i is an integer for every i >= r.  Then
         c = u_inv*(0, ..., 0, w_r, ...) and x = v*y with y_i = w_i / d_i.
         """
-        bnum, bden = IntRow.of(b)
-        if len(bnum) != self.d.rows:
-            raise ValueError("right-hand side length does not match")
-        r = self.rank
-        w = self.u.mul_vec(bnum)
+        w, bden, r = self._rows(b)
         if any(wi % bden for wi in w[r:]):
             return None
         c = self.u_inv.mul_vec([0] * r + [wi // bden for wi in w[r:]])
-        # d_{r-1} is a multiple of every nonzero d_i
+        return c, self._preimage(w, bden, r)
+
+    def solve_q(self, b):
+        """Rational x with m*x == b as an IntRow, or None: the split of b
+        with c == 0, which exists exactly when w_i == 0 for every i >= r."""
+        w, bden, r = self._rows(b)
+        if any(w[r:]):
+            return None
+        return self._preimage(w, bden, r)
+
+    def _rows(self, b):
+        # (u*bnum, bden, rank) for b == bnum / bden
+        bnum, bden = IntRow.of(b)
+        if len(bnum) != self.d.rows:
+            raise ValueError("right-hand side length does not match")
+        return self.u.mul_vec(bnum), bden, self.rank
+
+    def _preimage(self, w, bden, r):
+        # v*y / bden with y_i = w_i / d_i for i < r, and d_{r-1} a multiple
+        # of every nonzero d_i
         top = self.d.data[r - 1][r - 1] if r else 1
         y = [wi * (top // di) for wi, di in zip(w, self.diagonal[:r])]
-        return c, IntRow(self.v.mul_vec(y + [0] * (self.d.cols - r)),
-                         bden * top)
+        return IntRow(self.v.mul_vec(y + [0] * (self.d.cols - r)),
+                      bden * top)
 
     def kernel(self):
         """Z-basis of the integer kernel {x : m*x == 0}, as column vectors."""

@@ -201,7 +201,7 @@ def witness_I_surjective(c, t):
         raise ValueError("first slot must be an integral cocycle")
     if t.ring is not Ring.Q:
         t = t.as_q()
-    sol = c.complex.coboundary_factored(t.degree - 1).solve(t.row)
+    sol = c.complex.coboundary_smith(t.degree - 1).solve_q(t.row)
     if sol is None:
         raise ValueError("second slot must be a rational coboundary")
     big_t = Cochain(c.complex, t.degree - 1, Ring.Q, sol)
@@ -267,8 +267,8 @@ class HexagonContext:
                 DiffCochain(complex, k, k, z,
                             Cochain.zero(complex, k - 1, Ring.Q),
                             whitney(z.as_q())))
-        self.zhat_space = [map_a(WhitneyForm.elementary(complex, k - 1, j))
-                           for j in range(complex.n_simplices(k - 1))]
+        self.zhat_space = [map_a(eta)
+                           for eta in WhitneyForm.zero(complex, k - 1).units()]
         # integer-period forms in degrees k and k-1
         self.omega_gens_k = self._omega_gens(k)
         self.omega_gens_km1 = self._omega_gens(k - 1)
@@ -315,9 +315,8 @@ class HexagonContext:
         st = self.complex.cohomology_structure(m)
         lattice = [whitney(Cochain(self.complex, m, Ring.Z, list(z)).as_q())
                    for z in st.cocycle_basis]
-        delta_prev = self.complex.coboundary_matrix(m - 1)
-        space = [whitney(Cochain(self.complex, m, Ring.Q, delta_prev.column(j)))
-                 for j in range(delta_prev.cols)]
+        space = [whitney(e.coboundary())
+                 for e in Cochain.zero(self.complex, m - 1, Ring.Q).units()]
         return lattice, space
 
     def form_node_target(self, eta):
@@ -430,8 +429,7 @@ def check_faces(ctx):
     cx, k = ctx.complex, ctx.degree
 
     # R(a(eta)) == d(eta), eta over the Whitney basis and random forms
-    etas = [WhitneyForm.elementary(cx, k - 1, j)
-            for j in range(cx.n_simplices(k - 1))]
+    etas = WhitneyForm.zero(cx, k - 1).units()
     etas += [random_whitney(rng, cx, k - 1) for _ in range(ctx.trials)]
     for eta in etas:
         lhs = _guarded(run, "R(a(eta))", lambda: map_R(map_a(eta)), eta=eta)
@@ -611,14 +609,7 @@ def check_induced_hexagon(ctx):
     cx, k = ctx.complex, ctx.degree
 
     # (a) lemma 1: R kills coboundaries
-    gens_y = [DiffCochain(cx, k, k - 1,
-                          Cochain.basis(cx, k - 1, Ring.Z, i),
-                          Cochain.zero(cx, k - 2, Ring.Q), None)
-              for i in range(cx.n_simplices(k - 1))]
-    gens_y += [DiffCochain(cx, k, k - 1,
-                           Cochain.zero(cx, k - 1, Ring.Z),
-                           Cochain.basis(cx, k - 2, Ring.Q, j), None)
-               for j in range(cx.n_simplices(k - 2))]
+    gens_y = DiffCochain.zero(cx, k, k - 1).units()
     for y in gens_y:
         run.require(dhat(y).curvature.is_zero(),
                     "R vanishes on coboundary generators", y=y)
@@ -634,15 +625,7 @@ def check_induced_hexagon(ctx):
                         eta=eta, preimage=y)
 
     # (a) lemma 3: i of a cone coboundary is an explicit coboundary
-    cone_gens_y = [ConeCochain(cx, k - 2,
-                               Cochain.basis(cx, k - 1, Ring.Z, i),
-                               Cochain.zero(cx, k - 2, Ring.Q))
-                   for i in range(cx.n_simplices(k - 1))]
-    cone_gens_y += [ConeCochain(cx, k - 2,
-                                Cochain.zero(cx, k - 1, Ring.Z),
-                                Cochain.basis(cx, k - 2, Ring.Q, j))
-                    for j in range(cx.n_simplices(k - 2))]
-    for y in cone_gens_y:
+    for y in ConeCochain.zero(cx, k - 2).units():
         z = delta_cone(y)
         mirrored = DiffCochain(cx, k, k - 1, y.integral, -y.rational, None)
         run.require(map_i(z) == dhat(mirrored),
@@ -817,10 +800,9 @@ def check_off_diagonal_note(ctx):
     non-closed form exists in degree k-1."""
     run = CheckRun("off_diagonal")
     cx, k = ctx.complex, ctx.degree
-    rank = cx.coboundary_factored(k - 1).rank
+    rank = cx.coboundary_smith(k - 1).rank
     counterexample = None
-    for j in range(cx.n_simplices(k - 1)):
-        eta = WhitneyForm.elementary(cx, k - 1, j)
+    for eta in WhitneyForm.zero(cx, k - 1).units():
         c, t = map_I(map_a(eta))
         if not (c.is_zero() and t.is_zero()):
             counterexample = (eta, t)
@@ -850,23 +832,7 @@ def check_dhat_square(ctx):
     rng = ctx.rng("dhat_square_zero")
     cx, q = ctx.complex, ctx.degree
     for deg in (q - 2, q - 1, q):
-        elems = []
-        for i in range(cx.n_simplices(deg)):
-            elems.append(DiffCochain(
-                cx, q, deg, Cochain.basis(cx, deg, Ring.Z, i),
-                Cochain.zero(cx, deg - 1, Ring.Q),
-                WhitneyForm.zero(cx, deg) if deg >= q else None))
-        for j in range(cx.n_simplices(deg - 1)):
-            elems.append(DiffCochain(
-                cx, q, deg, Cochain.zero(cx, deg, Ring.Z),
-                Cochain.basis(cx, deg - 1, Ring.Q, j),
-                WhitneyForm.zero(cx, deg) if deg >= q else None))
-        if deg >= q:
-            for j in range(cx.n_simplices(deg)):
-                elems.append(DiffCochain(
-                    cx, q, deg, Cochain.zero(cx, deg, Ring.Z),
-                    Cochain.zero(cx, deg - 1, Ring.Q),
-                    WhitneyForm.elementary(cx, deg, j)))
+        elems = DiffCochain.zero(cx, q, deg).units()
         elems += [random_diff_cochain(rng, cx, q, deg)
                   for _ in range(ctx.trials)]
         for x in elems:
@@ -881,15 +847,7 @@ def check_cone_square(ctx):
     rng = ctx.rng("delta_cone_square_zero")
     cx, k = ctx.complex, ctx.degree
     for deg in (k - 2, k - 1, k):
-        elems = []
-        for i in range(cx.n_simplices(deg + 1)):
-            elems.append(ConeCochain(cx, deg,
-                                     Cochain.basis(cx, deg + 1, Ring.Z, i),
-                                     Cochain.zero(cx, deg, Ring.Q)))
-        for j in range(cx.n_simplices(deg)):
-            elems.append(ConeCochain(cx, deg,
-                                     Cochain.zero(cx, deg + 1, Ring.Z),
-                                     Cochain.basis(cx, deg, Ring.Q, j)))
+        elems = ConeCochain.zero(cx, deg).units()
         elems += [ConeCochain(cx, deg,
                               random_cochain(rng, cx, deg + 1, Ring.Z),
                               random_cochain(rng, cx, deg, Ring.Q))
@@ -906,8 +864,7 @@ def check_derham_whitney(ctx):
     rng = ctx.rng("derham_whitney")
     cx = ctx.complex
     for deg in range(0, cx.dim + 1):
-        samples = [Cochain.basis(cx, deg, Ring.Q, i)
-                   for i in range(cx.n_simplices(deg))]
+        samples = Cochain.zero(cx, deg, Ring.Q).units()
         samples += [random_cochain(rng, cx, deg, Ring.Q)
                     for _ in range(ctx.trials // 2 + 1)]
         for x in samples:

@@ -230,6 +230,7 @@ def load_diff_cochain(text, complex):
     from .simplicial import ComplexParseError, parse_cochain_lines
     level = None
     sections = {}
+    degree_at = {}  # section -> (line, column) of its degree line
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#")[0].strip()
@@ -251,6 +252,8 @@ def load_diff_cochain(text, complex):
         if current is None:
             raise ComplexParseError(lineno, 1, "content outside any section")
         sections[current].append((lineno, raw))
+        if toks[0] == "degree":
+            degree_at[current] = (lineno, raw.index("degree") + 1)
     if level is None:
         raise ComplexParseError(1, 1, "missing level line")
     if "c" not in sections or "T" not in sections:
@@ -261,4 +264,10 @@ def load_diff_cochain(text, complex):
     if "omega" in sections:
         body = "\n".join(raw for _, raw in sections["omega"])
         curvature = load_whitney_form(body, complex)
+    for name, part, want in (("T", t, c.degree - 1),
+                             ("omega", curvature, c.degree)):
+        if part is not None and part.degree != want:
+            raise ComplexParseError(*degree_at[name], "section %s has degree "
+                                    "%d, but section c of degree %d needs %d"
+                                    % (name, part.degree, c.degree, want))
     return DiffCochain(complex, level, c.degree, c, t, curvature)

@@ -57,12 +57,6 @@ class WhitneyForm(Coords):
         return cls(complex, degree,
                    IntRow((0,) * complex.n_simplices(degree), 1))
 
-    @classmethod
-    def elementary(cls, complex, degree, i):
-        nums = [0] * complex.n_simplices(degree)
-        nums[i] = 1
-        return cls(complex, degree, IntRow(nums, 1))
-
     def __repr__(self):
         return "WhitneyForm(deg=%d, %s)" % (self.degree,
                                             [str(c) for c in self.coeffs])
@@ -129,12 +123,12 @@ def find_primitive(target):
     """A form eta with derham_cochain(d eta) == target, raised to NotExactError
     when the target cochain is not a rational coboundary.
 
-    The construction solves delta y = target over Q (deterministic in the
-    elimination order) and returns whitney(y).
+    The construction solves delta y = target over Q on the complex's Smith
+    form of delta (`SmithForm.solve_q`) and returns whitney(y).
     """
     if target.ring is not Ring.Q:
         target = target.as_q()
-    y = target.complex.coboundary_factored(target.degree - 1).solve(target.row)
+    y = target.complex.coboundary_smith(target.degree - 1).solve_q(target.row)
     if y is None:
         raise NotExactError("target cochain is not a coboundary")
     eta = WhitneyForm(target.complex, target.degree - 1, y)

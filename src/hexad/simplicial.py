@@ -101,13 +101,12 @@ def validate_data(n_vertices, simplices_by_dim):
 
 
 class SimplicialComplex:
-    """Immutable finite abstract simplicial complex with cached matrices,
-    one rational factorization per coboundary degree and one Smith form
-    per boundary and coboundary matrix."""
+    """Immutable finite abstract simplicial complex with cached matrices
+    and one Smith form per boundary and coboundary matrix."""
 
     __slots__ = ("name", "n_vertices", "simplices", "_sizes", "_index",
-                 "_bound", "_cob_sparse", "_cob_factored", "_cob_smith",
-                 "_bd_smith", "_cohom", "_homol")
+                 "_bound", "_cob_sparse", "_cob_smith", "_bd_smith",
+                 "_cohom", "_homol")
 
     def __init__(self, name, n_vertices, simplices_by_dim):
         self.name = str(name)
@@ -122,7 +121,6 @@ class SimplicialComplex:
         self._index = tuple({s: i for i, s in enumerate(lst)} for lst in self.simplices)
         self._bound = {}
         self._cob_sparse = {}
-        self._cob_factored = {}
         self._cob_smith = {}
         self._bd_smith = {}
         self._cohom = {}
@@ -135,9 +133,7 @@ class SimplicialComplex:
             self._bound[k] = self._build_boundary(k)
             self._cob_sparse[k - 1] = self._build_cob_sparse(k - 1)
         for k in range(-1, self.dim + 1):
-            cob = self.coboundary_matrix(k)
-            self._cob_factored[k] = Factored(cob)
-            self._cob_smith[k] = smith_form(cob)
+            self._cob_smith[k] = smith_form(self.coboundary_matrix(k))
             self._bd_smith[k + 1] = smith_form(self.boundary(k + 1))
         for k in range(0, self.dim + 1):
             self._cohom[k] = _cohomology_structure(self, k)
@@ -208,16 +204,9 @@ class SimplicialComplex:
         """Coboundary operator C^k -> C^{k+1}: transpose of boundary(k+1)."""
         return self.boundary(k + 1).transpose()
 
-    def coboundary_factored(self, k):
-        """Factored(coboundary_matrix(k)), built once per degree with the
-        complex; the solver for every delta y == target over Q."""
-        if k in self._cob_factored:
-            return self._cob_factored[k]
-        return Factored(self.coboundary_matrix(k))
-
     def coboundary_smith(self, k):
         """smith_form(coboundary_matrix(k)), built once per degree with the
-        complex; cocycle lattices and integral primitives are read from it."""
+        complex; cocycle lattices, ranks and every solve against delta^k."""
         if k in self._cob_smith:
             return self._cob_smith[k]
         return smith_form(self.coboundary_matrix(k))
@@ -297,6 +286,13 @@ class Coords:
     def scale(self, s):
         return self._like(self._row().scaled(s))
 
+    def units(self):
+        """The standard generators of this value's group, in `_row()` order:
+        coordinate i is 1 in the i-th value and 0 elsewhere."""
+        n = len(self._row().nums)
+        return [self._like(IntRow((0,) * i + (1,) + (0,) * (n - 1 - i), 1))
+                for i in range(n)]
+
     def _compat(self, other):
         if type(other) is not type(self) or other._key() != self._key():
             raise ValueError("%s values are not compatible" % type(self).__name__)
@@ -347,12 +343,6 @@ class Chain(Coords):
 
     def _like(self, row):
         return Chain(self.complex, self.degree, row)
-
-    @classmethod
-    def basis(cls, complex, degree, i):
-        coeffs = [0] * complex.n_simplices(degree)
-        coeffs[i] = 1
-        return cls(complex, degree, coeffs)
 
     def boundary(self):
         mat = self.complex.boundary(self.degree)
@@ -419,12 +409,6 @@ class Cochain(Coords):
     def zero(cls, complex, degree, ring):
         return cls(complex, degree, ring,
                    IntRow((0,) * complex.n_simplices(degree), 1))
-
-    @classmethod
-    def basis(cls, complex, degree, ring, i):
-        nums = [0] * complex.n_simplices(degree)
-        nums[i] = 1
-        return cls(complex, degree, ring, IntRow(nums, 1))
 
     def coboundary(self):
         """(delta x)(sigma) = x(boundary sigma); ring tag preserved."""
@@ -582,8 +566,8 @@ def _cohomology_structure(complex, k):
         [list(v) for v in cocycles], [list(c) for c in coboundaries],
         complex.coboundary_smith(k - 1))
     torsion_gens = tuple(TorsionClass(d, tuple(g), w) for d, g, w in torsion)
-    q_rank = ((nk - complex.coboundary_factored(k).rank)
-              - complex.coboundary_factored(k - 1).rank)
+    q_rank = ((nk - complex.coboundary_smith(k).rank)
+              - complex.coboundary_smith(k - 1).rank)
     return CohomologyStructure(k, tuple(cocycles), tuple(coboundaries),
                                free_gens, torsion_gens, group, q_rank)
 
@@ -734,6 +718,7 @@ def parse_cochain_lines(lines, complex, *, expect_ring=None, start_line=1):
     degree = None
     ring = None
     values = {}
+    fractional = []  # (line, column, message) of each non-integer value
     for lineno, raw in lines:
         toks = _tokenize(raw)
         if not toks:
@@ -767,7 +752,10 @@ def parse_cochain_lines(lines, complex, *, expect_ring=None, start_line=1):
             except KeyError:
                 raise ComplexParseError(lineno, scol,
                                         "no %d-simplex %r" % (degree, simplex))
-            values[idx] = _parse_fraction(toks[2][0], lineno, toks[2][1])
+            v = values[idx] = _parse_fraction(toks[2][0], lineno, toks[2][1])
+            if v.denominator != 1:
+                fractional.append((lineno, toks[2][1], "non-integer value %s "
+                                   "in a Z-cochain" % v))
         else:
             raise ComplexParseError(lineno, kcol, "unknown directive %r" % key)
     if degree is None or ring is None:
@@ -775,6 +763,8 @@ def parse_cochain_lines(lines, complex, *, expect_ring=None, start_line=1):
     if expect_ring is not None and ring is not _as_ring(expect_ring):
         raise ComplexParseError(start_line, 1,
                                 "expected ring %s" % _as_ring(expect_ring).value)
+    if ring is Ring.Z and fractional:
+        raise ComplexParseError(*fractional[0])
     vals = [values.get(i, 0) for i in range(complex.n_simplices(degree))]
     return Cochain(complex, degree, ring, vals)
 

@@ -604,3 +604,70 @@ def sign_flips():
         "iota": lambda w: -orig["iota"](w),
         "i": i_flip,
     }
+
+
+# ---------------------------------------------------------------------------
+# the standard generator lists the checks and cone routines wrote out slot
+# by slot before `Coords.units()` built them through each type's `_like`;
+# kept as the reference for `units()`
+
+def _unit_row(n, i):
+    from hexad.exactalg import IntRow
+    return IntRow([1 if t == i else 0 for t in range(n)], 1)
+
+
+def hand_chain_units(complex, degree):
+    """The old `Chain.basis(complex, degree, i)` over every i."""
+    from hexad.simplicial import Chain
+    n = complex.n_simplices(degree)
+    return [Chain(complex, degree, [1 if t == i else 0 for t in range(n)])
+            for i in range(n)]
+
+
+def hand_cochain_units(complex, degree, ring):
+    """The old `Cochain.basis(complex, degree, ring, i)` over every i."""
+    from hexad.simplicial import Cochain
+    n = complex.n_simplices(degree)
+    return [Cochain(complex, degree, ring, _unit_row(n, i)) for i in range(n)]
+
+
+def hand_whitney_units(complex, degree):
+    """The old `WhitneyForm.elementary(complex, degree, i)` over every i."""
+    from hexad.plforms import WhitneyForm
+    n = complex.n_simplices(degree)
+    return [WhitneyForm(complex, degree, _unit_row(n, i)) for i in range(n)]
+
+
+def hand_cone_units(complex, degree):
+    """The generator list of the old `check_cone_square`: (e_i, 0), then
+    (0, e_j)."""
+    from hexad.cone import ConeCochain
+    from hexad.simplicial import Cochain, Ring
+    out = [ConeCochain(complex, degree, u,
+                       Cochain.zero(complex, degree, Ring.Q))
+           for u in hand_cochain_units(complex, degree + 1, Ring.Z)]
+    out += [ConeCochain(complex, degree,
+                        Cochain.zero(complex, degree + 1, Ring.Z), v)
+            for v in hand_cochain_units(complex, degree, Ring.Q)]
+    return out
+
+
+def hand_diff_units(complex, level, degree):
+    """The generator list of the old `check_dhat_square`: (e_i, 0, 0), then
+    (0, e_j, 0), then, at or above the level, (0, 0, w_l)."""
+    from hexad.hscomplex import DiffCochain
+    from hexad.plforms import WhitneyForm
+    from hexad.simplicial import Cochain, Ring
+    k, q = degree, level
+    curv = WhitneyForm.zero(complex, k) if k >= q else None
+    out = [DiffCochain(complex, q, k, c, Cochain.zero(complex, k - 1, Ring.Q),
+                       curv)
+           for c in hand_cochain_units(complex, k, Ring.Z)]
+    out += [DiffCochain(complex, q, k, Cochain.zero(complex, k, Ring.Z), t,
+                        curv)
+            for t in hand_cochain_units(complex, k - 1, Ring.Q)]
+    if k >= q:
+        out += [DiffCochain(complex, q, k, Cochain.zero(complex, k, Ring.Z),
+                            Cochain.zero(complex, k - 1, Ring.Q), w)
+                for w in hand_whitney_units(complex, k)]
+    return out

@@ -12,6 +12,7 @@ from hexad.hscomplex import load_diff_cochain
 from hexad.hexagon import map_I, map_R
 from hexad.simplicial import (
     Cochain,
+    ComplexParseError,
     Ring,
     SimplicialComplex,
     catalog,
@@ -230,6 +231,74 @@ def test_bare_degree_or_ring_line_exits_two(tmp_path, capsys, kind, text,
     assert run_cli(["witness", "--complex", "circle", "--kind", kind]
                    + files) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,texts,degree", [
+    ("R", ["whitney-form\ndegree -3\nring Q\n"], -3),
+    ("R", ["whitney-form\ndegree 3\nring Q\n"], 3),
+    ("I", ["degree 6\nring Z\n", "degree 6\nring Q\n"], 6),
+    ("I", ["degree 7\nring Z\n", "degree 7\nring Q\n"], 7),
+    ("I", ["degree 0\nring Z\n", "degree 0\nring Q\n"], 0),
+])
+def test_witness_refuses_degrees_outside_the_hexagon(tmp_path, capsys, kind,
+                                                     texts, degree):
+    # the hexagon degrees of the circle are 1..2, as for verify --degree
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / ("f%d" % i))
+        paths[-1].write_text(text)
+    if kind == "I":
+        files = ["--cocycle", str(paths[0]), "--coboundary", str(paths[1])]
+    else:
+        files = ["--form", str(paths[0])]
+    assert run_cli(["witness", "--complex", "circle", "--kind", kind]
+                   + files) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree %d out of range 1..2" % degree)
+
+
+def test_witness_accepts_the_top_hexagon_degree(tmp_path, capsys):
+    # degree dim + 1 has no simplices, so (0, 0) is the only target there
+    c_file, t_file = tmp_path / "c", tmp_path / "t"
+    c_file.write_text("degree 2\nring Z\n")
+    t_file.write_text("degree 2\nring Q\n")
+    assert run_cli(["witness", "--complex", "circle", "--kind", "I",
+                    "--cocycle", str(c_file), "--coboundary", str(t_file),
+                    "--format", "text"]) == 0
+    x = load_diff_cochain(capsys.readouterr().out, catalog("circle"))
+    assert x.degree == 2 and x.is_zero()
+
+
+@pytest.mark.parametrize("text,where", [
+    ("degree 1\nring Z\nvalue 0,1 1\nvalue 1,2 1/2\n", "line 4, column 11"),
+    # the ring may follow the values it types
+    ("degree 1\nvalue 0,2   3/4\nring Z\n", "line 2, column 13"),
+])
+def test_non_integer_value_in_a_z_cochain_names_its_token(tmp_path, capsys,
+                                                           text, where):
+    c_file, t_file = tmp_path / "c", tmp_path / "t"
+    c_file.write_text(text)
+    t_file.write_text("degree 1\nring Q\n")
+    assert run_cli(["witness", "--complex", "circle", "--kind", "I",
+                    "--cocycle", str(c_file), "--coboundary", str(t_file)]
+                   ) == 2
+    err = capsys.readouterr().err
+    assert where in err and "non-integer value" in err
+
+
+@pytest.mark.parametrize("section,text,where", [
+    ("T", "level 1\nsection c\ndegree 1\nring Z\nsection T\n"
+          "# the potential\n  degree 1\nring Q\nsection omega\n"
+          "whitney-form\ndegree 1\nring Q\n", "line 7, column 3"),
+    ("omega", "level 1\nsection c\ndegree 1\nring Z\nsection T\n"
+              "degree 0\nring Q\nsection omega\nwhitney-form\n"
+              "degree 0\nring Q\n", "line 10, column 1"),
+])
+def test_diff_cochain_section_of_the_wrong_degree_names_its_line(section,
+                                                                 text, where):
+    with pytest.raises(ComplexParseError) as err:
+        load_diff_cochain(text, catalog("circle"))
+    assert where in str(err.value) and "section %s" % section in str(err.value)
 
 
 def test_verify_internal_errors_exit_three(monkeypatch, capsys):

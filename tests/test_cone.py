@@ -75,13 +75,13 @@ def test_alpha_gamma_formulas_and_split_exactness():
             assert gamma_cone(ConeCochain(cx, deg, u, v)) == -u
         # exactness on the basis: kernel of gamma is exactly the alpha image
         for j in range(cx.n_simplices(deg)):
-            c = Cochain.basis(cx, deg, Ring.Q, j)
+            c = Cochain.zero(cx, deg, Ring.Q).units()[j]
             z = alpha_cone(c)
             assert z.integral.is_zero()
             assert z.rational == c
         # gamma surjectivity through the explicit preimage (-u, 0)
         for i in range(cx.n_simplices(deg + 1)):
-            u = Cochain.basis(cx, deg + 1, Ring.Z, i)
+            u = Cochain.zero(cx, deg + 1, Ring.Z).units()[i]
             assert gamma_cone(ConeCochain(cx, deg, -u,
                                           Cochain.zero(cx, deg, Ring.Q))) == u
         # elements with zero gamma image are alpha images
@@ -234,12 +234,7 @@ def _cone_cocycle_test_samples(rng, cx, deg):
     the cocycle generators) and those cocycles perturbed in one coordinate
     of each slot: +1 in u, +1/2 in v."""
     zero = ConeCochain.zero(cx, deg)
-    samples = [ConeCochain(cx, deg, Cochain.basis(cx, deg + 1, Ring.Z, i),
-                           zero.rational)
-               for i in range(cx.n_simplices(deg + 1))]
-    samples += [ConeCochain(cx, deg, zero.integral,
-                            Cochain.basis(cx, deg, Ring.Q, j))
-                for j in range(cx.n_simplices(deg))]
+    samples = zero.units()
     samples += [ConeCochain(cx, deg, random_cochain(rng, cx, deg + 1, Ring.Z),
                             random_cochain(rng, cx, deg, Ring.Q))
                 for _ in range(3)]
@@ -255,12 +250,14 @@ def _cone_cocycle_test_samples(rng, cx, deg):
         if cx.n_simplices(deg + 1):
             i = rng.randrange(cx.n_simplices(deg + 1))
             samples.append(z + ConeCochain(
-                cx, deg, Cochain.basis(cx, deg + 1, Ring.Z, i), zero.rational))
+                cx, deg, Cochain.zero(cx, deg + 1, Ring.Z).units()[i],
+                zero.rational))
         if cx.n_simplices(deg):
             j = rng.randrange(cx.n_simplices(deg))
             samples.append(z + ConeCochain(
                 cx, deg, zero.integral,
-                Cochain.basis(cx, deg, Ring.Q, j).scale(Fraction(1, 2))))
+                Cochain.zero(cx, deg, Ring.Q).units()[j].scale(
+                    Fraction(1, 2))))
     return samples
 
 

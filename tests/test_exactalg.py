@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexad.exactalg import (
+    Factored,
     FgAbelianGroup,
     IntRow,
     Matrix,
@@ -266,6 +267,34 @@ def test_smith_split_is_sound_and_complete(case):
         c, x = res
         assert all(type(v) is int for v in c)
         assert [ci + v for ci, v in zip(c, m.mul_vec(x.fractions()))] == b
+
+
+@SPLIT_PROPERTY
+@given(split_queries())
+def test_smith_solve_q_answers_exactly_when_factored_does(case):
+    # split_queries moves b off m Q^k by a fraction half the time, so both
+    # answers occur; 0-row and 0-column matrices are drawn too
+    m, b = case
+    x = smith_form(m).solve_q(b)
+    assert x == smith_form(m).solve_q(IntRow.of(b))
+    assert (x is None) == (Factored(m).solve(b) is None)
+    if x is not None:
+        assert m.mul_vec(x.fractions()) == b
+
+
+def test_smith_solve_q_examples():
+    # 1/2 = 2 * 1/4 over Q though not over Z; a 1 x 0 matrix solves only 0
+    assert smith_form(Matrix(1, 1, [[2]])).solve_q([1]) == IntRow((1,), 2)
+    assert smith_form(Matrix.zeros(1, 0)).solve_q([0]) == IntRow((), 1)
+    assert smith_form(Matrix.zeros(1, 0)).solve_q([1]) is None
+    assert smith_form(Matrix.zeros(0, 2)).solve_q([]) == IntRow((0, 0), 1)
+    # the circle's delta^0: a rational coboundary has zero period
+    delta0 = Matrix(3, 3, [[-1, 1, 0], [0, -1, 1], [-1, 0, 1]])
+    assert smith_form(delta0).solve_q([1, 0, 0]) is None
+    x = smith_form(delta0).solve_q([Fraction(1, 2), 0, Fraction(1, 2)])
+    assert delta0.mul_vec(x.fractions()) == [Fraction(1, 2), 0, Fraction(1, 2)]
+    with pytest.raises(ValueError):
+        smith_form(delta0).solve_q([0, 0])
 
 
 def test_quotient_group_examples():

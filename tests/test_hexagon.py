@@ -62,14 +62,14 @@ def test_map_formulas_on_zero():
 
 def test_map_preconditions():
     cx = catalog("sphere")
-    t = Cochain.basis(cx, 1, Ring.Q, 0)
+    t = Cochain.zero(cx, 1, Ring.Q).units()[0]
     bad = DiffCochain(cx, 2, 2, Cochain.zero(cx, 2, Ring.Z), t,
                       WhitneyForm.zero(cx, 2))
     with pytest.raises(ValueError):
         map_I(bad)
     with pytest.raises(ValueError):
         map_R(bad)
-    noncocycle = ConeCochain(cx, 1, Cochain.basis(cx, 2, Ring.Z, 0),
+    noncocycle = ConeCochain(cx, 1, Cochain.zero(cx, 2, Ring.Z).units()[0],
                              Cochain.zero(cx, 1, Ring.Q))
     if not noncocycle.is_cocycle():
         with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ def test_map_preconditions():
         map_ch(Cochain.zero(circ, 1, Ring.Z),
                Cochain(circ, 1, Ring.Q, [1, 0, 0]))
     # b and iota reject non-closed forms
-    eta = WhitneyForm.elementary(circ, 0, 0)
+    eta = WhitneyForm.zero(circ, 0).units()[0]
     assert not d(eta).is_zero()
     with pytest.raises(ValueError):
         map_b(eta)
@@ -146,7 +146,7 @@ def test_witness_R_surjective():
     zero = WhitneyForm.zero(cx, 1)
     assert map_R(witness_R_surjective(zero)).is_zero()
     # an exact form gets a witness with nullhomologous class
-    eta = WhitneyForm.elementary(cx, 0, 0)
+    eta = WhitneyForm.zero(cx, 0).units()[0]
     x = witness_R_surjective(d(eta))
     assert map_R(x) == d(eta)
     # circle form with period 3: the witness class pairs to 3
@@ -453,3 +453,31 @@ def test_omega_decomposer_raises_when_periods_and_split_disagree(monkeypatch):
     with pytest.raises(ArithmeticError):
         dec.decompose(whitney(Cochain(cx, 1, Ring.Z, [3, 0, 0]).as_q()))
     assert dec.decompose(WhitneyForm(cx, 1, [Fraction(1, 2), 0, 0])) is None
+
+
+@pytest.mark.parametrize("name,k", [("circle", 1), ("projective-plane", 1),
+                                    ("projective-plane", 2),
+                                    ("klein-bottle", 2), ("torus", 2)])
+def test_rational_coboundary_solves_read_the_smith_form(name, k, monkeypatch):
+    # every rational solve and rank against delta reads the complex's Smith
+    # form: on a built context they run with Factored.solve made to raise
+    from hexad.cone import les_exactness
+    from hexad.plforms import find_primitive
+    from hexad.simplicial import cohomology, expected_homology
+    cx = catalog(name)
+    ctx = HexagonContext(cx, k, seed=3, trials=4)
+
+    def refuse(self, b):
+        raise AssertionError("Factored.solve called")
+    monkeypatch.setattr(exactalg.Factored, "solve", refuse)
+    rng = random.Random(k)
+    zero = Cochain.zero(cx, k, Ring.Q)
+    for z in ctx.cocycle_basis_k:
+        t = random_cochain(rng, cx, k - 1, Ring.Q).coboundary()
+        for target in (zero, t):
+            assert map_I(witness_I_surjective(z, target)) == (z, target)
+        assert derham_cochain(d(find_primitive(t))) == t
+    assert les_exactness(ctx).ok
+    assert check_off_diagonal_note(ctx).ok
+    assert [cohomology(cx, j, "Q") for j in range(cx.dim + 1)] == [
+        expected_homology(name)[j][0] for j in range(cx.dim + 1)]

@@ -140,7 +140,7 @@ def test_evaluate_character_examples():
 
 def test_evaluate_character_rejects_bad_input():
     cx = catalog("circle")
-    e = Chain.basis(cx, 1, 0)
+    e = Chain(cx, 1, [0] * cx.n_simplices(1)).units()[0]
     eta = WhitneyForm(cx, 1, [Fraction(1, 3), 0, 0])
     x = DiffCochain(cx, 2, 2, Cochain.zero(cx, 2, Ring.Z),
                     derham_cochain(eta), d(eta))
@@ -148,7 +148,7 @@ def test_evaluate_character_rejects_bad_input():
         evaluate_character(x, e)  # not a cycle
     # a non-cocycle triple is rejected outright
     sphere = catalog("sphere")
-    t = Cochain.basis(sphere, 1, Ring.Q, 0)
+    t = Cochain.zero(sphere, 1, Ring.Q).units()[0]
     bad = DiffCochain(sphere, 2, 2, Cochain.zero(sphere, 2, Ring.Z), t,
                       WhitneyForm.zero(sphere, 2))
     assert not is_cocycle(bad)
@@ -194,19 +194,20 @@ def _slot_perturbations(rng, x):
     out = []
     if cx.n_simplices(k):
         i = rng.randrange(cx.n_simplices(k))
-        out.append(x + DiffCochain(cx, q, k, Cochain.basis(cx, k, Ring.Z, i),
-                                   zero.potential, zero.curvature))
+        out.append(x + DiffCochain(
+            cx, q, k, Cochain.zero(cx, k, Ring.Z).units()[i],
+            zero.potential, zero.curvature))
     if cx.n_simplices(k - 1):
         j = rng.randrange(cx.n_simplices(k - 1))
         out.append(x + DiffCochain(
             cx, q, k, zero.integral,
-            Cochain.basis(cx, k - 1, Ring.Q, j).scale(Fraction(1, 2)),
+            Cochain.zero(cx, k - 1, Ring.Q).units()[j].scale(Fraction(1, 2)),
             zero.curvature))
     if x.curvature is not None and cx.n_simplices(k):
         i = rng.randrange(cx.n_simplices(k))
         out.append(x + DiffCochain(
             cx, q, k, zero.integral, zero.potential,
-            WhitneyForm.elementary(cx, k, i).scale(Fraction(1, 3))))
+            WhitneyForm.zero(cx, k).units()[i].scale(Fraction(1, 3))))
     return out
 
 
@@ -215,17 +216,7 @@ def _diff_cocycle_test_samples(rng, cx, q, k):
     cochain and, at q == k, the hexagon context's generators and samples)
     and those cocycles perturbed in one coordinate of each slot."""
     zero = DiffCochain.zero(cx, q, k)
-    samples = [DiffCochain(cx, q, k, Cochain.basis(cx, k, Ring.Z, i),
-                           zero.potential, zero.curvature)
-               for i in range(cx.n_simplices(k))]
-    samples += [DiffCochain(cx, q, k, zero.integral,
-                            Cochain.basis(cx, k - 1, Ring.Q, j),
-                            zero.curvature)
-                for j in range(cx.n_simplices(k - 1))]
-    if k >= q:
-        samples += [DiffCochain(cx, q, k, zero.integral, zero.potential,
-                                WhitneyForm.elementary(cx, k, i))
-                    for i in range(cx.n_simplices(k))]
+    samples = zero.units()
     samples += [random_diff_cochain(rng, cx, q, k) for _ in range(3)]
     cocycles = [zero] + [dhat(random_diff_cochain(rng, cx, q, k - 1))
                          for _ in range(3)]

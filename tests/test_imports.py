@@ -1,0 +1,44 @@
+"""Every imported name is read by the module that imports it, so a deleted
+code path cannot leave a dead import behind."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(ROOT.glob("src/hexad/*.py")) + sorted(ROOT.glob("tests/*.py"))
+
+
+def unused_imports(source):
+    """(line, name) of each name an import binds that the module never
+    reads; a name listed in `__all__` counts as read."""
+    tree = ast.parse(source)
+    bound = []
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.append((node.lineno, name))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_the_checker_sees_unused_and_exported_names():
+    assert unused_imports("import os\nimport sys\nsys.exit()\n") == [(1, "os")]
+    assert unused_imports("from a import b as c\n__all__ = ['c']\n") == []
+    assert unused_imports("import a.b\na.b.c()\n") == []
+    assert unused_imports("def f():\n    from x import y\n") == [(2, "y")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

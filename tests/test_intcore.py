@@ -425,3 +425,30 @@ def test_solvers_reject_wrong_length_introw():
         Factored(Matrix.identity(2)).solve(IntRow((1, 2, 3), 1))
     with pytest.raises(ValueError):
         MixedSolver(MixedSubgroup(2, [[1, 0]])).membership(IntRow((1,), 1))
+
+
+def _same_values(got, expected):
+    assert got == expected
+    assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_units_equal_the_hand_written_generator_lists(name):
+    # units() of every type, in every degree around the complex's range
+    # (differential cochains below, at and above their level), equals the
+    # list the checks used to write out slot by slot
+    cx = catalog(name)
+    degrees = range(-1, cx.dim + 3)
+    for k in degrees:
+        _same_values(Chain(cx, k, [0] * cx.n_simplices(k)).units(),
+                     oracles.hand_chain_units(cx, k))
+        for ring in Ring:
+            _same_values(Cochain.zero(cx, k, ring).units(),
+                         oracles.hand_cochain_units(cx, k, ring))
+        _same_values(WhitneyForm.zero(cx, k).units(),
+                     oracles.hand_whitney_units(cx, k))
+        _same_values(ConeCochain.zero(cx, k).units(),
+                     oracles.hand_cone_units(cx, k))
+        for q in range(1, cx.dim + 2):
+            _same_values(DiffCochain.zero(cx, q, k).units(),
+                         oracles.hand_diff_units(cx, q, k))

@@ -31,18 +31,18 @@ def random_q_cochain(rng, cx, k):
 
 def test_integration_normalization():
     cx = catalog("circle")
-    w = WhitneyForm.elementary(cx, 1, 0)
-    assert integrate(w, Chain.basis(cx, 1, 0)) == 1
-    assert integrate(w, Chain.basis(cx, 1, 2)) == 0
+    w = WhitneyForm.zero(cx, 1).units()[0]
+    assert integrate(w, Chain(cx, 1, [0] * cx.n_simplices(1)).units()[0]) == 1
+    assert integrate(w, Chain(cx, 1, [0] * cx.n_simplices(1)).units()[2]) == 0
     z = Chain(cx, 1, CIRCLE_CYCLE)
     assert integrate(w.scale(2), z) == 2 * CIRCLE_CYCLE[0]
     with pytest.raises(ValueError):
-        integrate(w, Chain.basis(cx, 0, 0))
+        integrate(w, Chain(cx, 0, [0] * cx.n_simplices(0)).units()[0])
 
 
 def test_d_matches_coboundary_of_indicator():
     cx = catalog("circle")
-    w0 = WhitneyForm.elementary(cx, 0, 0)
+    w0 = WhitneyForm.zero(cx, 0).units()[0]
     x = Cochain(cx, 0, Ring.Q, [1, 0, 0])
     assert derham_cochain(d(w0)) == x.coboundary()
     assert d(WhitneyForm.zero(cx, 0)).is_zero()
@@ -76,7 +76,7 @@ def test_periods_and_omega_A_membership():
     assert in_omega_A(three)
     assert in_omega_A(WhitneyForm.zero(cx, 1))
     with pytest.raises(ValueError):
-        period_vector(WhitneyForm.elementary(cx, 0, 0))  # not closed
+        period_vector(WhitneyForm.zero(cx, 0).units()[0])  # not closed
 
 
 def test_omega_A_invariant_under_exact_shifts():

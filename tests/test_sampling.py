@@ -67,11 +67,12 @@ def test_combine_checks_compatibility():
     cx = catalog("circle")
     zero = Cochain.zero(cx, 1, Ring.Z)
     with pytest.raises(ValueError):
-        combine(zero, [1], [Cochain.basis(cx, 1, Ring.Q, 0)], (), ())
+        combine(zero, [1], [Cochain.zero(cx, 1, Ring.Q).units()[0]], (), ())
     with pytest.raises(ValueError):
-        combine(zero, [1], [Cochain.basis(cx, 0, Ring.Z, 0)], (), ())
+        combine(zero, [1], [Cochain.zero(cx, 0, Ring.Z).units()[0]], (), ())
     # zero coefficients are skipped, so they never combine anything
-    assert combine(zero, [0], [Cochain.basis(cx, 0, Ring.Z, 0)], (), ()) == zero
+    unit = Cochain.zero(cx, 0, Ring.Z).units()[0]
+    assert combine(zero, [0], [unit], (), ()) == zero
 
 
 def clone(rng):
