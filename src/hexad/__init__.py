@@ -14,9 +14,6 @@ from .exactalg import (
     FgAbelianGroup,
     Matrix,
     Rational,
-    hnf_solve,
-    quotient_group,
-    rational_solve,
     smith_form,
 )
 from .simplicial import (
@@ -115,7 +112,6 @@ __all__ = [
     "evaluate_character",
     "find_primitive",
     "gamma_cone",
-    "hnf_solve",
     "in_omega_A",
     "integrate",
     "is_cocycle",
@@ -130,8 +126,6 @@ __all__ = [
     "map_i",
     "map_iota",
     "period_vector",
-    "quotient_group",
-    "rational_solve",
     "run_all_checks",
     "smith_form",
     "validate",

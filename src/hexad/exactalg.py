@@ -8,12 +8,11 @@ over Q it can be checked exactly.  `Rational` is an alias for `Fraction`.
 A rational vector is kept as an `IntRow`, integer numerators over one
 denominator, so vector arithmetic and solves run on integers.
 
-The module provides Smith normal form with unimodular transforms (and
-the inverse of the row transform), integer and rational linear solvers,
-and decision procedures for subgroups of Q^n that mix a lattice part
-(integer spans) with a vector-space part (rational spans).  Membership
-answers always come with a witness or a certificate that re-verifies
-independently.
+The module provides Smith normal form with unimodular transforms and
+their inverses, integer and rational linear solvers, and decision
+procedures for subgroups of Q^n that mix a lattice part (integer spans)
+with a vector-space part (rational spans).  Membership answers always
+come with a witness or a certificate that re-verifies independently.
 """
 
 from __future__ import annotations
@@ -162,9 +161,6 @@ class Matrix:
         data = [[col[i] for col in columns] for i in range(rows)]
         return cls(rows, len(columns), data)
 
-    def row(self, i):
-        return list(self.data[i])
-
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -215,12 +211,13 @@ class Matrix:
 @dataclass(frozen=True)
 class SmithForm:
     """u * m * v == d with u, v unimodular and d diagonal, d_1 | d_2 | ...;
-    u_inv is the inverse of u."""
+    u_inv and v_inv are the inverses of u and v."""
 
     u: Matrix
     d: Matrix
     v: Matrix
     u_inv: Matrix
+    v_inv: Matrix
 
     @property
     def rank(self):
@@ -232,26 +229,13 @@ class SmithForm:
         return [self.d.data[i][i] for i in range(n)]
 
     def solve(self, b):
-        """Integer x with m*x == b, or None when there is none.
-
-        With m = u_inv d v^-1 the system splits into one divisibility
-        condition per invariant factor.
-        """
-        if len(b) != self.d.rows:
-            raise ValueError("right-hand side length does not match")
-        w = self.u.mul_vec(b)
-        diag = self.diagonal
-        y = [0] * self.d.cols
-        for i, wi in enumerate(w):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if wi != 0:
-                    return None
-            else:
-                if wi % d != 0:
-                    return None
-                y[i] = wi // d
-        return self.v.mul_vec(y)
+        """Integer x with m*x == b as a list, or None: `solve_q(b)` when it
+        is integral, which, with its free coordinates 0 and v unimodular,
+        is exactly when some integer solution exists."""
+        x = self.solve_q(b)
+        if x is None or x.den != 1:
+            return None
+        return list(x.nums)
 
     def split(self, b):
         """(c, x) with b == c + m*x, c a list of ints and x an IntRow, or
@@ -292,10 +276,9 @@ class SmithForm:
                       bden * top)
 
     def kernel(self):
-        """Z-basis of the integer kernel {x : m*x == 0}, as column vectors."""
-        n = min(self.d.rows, self.d.cols)
-        return [self.v.column(j) for j in range(self.d.cols)
-                if j >= n or self.d.data[j][j] == 0]
+        """Z-basis of the integer kernel {x : m*x == 0}, as column vectors:
+        columns r, r+1, ... of v, r the rank."""
+        return [self.v.column(j) for j in range(self.rank, self.d.cols)]
 
 
 def smith_form(m):
@@ -309,6 +292,7 @@ def smith_form(m):
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     uinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    vinv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def row_swap(i, j):
         if i == j:
@@ -325,6 +309,7 @@ def smith_form(m):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
@@ -349,6 +334,7 @@ def smith_form(m):
             row[i] += q * row[j]
         for row in v:
             row[i] += q * row[j]
+        vinv[j] = [s - q * w for s, w in zip(vinv[j], vinv[i])]
 
     def row_gcd(i, j, col):
         # combine rows i and j so a[i][col] = gcd, a[j][col] = 0
@@ -394,6 +380,9 @@ def smith_form(m):
                 s, w = rr[i], rr[j]
                 rr[i] = x * s + y * w
                 rr[j] = pp * w - qq * s
+        vi, vj = vinv[i], vinv[j]
+        vinv[i] = [pp * s + qq * w for s, w in zip(vi, vj)]
+        vinv[j] = [x * w - y * s for s, w in zip(vi, vj)]
 
     n = min(r, c)
     for t in range(n):
@@ -451,9 +440,11 @@ def smith_form(m):
         d=Matrix(r, c, a),
         v=Matrix(c, c, v),
         u_inv=Matrix(r, r, uinv),
+        v_inv=Matrix(c, c, vinv),
     )
 
 
+# One-shot wrappers: no CLI path runs them; perfbench/tracer.py TARGETS names them.
 def kernel_basis(m):
     """Z-basis of the integer kernel {x : m*x == 0}, as column vectors.
 
@@ -577,6 +568,7 @@ class Factored:
         return basis
 
 
+# One-shot wrappers: no CLI path runs them; perfbench/tracer.py TARGETS names them.
 def rational_rank(a):
     return Factored(a).rank
 

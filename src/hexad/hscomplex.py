@@ -226,10 +226,11 @@ def format_diff_cochain(x):
 
 
 def load_diff_cochain(text, complex):
-    from .plforms import load_whitney_form
+    from .plforms import parse_whitney_lines
     from .simplicial import ComplexParseError, parse_cochain_lines
     level = None
     sections = {}
+    opened_at = {}  # section -> line of its `section` line
     degree_at = {}  # section -> (line, column) of its degree line
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -248,6 +249,7 @@ def load_diff_cochain(text, complex):
                                         "section must be c, T or omega")
             current = toks[1]
             sections[current] = []
+            opened_at[current] = lineno
             continue
         if current is None:
             raise ComplexParseError(lineno, 1, "content outside any section")
@@ -258,12 +260,13 @@ def load_diff_cochain(text, complex):
         raise ComplexParseError(1, 1, "missing level line")
     if "c" not in sections or "T" not in sections:
         raise ComplexParseError(1, 1, "sections c and T are required")
-    c = parse_cochain_lines(sections["c"], complex, expect_ring=Ring.Z)
-    t = parse_cochain_lines(sections["T"], complex, expect_ring=Ring.Q)
+    c, t = (parse_cochain_lines(sections[s], complex, opened_at[s],
+                                expect_ring=ring)
+            for s, ring in (("c", Ring.Z), ("T", Ring.Q)))
     curvature = None
     if "omega" in sections:
-        body = "\n".join(raw for _, raw in sections["omega"])
-        curvature = load_whitney_form(body, complex)
+        curvature = parse_whitney_lines(sections["omega"], complex,
+                                        opened_at["omega"])
     for name, part, want in (("T", t, c.degree - 1),
                              ("omega", curvature, c.degree)):
         if part is not None and part.degree != want:

@@ -159,8 +159,15 @@ def format_whitney_form(form):
 
 
 def load_whitney_form(text, complex):
+    return parse_whitney_lines(list(enumerate(text.splitlines(), start=1)),
+                               complex, 1)
+
+
+def parse_whitney_lines(lines, complex, header_line):
+    """Parse a `whitney-form` header and its cochain lines, given as (line
+    number, text) pairs; lines holding no header are reported at
+    `header_line`, the line that opens them (1 for a whole file)."""
     from .simplicial import ComplexParseError, parse_cochain_lines
-    lines = list(enumerate(text.splitlines(), start=1))
     header = None
     body = []
     for lineno, raw in lines:
@@ -175,6 +182,6 @@ def load_whitney_form(text, complex):
             continue
         body.append((lineno, raw))
     if header is None:
-        raise ComplexParseError(1, 1, "expected whitney-form header")
-    cochain = parse_cochain_lines(body, complex, expect_ring=Ring.Q)
-    return whitney(cochain)
+        raise ComplexParseError(header_line, 1, "expected whitney-form header")
+    return whitney(parse_cochain_lines(body, complex, header,
+                                       expect_ring=Ring.Q))

@@ -6,8 +6,22 @@ reduction without transform tracking, brute-force enumeration), so test
 expectations do not depend on the code under test.
 """
 
+import importlib.util
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_complexes():
+    """perfbench/complexes.py, loaded by path: the benchmark's generated
+    complexes and its own homology oracle."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_complexes", PERFBENCH / "complexes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def oracle_smith_diagonal(rows):
@@ -148,6 +162,16 @@ KLEIN_BOTTLE = [(0, 1, 5), (0, 3, 5), (1, 2, 6), (1, 5, 6), (0, 2, 3), (2, 3, 6)
                 (2, 4, 7), (0, 2, 4), (1, 7, 8), (1, 2, 7), (0, 4, 8), (0, 1, 8)]
 POINT = [(0,)]
 INTERVAL = [(0, 1)]
+
+CATALOG_FACETS = {
+    "point": POINT,
+    "interval": INTERVAL,
+    "circle": CIRCLE,
+    "sphere": SPHERE,
+    "torus": TORUS,
+    "projective-plane": PROJECTIVE_PLANE,
+    "klein-bottle": KLEIN_BOTTLE,
+}
 
 
 def oracle_eliminate(rows, ncols, rhs=None):

@@ -1,10 +1,9 @@
 import hashlib
-import importlib.util
 import json
-import os
 
 import pytest
 
+import oracles
 from hexad import hexagon
 from hexad.cli import main
 from hexad.plforms import format_whitney_form, whitney
@@ -301,6 +300,29 @@ def test_diff_cochain_section_of_the_wrong_degree_names_its_line(section,
     assert where in str(err.value) and "section %s" % section in str(err.value)
 
 
+_C_AND_T = "level 1\nsection c\ndegree 1\nring Z\nsection T\n"
+
+
+@pytest.mark.parametrize("text,where,reason", [
+    # errors inside the omega section are read at their own file lines
+    (_C_AND_T + "degree 0\nring Q\nsection omega\nwhitney-form\n"
+     "degree 1\nring Q\nvalue 0,1 x\n", (12, 11), "expected p or p/q"),
+    # a missing line, a wrong ring or a missing header names the section
+    (_C_AND_T + "degree 0\n", (5, 1), "needs degree and ring"),
+    (_C_AND_T + "degree 0\nring Z\n", (5, 1), "expected ring Q"),
+    (_C_AND_T + "degree 0\nring Q\n\nsection omega\n", (9, 1),
+     "whitney-form header"),
+    (_C_AND_T + "degree 0\nring Q\nsection omega\nwhitney-form\n"
+     "# no degree\nring Q\n", (9, 1), "needs degree and ring"),
+], ids=["omega-value", "T-no-ring", "T-wrong-ring", "omega-no-header",
+        "omega-no-degree"])
+def test_diff_cochain_errors_name_their_file_line(text, where, reason):
+    with pytest.raises(ComplexParseError) as err:
+        load_diff_cochain(text, catalog("circle"))
+    assert (err.value.line, err.value.column) == where
+    assert reason in str(err.value)
+
+
 def test_verify_internal_errors_exit_three(monkeypatch, capsys):
     # a raise while checks run on validated inputs is an internal error,
     # not a parse or validation error, and it never escapes as a traceback
@@ -425,12 +447,8 @@ def test_seeds_are_refused_from_two_to_the_64(capsys):
 def test_grid_verify_report_matches_the_recorded_digest(tmp_path):
     # the grid-verify workload's T_4 report at seed 3, built as the
     # benchmark builds it, against the digest the benchmark records
-    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_complexes", os.path.join(bench, "complexes.py"))
-    complexes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(complexes)
-    with open(os.path.join(bench, "hashes.json")) as fh:
+    complexes = oracles.perfbench_complexes()
+    with open(oracles.PERFBENCH / "hashes.json") as fh:
         digest = json.load(fh)["grid-verify"]["3"]["verify-T4"]
     cplx = tmp_path / "T4.cplx"
     cplx.write_text(complexes.generate("T4", *complexes.grid_torus(4), 3))

@@ -1,5 +1,7 @@
 """Every imported name is read by the module that imports it, so a deleted
-code path cannot leave a dead import behind."""
+code path cannot leave a dead import behind; and only `exactalg` touches
+the Gauss-Jordan and mixed-subgroup solver layer, so the CLI paths solve
+every system on the complexes' Smith forms."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(ROOT.glob("src/hexad/*.py")) + sorted(ROOT.glob("tests/*.py"))
+SOLVER_LAYER = {"Factored", "rational_rank", "rational_solve", "rational_kernel",
+                "hnf_solve", "kernel_basis", "quotient_group", "MixedSolver"}
 
 
 def unused_imports(source):
@@ -42,3 +46,37 @@ def test_the_checker_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def solver_layer_names(source):
+    """(line, name) of each import, name or attribute in the source that
+    refers to the solver layer."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n in SOLVER_LAYER]
+    return found
+
+
+def test_the_checker_sees_solver_layer_names():
+    assert solver_layer_names("from .exactalg import Factored, Matrix\n") == [
+        (1, "Factored")]
+    assert solver_layer_names("x = exactalg.rational_rank(m)\n") == [
+        (1, "rational_rank")]
+    assert solver_layer_names("MixedSolver(g)\nsmith_form(m)\n") == [
+        (1, "MixedSolver")]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(ROOT.glob("src/hexad/*.py"))
+             if p.name != "exactalg.py"],
+    ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_exactalg_touches_the_solver_layer(path):
+    assert solver_layer_names(path.read_text(encoding="utf-8")) == []

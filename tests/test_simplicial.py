@@ -24,28 +24,19 @@ from hexad.simplicial import (
 )
 import oracles
 
-ORACLE_FACETS = {
-    "point": oracles.POINT,
-    "interval": oracles.INTERVAL,
-    "circle": oracles.CIRCLE,
-    "sphere": oracles.SPHERE,
-    "torus": oracles.TORUS,
-    "projective-plane": oracles.PROJECTIVE_PLANE,
-    "klein-bottle": oracles.KLEIN_BOTTLE,
-}
 
-
-@pytest.mark.parametrize("name", sorted(ORACLE_FACETS))
+@pytest.mark.parametrize("name", sorted(oracles.CATALOG_FACETS))
 def test_catalog_matches_oracle_homology(name):
     cx = catalog(name)
     stored = expected_homology(name)
     for k in range(cx.dim + 1):
-        rank, torsion = oracles.oracle_homology(list(ORACLE_FACETS[name]), k)
+        rank, torsion = oracles.oracle_homology(
+            list(oracles.CATALOG_FACETS[name]), k)
         assert cx.homology_structure(k).group == FgAbelianGroup(rank, tuple(torsion))
         assert stored[k] == (rank, tuple(torsion))
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_FACETS))
+@pytest.mark.parametrize("name", sorted(oracles.CATALOG_FACETS))
 def test_boundary_squares_to_zero(name):
     cx = catalog(name)
     for k in range(2, cx.dim + 1):
@@ -73,7 +64,7 @@ def test_coboundary_indicator_example():
     assert const.coboundary().is_zero()
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_FACETS))
+@pytest.mark.parametrize("name", sorted(oracles.CATALOG_FACETS))
 @pytest.mark.parametrize("ring", (Ring.Z, Ring.Q, Ring.QMODZ))
 def test_coboundary_squares_to_zero(name, ring):
     rng = random.Random(9)
@@ -95,7 +86,7 @@ def test_cohomology_examples():
     assert cohomology(catalog("projective-plane"), 2, Ring.Z) == FgAbelianGroup(0, (2,))
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_FACETS))
+@pytest.mark.parametrize("name", sorted(oracles.CATALOG_FACETS))
 def test_cohomology_ranks_match_universal_coefficients(name):
     cx = catalog(name)
     for k in range(cx.dim + 1):
@@ -107,7 +98,7 @@ def test_cohomology_ranks_match_universal_coefficients(name):
         assert finite.torsion_factors == hom.torsion_factors
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_FACETS))
+@pytest.mark.parametrize("name", sorted(oracles.CATALOG_FACETS))
 def test_cohomology_z_matches_quotient_group_oracle(name):
     # H^k(Z) is read off the complex's cohomology structure; quotient_group
     # recomputes cocycles modulo coboundaries from the generators alone
@@ -269,6 +260,18 @@ def test_cochain_file_round_trip():
         assert (err.value.line, err.value.column) == (line, 1)
 
 
+def test_load_cochain_refuses_degrees_outside_the_complex():
+    # a negative degree must not wrap around to the top simplices
+    cx = catalog("circle")
+    for degree in (-1, 2):
+        with pytest.raises(KeyError):
+            cx.index_of(degree, (0, 2))
+        with pytest.raises(ComplexParseError) as err:
+            load_cochain("degree %d\nring Q\nvalue 0,2 5\n" % degree, cx)
+        assert (err.value.line, err.value.column) == (3, 7)
+    assert cx.index_of(1, (0, 2)) == 1
+
+
 def test_qmodz_representatives_reduced():
     cx = catalog("circle")
     c = Cochain(cx, 0, Ring.QMODZ, [Fraction(7, 3), Fraction(-1, 4), 2])
@@ -294,7 +297,7 @@ def test_chain_rejects_fractional_coefficients():
     assert Chain(cx, 1, [2, 0, 0]).scale(Fraction(1, 2)) == Chain(cx, 1, [1, 0, 0])
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_FACETS))
+@pytest.mark.parametrize("name", sorted(oracles.CATALOG_FACETS))
 def test_construction_reduces_no_matrix_twice(name, monkeypatch):
     # top-degree cohomology and H_0 reuse the Smith form the complex
     # already keeps instead of reducing their relations matrix again
@@ -308,6 +311,6 @@ def test_construction_reduces_no_matrix_twice(name, monkeypatch):
         return real(m)
 
     monkeypatch.setattr(simplicial, "smith_form", recording)
-    facets = ORACLE_FACETS[name]
+    facets = oracles.CATALOG_FACETS[name]
     SimplicialComplex.from_facets(name, 1 + max(max(f) for f in facets), facets)
     assert len(reduced) == len(set(reduced))
