@@ -260,9 +260,10 @@ def load_diff_cochain(text, complex):
         raise ComplexParseError(1, 1, "missing level line")
     if "c" not in sections or "T" not in sections:
         raise ComplexParseError(1, 1, "sections c and T are required")
-    c, t = (parse_cochain_lines(sections[s], complex, opened_at[s],
-                                expect_ring=ring)
-            for s, ring in (("c", Ring.Z), ("T", Ring.Q)))
+    c = parse_cochain_lines(sections["c"], complex, opened_at["c"],
+                            expect_ring=Ring.Z)
+    t = parse_cochain_lines(sections["T"], complex, opened_at["T"],
+                            expect_ring=Ring.Q)
     curvature = None
     if "omega" in sections:
         curvature = parse_whitney_lines(sections["omega"], complex,
