@@ -8,11 +8,12 @@ over Q it can be checked exactly.  `Rational` is an alias for `Fraction`.
 A rational vector is kept as an `IntRow`, integer numerators over one
 denominator, so vector arithmetic and solves run on integers.
 
-The module provides Smith normal form with unimodular transforms and
-their inverses, integer and rational linear solvers, and decision
-procedures for subgroups of Q^n that mix a lattice part (integer spans)
-with a vector-space part (rational spans).  Membership answers always
-come with a witness or a certificate that re-verifies independently.
+The module provides Smith normal form with unimodular transforms (and
+the inverse of the row transform), integer and rational linear solvers,
+and decision procedures for subgroups of Q^n that mix a lattice part
+(integer spans) with a vector-space part (rational spans).  Membership
+answers always come with a witness or a certificate that re-verifies
+independently.
 """
 
 from __future__ import annotations
@@ -211,13 +212,12 @@ class Matrix:
 @dataclass(frozen=True)
 class SmithForm:
     """u * m * v == d with u, v unimodular and d diagonal, d_1 | d_2 | ...;
-    u_inv and v_inv are the inverses of u and v."""
+    u_inv is the inverse of u."""
 
     u: Matrix
     d: Matrix
     v: Matrix
     u_inv: Matrix
-    v_inv: Matrix
 
     @property
     def rank(self):
@@ -292,7 +292,6 @@ def smith_form(m):
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     uinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    vinv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def row_swap(i, j):
         if i == j:
@@ -309,7 +308,6 @@ def smith_form(m):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
@@ -334,7 +332,6 @@ def smith_form(m):
             row[i] += q * row[j]
         for row in v:
             row[i] += q * row[j]
-        vinv[j] = [s - q * w for s, w in zip(vinv[j], vinv[i])]
 
     def row_gcd(i, j, col):
         # combine rows i and j so a[i][col] = gcd, a[j][col] = 0
@@ -380,9 +377,6 @@ def smith_form(m):
                 s, w = rr[i], rr[j]
                 rr[i] = x * s + y * w
                 rr[j] = pp * w - qq * s
-        vi, vj = vinv[i], vinv[j]
-        vinv[i] = [pp * s + qq * w for s, w in zip(vi, vj)]
-        vinv[j] = [x * w - y * s for s, w in zip(vi, vj)]
 
     n = min(r, c)
     for t in range(n):
@@ -440,7 +434,6 @@ def smith_form(m):
         d=Matrix(r, c, a),
         v=Matrix(c, c, v),
         u_inv=Matrix(r, r, uinv),
-        v_inv=Matrix(c, c, vinv),
     )
 
 

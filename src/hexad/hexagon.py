@@ -512,10 +512,10 @@ def check_main_diagonal(ctx):
     # Whitney basis
     i_images = [map_i(z) for z in ctx.cone_lattice[:ctx.n_trivial]]
     bad = _without_unit_pivot(i_images)
-    run.require(bad is None, "i has zero kernel (rank computation)", image=bad)
+    run.require(bad is None, "i has zero kernel (unit pivot)", image=bad)
     a_images = [map_a(eta) for eta in WhitneyForm.zero(cx, k - 1).units()]
     bad = _without_unit_pivot(a_images)
-    run.require(bad is None, "a has zero kernel (rank computation)", image=bad)
+    run.require(bad is None, "a has zero kernel (unit pivot)", image=bad)
     return run.report()
 
 

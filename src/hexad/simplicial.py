@@ -16,6 +16,7 @@ from itertools import combinations
 from operator import add, mul, sub
 
 from .exactalg import (
+    Factored,
     FgAbelianGroup,
     IntRow,
     Matrix,
@@ -498,42 +499,44 @@ class HomologyStructure:
     group: FgAbelianGroup
 
 
-def _quotient_presentation(kernel_smith, image_cols, image_smith):
+def _quotient_presentation(kernel_vecs, image_cols, image_smith):
     """Shared kernel-mod-image bookkeeping.
 
-    kernel_smith: Smith form of the map whose integer kernel is presented
+    kernel_vecs: Z-basis of the kernel lattice (list of int vectors)
     image_cols: generators of the image sublattice (each a kernel member)
     image_smith: Smith form of the matrix op whose integer solutions
         certify `order * gen = op(x)`
 
-    Returns (kernel_basis, free_gens, torsion_list, group) where
-    kernel_basis is `kernel_smith.kernel()` and torsion_list has entries
+    Returns (free_gens, torsion_list, group) where torsion_list has entries
     (order, gen_vector, solver_witness).
     """
-    kernel_vecs = kernel_smith.kernel()
     z = len(kernel_vecs)
     if z == 0:
-        return kernel_vecs, (), (), FgAbelianGroup(0)
+        return (), (), FgAbelianGroup(0)
     ambient = len(kernel_vecs[0])
-    # the kernel basis is columns r, r+1, ... of v, so a kernel member x
-    # has coordinates rows r, r+1, ... of v_inv*x, and rows below r vanish;
-    # with r == 0 (top-degree cohomology, H_0) v is the identity and the
-    # relations matrix is the image matrix itself, already reduced
-    r = kernel_smith.rank
-    if r == 0:
-        f = image_smith
+    kernel_mat = Matrix.from_columns(kernel_vecs, rows=ambient)
+    # with the standard basis as kernel basis (top-degree cohomology, H_0)
+    # the relations matrix is the image matrix itself, already reduced
+    standard = kernel_mat == Matrix.identity(ambient)
+    if standard:
+        coords = image_cols
     else:
+        kernel_fact = Factored(kernel_mat)
         coords = []
         for col in image_cols:
-            y = kernel_smith.v_inv.mul_vec(col)
-            if any(y[:r]):
+            sol = kernel_fact.solve(col)
+            if sol is None or sol.den != 1:
                 raise ArithmeticError("image generator is not in the kernel lattice")
-            coords.append(y[r:])
-        f = smith_form(Matrix.from_columns(coords, rows=z))
-    diag = f.diagonal
+            coords.append(list(sol.nums))
+    if coords:
+        f = image_smith if standard else smith_form(Matrix.from_columns(coords, rows=z))
+        diag = f.diagonal
+        new_basis = [f.u_inv.column(i) for i in range(z)]
+    else:
+        diag = []
+        new_basis = [[1 if t == i else 0 for t in range(z)] for i in range(z)]
     gens = []
-    for i in range(z):
-        vec = f.u_inv.column(i)
+    for vec in new_basis:
         g = [0] * ambient
         for coeff, kb in zip(vec, kernel_vecs):
             if coeff:
@@ -549,7 +552,7 @@ def _quotient_presentation(kernel_smith, image_cols, image_smith):
                 raise ArithmeticError("torsion witness system has no solution")
             torsion.append((d, gens[i], tuple(wit)))
     group = FgAbelianGroup(z - rank_img, tuple(d for d, _, _ in torsion))
-    return kernel_vecs, free_gens, tuple(torsion), group
+    return free_gens, tuple(torsion), group
 
 
 def _cohomology_structure(complex, k):
@@ -557,15 +560,15 @@ def _cohomology_structure(complex, k):
     nk = complex.n_simplices(k)
     if nk == 0:
         return CohomologyStructure(k, (), (), (), (), FgAbelianGroup(0), 0)
-    coboundaries = [delta_prev.column(j) for j in range(delta_prev.cols)]
-    cocycles, free_gens, torsion, group = _quotient_presentation(
-        complex.coboundary_smith(k), coboundaries,
+    cocycles = [tuple(v) for v in complex.coboundary_smith(k).kernel()]
+    coboundaries = [tuple(delta_prev.column(j)) for j in range(delta_prev.cols)]
+    free_gens, torsion, group = _quotient_presentation(
+        [list(v) for v in cocycles], [list(c) for c in coboundaries],
         complex.coboundary_smith(k - 1))
     torsion_gens = tuple(TorsionClass(d, tuple(g), w) for d, g, w in torsion)
     q_rank = ((nk - complex.coboundary_smith(k).rank)
               - complex.coboundary_smith(k - 1).rank)
-    return CohomologyStructure(k, tuple(map(tuple, cocycles)),
-                               tuple(map(tuple, coboundaries)),
+    return CohomologyStructure(k, tuple(cocycles), tuple(coboundaries),
                                free_gens, torsion_gens, group, q_rank)
 
 
@@ -574,12 +577,13 @@ def _homology_structure(complex, k):
     nk = complex.n_simplices(k)
     if nk == 0:
         return HomologyStructure(k, (), (), (), (), FgAbelianGroup(0))
-    boundaries = [bd_next.column(j) for j in range(bd_next.cols)]
-    cycles, free_cycles, torsion, group = _quotient_presentation(
-        complex.boundary_smith(k), boundaries, complex.boundary_smith(k + 1))
+    cycles = [tuple(v) for v in complex.boundary_smith(k).kernel()]
+    boundaries = [tuple(bd_next.column(j)) for j in range(bd_next.cols)]
+    free_cycles, torsion, group = _quotient_presentation(
+        [list(v) for v in cycles], [list(c) for c in boundaries],
+        complex.boundary_smith(k + 1))
     torsion_cycles = tuple(TorsionCycle(d, tuple(g), w) for d, g, w in torsion)
-    return HomologyStructure(k, tuple(map(tuple, cycles)),
-                             tuple(map(tuple, boundaries)),
+    return HomologyStructure(k, tuple(cycles), tuple(boundaries),
                              free_cycles, torsion_cycles, group)
 
 

