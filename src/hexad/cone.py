@@ -51,23 +51,8 @@ class ConeCochain(Coords):
     def _key(self):
         return (self.complex, self.degree)
 
-    def _row(self):
-        # integral values, then rational values, over one denominator;
-        # joined on first use and kept
-        row = self._joined
-        if row is None:
-            row = self._joined = IntRow.join((self.integral.row,
-                                              self.rational.row))
-        return row
-
-    def _like(self, row):
-        cx, k = self.complex, self.degree
-        nums, den = row
-        n = len(self.integral.row.nums)
-        z = ConeCochain(cx, k, Cochain(cx, k + 1, Ring.Z, IntRow(nums[:n], den)),
-                        Cochain(cx, k, Ring.Q, IntRow(nums[n:], den)))
-        z._joined = row
-        return z
+    def _slots(self):
+        return self.integral, self.rational
 
     def is_cocycle(self):
         """Whether delta_cone(self) == 0, decided on the integer rows

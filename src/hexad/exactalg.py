@@ -53,10 +53,10 @@ class IntRow(namedtuple("IntRow", "nums den")):
     @classmethod
     def of(cls, values):
         """The IntRow of a sequence of ints, Fractions or anything Fraction
-        accepts; an IntRow is returned as it is."""
+        accepts but floats; an IntRow is returned as it is."""
         if type(values) is cls:
             return values
-        vals = [v if type(v) is int or type(v) is Fraction else Fraction(v)
+        vals = [v if type(v) is int or type(v) is Fraction else _exact(v)
                 for v in values]
         den = lcm(*[v.denominator for v in vals])
         return cls([v.numerator * (den // v.denominator) for v in vals], den)
@@ -89,16 +89,25 @@ class IntRow(namedtuple("IntRow", "nums den")):
         return cls(nums, den)
 
     def scaled(self, s):
-        """s * self for an int or a Fraction (anything else goes through
-        Fraction)."""
+        """s * self for an int or a Fraction (anything else but a float
+        goes through Fraction)."""
         if type(s) is not int and type(s) is not Fraction:
-            s = Fraction(s)
+            s = _exact(s)
         return IntRow([x * s.numerator for x in self.nums],
                       self.den * s.denominator)
 
     def fractions(self):
         """The coordinates as Fractions."""
         return tuple([Fraction(x, self.den) for x in self.nums])
+
+
+def _exact(v):
+    """Fraction(v) for anything but a float, whose binary value is not the
+    decimal it was written as (0.1 is 3602879701896397/2**55)."""
+    if isinstance(v, float):
+        raise TypeError("float %r in exact arithmetic; pass an int, a "
+                        "Fraction or a string such as '1/10'" % (v,))
+    return Fraction(v)
 
 
 def xgcd(a, b):

@@ -106,10 +106,8 @@ def map_ch(c, t):
     """ch(c, t) = j(c) + t for an integral cocycle c and coboundary t."""
     if c.ring is not Ring.Z or not c.is_cocycle():
         raise ValueError("ch needs an integral cocycle in the first slot")
-    # over Q, coboundaries are exactly the cochains killing every cycle
-    for z in t.complex.homology_structure(t.degree).cycle_basis:
-        if t.evaluate(Chain(t.complex, t.degree, list(z))) != 0:
-            raise ValueError("ch needs a rational coboundary in the second slot")
+    if t.complex.coboundary_smith(t.degree - 1).solve_q(t.row) is None:
+        raise ValueError("ch needs a rational coboundary in the second slot")
     return c.as_q() + t
 
 
@@ -524,7 +522,7 @@ def _without_unit_pivot(images):
     the images is nonzero, or None.  When every image has one, no nonzero
     combination of the images vanishes: it is nonzero at the unit pivot
     of any image with a nonzero coefficient."""
-    rows = [x._row().nums for x in images]
+    rows = [x.row.nums for x in images]
     counts = [sum(map(bool, col)) for col in zip(*rows)]
     for x, row in zip(images, rows):
         if not any(v and n == 1 for v, n in zip(row, counts)):

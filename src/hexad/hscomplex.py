@@ -20,8 +20,10 @@ from __future__ import annotations
 from math import lcm
 
 from .exactalg import IntRow
-from .plforms import WhitneyForm, d as d_form
-from .simplicial import Chain, Cochain, Coords, Ring
+from .plforms import (WhitneyForm, d as d_form, format_whitney_form,
+                      parse_whitney_lines)
+from .simplicial import (Cochain, ComplexParseError, Coords, Ring, _parse_int,
+                         _tokenize, format_cochain, parse_cochain_lines)
 
 
 class DiffCochain(Coords):
@@ -72,32 +74,10 @@ class DiffCochain(Coords):
     def _key(self):
         return (self.complex, self.level, self.degree)
 
-    def _row(self):
-        # integral values, then potential values, then curvature
-        # coefficients when present, over one common denominator; joined
-        # on first use and kept
-        row = self._joined
-        if row is None:
-            rows = [self.integral.row, self.potential.row]
-            if self.curvature is not None:
-                rows.append(self.curvature.row)
-            row = self._joined = IntRow.join(rows)
-        return row
-
-    def _like(self, row):
-        cx, k = self.complex, self.degree
-        nums, den = row
-        n = len(self.integral.row.nums)
-        m = n + len(self.potential.row.nums)
-        curv = None
-        if self.curvature is not None:
-            curv = WhitneyForm(cx, k, IntRow(nums[m:], den))
-        x = DiffCochain(cx, self.level, k,
-                        Cochain(cx, k, Ring.Z, IntRow(nums[:n], den)),
-                        Cochain(cx, k - 1, Ring.Q, IntRow(nums[n:m], den)),
-                        curv)
-        x._joined = row
-        return x
+    def _slots(self):
+        if self.curvature is None:
+            return self.integral, self.potential
+        return self.integral, self.potential, self.curvature
 
     def __repr__(self):
         return ("DiffCochain(q=%d, k=%d, c=%r, T=%r, w=%r)"
@@ -195,18 +175,13 @@ def evaluate_character(x, z):
     -j(c') - delta T', whose value on a cycle is an integer, so the result
     only depends on the class of x.
     """
-    if not isinstance(z, Chain):
-        raise TypeError("evaluate_character expects a Chain")
     if x.level != x.degree:
         raise ValueError("characters live at level q = degree k")
-    if z.degree != x.degree - 1:
-        raise ValueError("character of degree %d evaluates on %d-cycles"
-                         % (x.degree, x.degree - 1))
+    val = x.potential.evaluate(z)  # a (k-1)-chain on x's complex
     if not z.is_cycle():
         raise ValueError("evaluation chain is not a cycle")
     if not is_cocycle(x):
         raise ValueError("character evaluation needs a cocycle")
-    val = x.potential.evaluate(z)
     return val - (val.numerator // val.denominator)
 
 
@@ -214,8 +189,6 @@ def evaluate_character(x, z):
 # file format: sections c, T, omega
 
 def format_diff_cochain(x):
-    from .plforms import format_whitney_form
-    from .simplicial import format_cochain
     parts = ["level %d" % x.level, "section c",
              format_cochain(x.integral).rstrip("\n"),
              "section T", format_cochain(x.potential).rstrip("\n")]
@@ -226,36 +199,39 @@ def format_diff_cochain(x):
 
 
 def load_diff_cochain(text, complex):
-    from .plforms import parse_whitney_lines
-    from .simplicial import ComplexParseError, parse_cochain_lines
     level = None
     sections = {}
     opened_at = {}  # section -> line of its `section` line
     degree_at = {}  # section -> (line, column) of its degree line
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#")[0].strip()
-        if not stripped:
+        toks = _tokenize(raw)
+        if not toks:
             continue
-        toks = stripped.split()
-        if toks[0] == "level":
-            if len(toks) != 2 or not toks[1].lstrip("-").isdigit():
-                raise ComplexParseError(lineno, 1, "level takes one integer")
-            level = int(toks[1])
+        key, kcol = toks[0]
+        if key == "level":
+            if len(toks) != 2:
+                raise ComplexParseError(lineno, kcol, "level takes one integer")
+            level = _parse_int(toks[1][0], lineno, toks[1][1], "a level")
+            level_at = (lineno, kcol)
             continue
-        if toks[0] == "section":
-            if len(toks) != 2 or toks[1] not in ("c", "T", "omega"):
-                raise ComplexParseError(lineno, 1,
+        if key == "section":
+            if len(toks) != 2 or toks[1][0] not in ("c", "T", "omega"):
+                raise ComplexParseError(lineno, kcol,
                                         "section must be c, T or omega")
-            current = toks[1]
+            current, ncol = toks[1]
+            if current in sections:
+                raise ComplexParseError(lineno, ncol, "section %s repeats the "
+                                        "one on line %d"
+                                        % (current, opened_at[current]))
             sections[current] = []
             opened_at[current] = lineno
             continue
         if current is None:
-            raise ComplexParseError(lineno, 1, "content outside any section")
+            raise ComplexParseError(lineno, kcol, "content outside any section")
         sections[current].append((lineno, raw))
-        if toks[0] == "degree":
-            degree_at[current] = (lineno, raw.index("degree") + 1)
+        if key == "degree":
+            degree_at[current] = (lineno, kcol)
     if level is None:
         raise ComplexParseError(1, 1, "missing level line")
     if "c" not in sections or "T" not in sections:
@@ -274,4 +250,9 @@ def load_diff_cochain(text, complex):
             raise ComplexParseError(*degree_at[name], "section %s has degree "
                                     "%d, but section c of degree %d needs %d"
                                     % (name, part.degree, c.degree, want))
+    if (curvature is not None) != (c.degree >= level):
+        raise ComplexParseError(*level_at, "level %d with section c of "
+                                "degree %d needs %s section omega"
+                                % (level, c.degree,
+                                   "a" if c.degree >= level else "no"))
     return DiffCochain(complex, level, c.degree, c, t, curvature)

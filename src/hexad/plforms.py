@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .exactalg import IntRow
-from .simplicial import Chain, Cochain, Coords, Ring
+from .simplicial import (Chain, Cochain, ComplexParseError, Coords, Ring,
+                         _tokenize, parse_cochain_lines)
 
 
 class NotExactError(ValueError):
@@ -46,9 +46,6 @@ class WhitneyForm(Coords):
     def _key(self):
         return (self.complex, self.degree)
 
-    def _row(self):
-        return self.row
-
     def _like(self, row):
         return WhitneyForm(self.complex, self.degree, row)
 
@@ -70,12 +67,7 @@ def d(form):
 
 def integrate(form, chain):
     """Integral of a k-form over a k-chain (bilinear, exact)."""
-    if not isinstance(chain, Chain):
-        raise TypeError("integrate expects a Chain")
-    if chain.degree != form.degree:
-        raise ValueError("cannot integrate a %d-form over a %d-chain"
-                         % (form.degree, chain.degree))
-    return Fraction(sum(map(mul, chain.coeffs, form.row.nums)), form.row.den)
+    return Fraction(form.pair_nums(chain), form.row.den)
 
 
 def derham_cochain(form):
@@ -167,16 +159,15 @@ def parse_whitney_lines(lines, complex, header_line):
     """Parse a `whitney-form` header and its cochain lines, given as (line
     number, text) pairs; lines holding no header are reported at
     `header_line`, the line that opens them (1 for a whole file)."""
-    from .simplicial import ComplexParseError, parse_cochain_lines
     header = None
     body = []
     for lineno, raw in lines:
-        stripped = raw.split("#")[0].strip()
-        if not stripped:
+        toks = _tokenize(raw)
+        if not toks:
             continue
         if header is None:
-            if stripped != "whitney-form":
-                raise ComplexParseError(lineno, 1,
+            if [tok for tok, _ in toks] != ["whitney-form"]:
+                raise ComplexParseError(lineno, toks[0][1],
                                         "expected whitney-form header")
             header = lineno
             continue

@@ -361,6 +361,16 @@ def oracle_evaluate(ring, values, coeffs):
     return total
 
 
+def oracle_is_rational_coboundary(complex, k, values):
+    """The cycle rule: over Q, the coboundaries of degree k are exactly the
+    cochains that vanish on every cycle of a basis of ker boundary_k, the
+    basis read off the oracle's own boundary matrix."""
+    by_dim = dict(enumerate(complex.simplices))
+    rows = oracle_boundary(by_dim, k) if k else []  # every 0-chain is a cycle
+    cycles = oracle_kernel(rows, len(values))
+    return all(sum(v * c for v, c in zip(values, z)) == 0 for z in cycles)
+
+
 def oracle_integrate(coeffs, chain_coeffs):
     total = Fraction(0)
     for c, w in zip(chain_coeffs, coeffs):

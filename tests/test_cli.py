@@ -4,7 +4,7 @@ import json
 import pytest
 
 import oracles
-from hexad import hexagon
+from hexad import hexagon, simplicial
 from hexad.cli import main
 from hexad.plforms import format_whitney_form, whitney
 from hexad.hscomplex import load_diff_cochain
@@ -323,6 +323,30 @@ def test_diff_cochain_errors_name_their_file_line(text, where, reason):
     assert reason in str(err.value)
 
 
+_C_T_OMEGA = ("section c\ndegree 1\nring Z\nsection T\ndegree 0\nring Q\n"
+              "section omega\nwhitney-form\ndegree 1\nring Q\n")
+
+
+@pytest.mark.parametrize("text,where,reason", [
+    ("level --3\n" + _C_T_OMEGA, (1, 7), "expected a level"),
+    ("level \u00b2\n" + _C_T_OMEGA, (1, 7), "expected a level"),
+    # a second section c would replace the first and drop its value
+    ("level 2\nsection c\ndegree 1\nring Z\nvalue 0,1 1\nsection T\n"
+     "degree 0\nring Q\nsection c\ndegree 1\nring Z\n", (9, 9),
+     "section c repeats the one on line 2"),
+    (_C_AND_T + "degree 0\nring Q\n", (1, 1),
+     "level 1 with section c of degree 1 needs a section omega"),
+    ("level 2\n" + _C_T_OMEGA, (1, 1),
+     "level 2 with section c of degree 1 needs no section omega"),
+], ids=["level-double-minus", "level-superscript", "repeated-section",
+        "omega-missing", "omega-below-level"])
+def test_diff_cochain_defects_are_parse_errors(text, where, reason):
+    with pytest.raises(ComplexParseError) as err:
+        load_diff_cochain(text, catalog("circle"))
+    assert (err.value.line, err.value.column) == where
+    assert reason in str(err.value)
+
+
 def test_verify_internal_errors_exit_three(monkeypatch, capsys):
     # a raise while checks run on validated inputs is an internal error,
     # not a parse or validation error, and it never escapes as a traceback
@@ -410,6 +434,21 @@ def test_over_bound_complex_file_exits_two(tmp_path, monkeypatch, capsys):
                    + " ".join(str(v) for v in range(30)) + "\n")
     assert run_cli(["compute", "--complex", str(big)]) == 2
     assert "line 3, column 1" in capsys.readouterr().err
+
+
+def test_complex_over_the_simplex_bound_exits_two(tmp_path, monkeypatch,
+                                                  capsys):
+    # refused before any matrix is built: no Smith form is reduced
+    def refuse(m):
+        raise AssertionError("smith_form ran on an over-bound complex")
+    monkeypatch.setattr(simplicial, "smith_form", refuse)
+    bound = simplicial.MAX_SIMPLICES_PER_DIMENSION
+    big = tmp_path / "points.cplx"
+    big.write_text("name points\nvertices %d\n" % (bound + 1)
+                   + "".join("facet %d\n" % v for v in range(bound + 1)))
+    assert run_cli(["compute", "--complex", str(big)]) == 2
+    assert ("dimension 0 has %d simplices, over the limit of %d"
+            % (bound + 1, bound)) in capsys.readouterr().err
 
 
 def test_bad_flag_values(capsys):

@@ -218,7 +218,7 @@ def test_cone_solver_agrees_with_the_cone_subgroup_oracle(name):
         member = oracles.oracle_mixed_member(n, lattice, space)
         for z in _cone_solver_samples(rng, cx, deg):
             wit = solver.solve(z)
-            res = decide.membership(z._row())
+            res = decide.membership(z.row)
             where = (name, deg, z)
             assert (wit is None) == isinstance(res, NonMembership), where
             coords = list(z.integral.values) + list(z.rational.values)

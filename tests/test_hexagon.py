@@ -455,6 +455,41 @@ def test_omega_decomposer_raises_when_periods_and_split_disagree(monkeypatch):
     assert dec.decompose(WhitneyForm(cx, 1, [Fraction(1, 2), 0, 0])) is None
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_map_ch_accepts_exactly_the_cochains_killing_every_cycle(
+        name, monkeypatch):
+    # ch decides "t is a rational coboundary" on the complex's Smith form,
+    # with no cycle basis read; the cycle rule in `oracles` is the reference
+    rng = random.Random("map-ch@" + name)
+    cx = catalog(name)
+
+    def refuse(self, k):
+        raise AssertionError("homology_structure called")
+    outcomes = set()
+    for k in range(cx.dim + 1):
+        st = cx.cohomology_structure(k)
+        samples = [random_cochain(rng, cx, k - 1, Ring.Q).coboundary()
+                   for _ in range(3)]
+        samples += [random_cochain(rng, cx, k, Ring.Q) for _ in range(3)]
+        classes = list(st.free_gens) + [tor.gen for tor in st.torsion_gens]
+        samples += [Cochain(cx, k, Ring.Q, list(g)) + samples[0]
+                    for g in classes]
+        c = Cochain.zero(cx, k, Ring.Z)
+        with monkeypatch.context() as m:
+            m.setattr(simplicial.SimplicialComplex, "homology_structure",
+                      refuse)
+            for t in samples:
+                accepted = oracles.oracle_is_rational_coboundary(cx, k,
+                                                                 t.values)
+                if accepted:
+                    assert map_ch(c, t) == t, (name, k, t)
+                else:
+                    with pytest.raises(ValueError, match="rational coboundary"):
+                        map_ch(c, t)
+                outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("name,k", [("circle", 1), ("projective-plane", 1),
                                     ("projective-plane", 2),
                                     ("klein-bottle", 2), ("torus", 2)])

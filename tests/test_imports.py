@@ -80,3 +80,30 @@ def test_the_checker_sees_solver_layer_names():
     ids=lambda p: str(p.relative_to(ROOT)))
 def test_only_exactalg_touches_the_solver_layer(path):
     assert solver_layer_names(path.read_text(encoding="utf-8")) == []
+
+
+def function_local_imports(source):
+    """(line, name) of each import made inside a function body."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found.update((inner.lineno, alias.name)
+                                 for alias in inner.names)
+    return sorted(found)
+
+
+def test_the_checker_sees_function_local_imports():
+    assert function_local_imports("import os\ndef f():\n    from .a import b\n"
+                                  ) == [(3, "b")]
+    assert function_local_imports(
+        "class C:\n    def m(self):\n        def g():\n"
+        "            import os\n") == [(4, "os")]
+    assert function_local_imports("from .a import b\nimport os\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/hexad/*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_imports_only_at_module_level(path):
+    assert function_local_imports(path.read_text(encoding="utf-8")) == []

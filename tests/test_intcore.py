@@ -24,9 +24,17 @@ from hexad.exactalg import (
     MixedSubgroup,
     MixedWitness,
 )
-from hexad.hscomplex import DiffCochain
-from hexad.plforms import WhitneyForm, d, integrate
-from hexad.simplicial import Chain, Cochain, Ring, catalog, catalog_names, combine
+from hexad.hscomplex import DiffCochain, evaluate_character
+from hexad.plforms import WhitneyForm, d, integrate, whitney
+from hexad.simplicial import (
+    Chain,
+    Cochain,
+    Ring,
+    SimplicialComplex,
+    catalog,
+    catalog_names,
+    combine,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -116,7 +124,7 @@ def assert_matches(got, proto, want):
         assert all(type(v) is (int if ring == "Z" else Fraction) for v in vals)
     assert repr(got) == oracle_repr(proto, want)
     assert got == build(proto, want)
-    for ring, row in rows_of(got) + [("Q", got._row())]:
+    for ring, row in rows_of(got) + [("Q", got.row)]:
         assert_canonical(row)
         if ring == "Z":
             assert row.den == 1
@@ -242,7 +250,7 @@ def test_pair_values_keep_the_joined_row_of_their_slots(data):
              for _ in range(2)]
     lc = [data.draw(st.integers(-9, 9)) for _ in lattice]
     sc = [data.draw(rationals) for _ in space]
-    assert x._row() == joined(x)
+    assert x.row == joined(x)
     ops = (lambda: x + y, lambda: x - y, lambda: -x,
            lambda: x.scale(s), lambda: x.scale(int(s)),
            lambda: proto._like(joined(y)),
@@ -254,7 +262,7 @@ def test_pair_values_keep_the_joined_row_of_their_slots(data):
             continue  # a fractional multiple of an odd integral slot
         # built with its row kept, and that row is the join of its slots
         assert got._joined is not None
-        assert got._joined == joined(got) == got._row()
+        assert got._joined == joined(got) == got.row
 
 
 def test_operations_on_kept_rows_join_nothing(monkeypatch):
@@ -265,7 +273,7 @@ def test_operations_on_kept_rows_join_nothing(monkeypatch):
     z = ConeCochain(cx, 1, Cochain(cx, 2, Ring.Z, [2] * 14),
                     Cochain(cx, 1, Ring.Q, [Fraction(1, 6)] * 21))
     for v in (x, z):
-        v._row()
+        v.row
     calls = []
     join = IntRow.join
     monkeypatch.setattr(IntRow, "join", classmethod(
@@ -327,8 +335,47 @@ def test_form_maps_match_fraction_oracle(case):
     assert type(value) is Fraction
 
 
+def test_pairings_refuse_a_chain_of_another_complex():
+    # two circles built apart: every pairing with a chain goes through the
+    # core's check, so neither circle's values pair with the other's chains
+    a, b = (SimplicialComplex.from_facets("circle", 3,
+                                          oracles.CATALOG_FACETS["circle"])
+            for _ in range(2))
+    t = Cochain(a, 0, Ring.Q, [Fraction(2, 3), 0, 0])
+    x = DiffCochain(a, 1, 1, Cochain.zero(a, 1, Ring.Z), t,
+                    whitney(t.coboundary()))
+    pairings = (lambda z: Cochain(a, 1, Ring.Z, [1, 0, 0]).evaluate(z),
+                lambda z: integrate(WhitneyForm(a, 1, [1, 0, 0]), z),
+                lambda z: evaluate_character(x, z))
+    for pair, degree in zip(pairings, (1, 1, 0)):
+        assert pair(Chain(a, degree, [1, 0, 0])) == (
+            Fraction(2, 3) if degree == 0 else 1)
+        with pytest.raises(ValueError, match="another complex"):
+            pair(Chain(b, degree, [1, 0, 0]))
+    # a chain of the wrong degree, or no chain at all, is refused as before
+    for pair in pairings:
+        with pytest.raises(ValueError):
+            pair(Chain(a, 2, []))
+    with pytest.raises(TypeError):
+        integrate(WhitneyForm.zero(a, 1), [1, 0, 0])
+
+
 # ---------------------------------------------------------------------------
 # the row type itself
+
+def test_floats_are_refused():
+    # a float's binary value is not the decimal it was written as: 0.1
+    # would enter the exact arithmetic as 3602879701896397/2**55
+    cx = catalog("circle")
+    builds = (lambda: Cochain(cx, 1, "Q", [0.1, 0, 0]),
+              lambda: WhitneyForm(cx, 1, [0, 0.5, 0]),
+              lambda: Cochain.zero(cx, 1, Ring.Q).scale(0.5),
+              lambda: IntRow.of([1, 0.25]))
+    for build in builds:
+        with pytest.raises(TypeError, match="float"):
+            build()
+    assert Cochain(cx, 1, "Q", ["1/10", 0, 0]).values[0] == Fraction(1, 10)
+
 
 @PROPERTY
 @given(st.lists(rationals, max_size=6), st.integers(1, 12))

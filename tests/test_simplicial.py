@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hexad import simplicial
 from hexad.exactalg import FgAbelianGroup, MixedSubgroup, quotient_group
 from hexad.simplicial import (
     MAX_FACE_ENUMERATION,
@@ -234,6 +235,34 @@ def test_load_complex_bounds_face_enumeration(monkeypatch):
                         lambda *args: calls.append(args) or "built")
     assert load_complex("name one\nvertices 20\n" + facet20) == "built"
     assert len(calls) == 1
+
+
+def test_the_simplex_bound_admits_every_benchmark_complex(monkeypatch):
+    # the catalog and the benchmark's generated complexes, T_3 to T_13 of
+    # the grid table and sd(RP^2), counted from their facets; a complex at
+    # the bound passes the check and reaches its first Smith form
+    complexes = oracles.perfbench_complexes()
+    rp2 = catalog("projective-plane").simplices
+    facet_lists = list(oracles.CATALOG_FACETS.values())
+    facet_lists += [complexes.grid_torus(n)[1] for n in range(3, 14)]
+    facet_lists.append(complexes.barycentric_subdivision(
+        [s for layer in rp2 for s in layer])[1])
+    largest = max(len(layer) for facets in facet_lists
+                  for layer in oracles.close_facets(facets).values())
+    bound = simplicial.MAX_SIMPLICES_PER_DIMENSION
+    assert largest == 507 <= bound  # the edges of T_13
+
+    class Reached(Exception):
+        pass
+
+    def reached(m):
+        raise Reached
+    monkeypatch.setattr(simplicial, "smith_form", reached)
+    with pytest.raises(Reached):
+        SimplicialComplex("points", bound, [[(v,) for v in range(bound)]])
+    with pytest.raises(InvalidComplexError, match="over the limit"):
+        SimplicialComplex("points", bound + 1,
+                          [[(v,) for v in range(bound + 1)]])
 
 
 def test_catalog_unknown_name():
