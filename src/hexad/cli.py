@@ -124,7 +124,7 @@ def cmd_compute(args):
             "cohomology_Q_rank": cohomology(cx, k, "Q"),
             "cohomology_QmodZ": {"divisible_rank": divisible,
                                  "finite": _group_json(finite)},
-            "free_cycles": [list(v) for v in homology.free_cycles],
+            "free_cycles": [list(v) for v in homology.free],
         })
     payload = {"complex": cx.name, "degrees": table}
     if args.format == "json":

@@ -141,13 +141,13 @@ def cone_cocycle_generators(complex, degree):
     lattice = [ConeCochain(complex, degree, m.coboundary(), m.as_q())
                for m in Cochain.zero(complex, degree, Ring.Z).units()]
     st = complex.cohomology_structure(degree + 1)
-    for tor in st.torsion_gens:
+    for tor in st.torsion:
         t = Cochain(complex, degree + 1, Ring.Z, list(tor.gen))
         s = Cochain(complex, degree, Ring.Q,
-                    [Fraction(v, tor.order) for v in tor.primitive])
+                    [Fraction(v, tor.order) for v in tor.witness])
         lattice.append(ConeCochain(complex, degree, t, s))
     space = []
-    for z in complex.cohomology_structure(degree).cocycle_basis:
+    for z in complex.cohomology_structure(degree).basis:
         v = Cochain(complex, degree, Ring.Q, list(z))
         space.append(ConeCochain(complex, degree,
                                  Cochain.zero(complex, degree + 1, Ring.Z), v))
@@ -168,19 +168,19 @@ def _qmodz_cocycle_targets(ctx, rng):
     return targets
 
 
-def _nonintegral_cycle(complex, v):
-    """A cycle on which the rational cochain v has non-integral value, or
-    None; such a cycle certifies that [v mod Z] is a nonzero class."""
-    if not (0 <= v.degree <= complex.dim):
-        return None
-    hst = complex.homology_structure(v.degree)
-    candidates = [Chain(complex, v.degree, list(c)) for c in hst.free_cycles]
-    candidates += [Chain(complex, v.degree, list(t.cycle))
-                   for t in hst.torsion_cycles]
-    for z in candidates:
-        if v.evaluate(z).denominator != 1:
-            return z
-    return None
+def homology_cycles(complex, degree):
+    """Chains of the homology generators in a degree: the free ones, then
+    the torsion ones."""
+    hst = complex.homology_structure(degree)
+    return [Chain(complex, degree, list(c))
+            for c in hst.free + tuple(t.gen for t in hst.torsion)]
+
+
+def _nonintegral_cycle(v, cycles):
+    """The first of the cycles on which the rational cochain v has
+    non-integral value, or None; such a cycle certifies that [v mod Z] is
+    a nonzero class when the cycles are homology_cycles of v's degree."""
+    return next((z for z in cycles if v.evaluate(z).denominator != 1), None)
 
 
 def cone_cohomology_compare(ctx):
@@ -298,7 +298,7 @@ def les_exactness(ctx):
 
     # exactness at H^{k+1}(Z): classes killed by j receive gamma preimages
     st_next = complex.cohomology_structure(k + 1)
-    for tor in st_next.torsion_gens:
+    for tor in st_next.torsion:
         t = Cochain(complex, k + 1, Ring.Z, list(tor.gen))
         v = smith_k.solve_q(t.row)
         if run.require(v is not None, "torsion class dies rationally", cls=t):
@@ -318,11 +318,12 @@ def les_exactness(ctx):
             run.require(z.is_cocycle() and gamma_cone(z) == t,
                         "gamma preimage for coboundary class", cls=t)
     # free classes do not die under j: certified and unreachable
-    for g in st_next.free_gens:
+    cycles_next = homology_cycles(complex, k + 1)
+    for g in st_next.free:
         t = Cochain(complex, k + 1, Ring.Z, list(g))
-        cert = _nonintegral_cycle(complex,
-                                  Cochain(complex, k + 1, Ring.Q,
-                                          [Fraction(x, 2) for x in g]))
+        cert = _nonintegral_cycle(Cochain(complex, k + 1, Ring.Q,
+                                          [Fraction(x, 2) for x in g]),
+                                  cycles_next)
         v = smith_k.solve_q(t.row)
         run.require(v is None, "free class survives j", cls=t, cert=cert)
     return run.report()

@@ -25,6 +25,7 @@ from .cone import (
     cone_cocycle_generators,
     cone_cohomology_compare,
     delta_cone,
+    homology_cycles,
     les_exactness,
     _nonintegral_cycle,
 )
@@ -259,7 +260,7 @@ class HexagonContext:
         self.zhat_lattice = [map_i(z) for z in self.cone_lattice]
         st_k = complex.cohomology_structure(k)
         self.cocycle_basis_k = [Cochain(complex, k, Ring.Z, list(z))
-                                for z in st_k.cocycle_basis]
+                                for z in st_k.basis]
         for z in self.cocycle_basis_k:
             self.zhat_lattice.append(
                 DiffCochain(complex, k, k, z,
@@ -272,23 +273,20 @@ class HexagonContext:
         self.omega_gens_km1 = self._omega_gens(k - 1)
         # closed forms one degree down (rational spans)
         self.closed_km1 = [whitney(z.rational) for z in self.cone_space]
+        # homology-basis cycles in degree k-1 (free plus torsion), and
         # fixed samples one degree down, each with its non-integrality
-        # certificate (None when there is none): the 1/2 and 1/3 multiples
-        # of the free classes, and the torsion-type cone cocycles
+        # certificate among them (None when there is none): the 1/2 and
+        # 1/3 multiples of the free classes, and the torsion-type cone
+        # cocycles
+        self.cycles_km1 = cycles = homology_cycles(complex, k - 1)
         self.fractional_km1 = []
-        for g in complex.cohomology_structure(k - 1).free_gens:
+        for g in complex.cohomology_structure(k - 1).free:
             for den in (2, 3):
                 v = Cochain(complex, k - 1, Ring.Q,
                             [Fraction(x, den) for x in g])
-                self.fractional_km1.append((v, _nonintegral_cycle(complex, v)))
-        self.torsion_cone_km1 = [(z, _nonintegral_cycle(complex, z.rational))
+                self.fractional_km1.append((v, _nonintegral_cycle(v, cycles)))
+        self.torsion_cone_km1 = [(z, _nonintegral_cycle(z.rational, cycles))
                                  for z in self.cone_lattice[n_trivial:]]
-        # homology-basis cycles in degree k-1 (free plus torsion)
-        st_km1 = complex.homology_structure(k - 1)
-        self.cycles_km1 = [Chain(complex, k - 1, list(c))
-                           for c in st_km1.free_cycles]
-        self.cycles_km1 += [Chain(complex, k - 1, list(t.cycle))
-                            for t in st_km1.torsion_cycles]
         # reusable solvers; the cone coboundary test is the differential
         # one conjugated by i, so both share one CoboundarySolver
         self.cone_cb_solver = ConeCoboundarySolver(complex, k - 1)
@@ -312,7 +310,7 @@ class HexagonContext:
     def _omega_gens(self, m):
         st = self.complex.cohomology_structure(m)
         lattice = [whitney(Cochain(self.complex, m, Ring.Z, list(z)).as_q())
-                   for z in st.cocycle_basis]
+                   for z in st.basis]
         space = [whitney(e.coboundary())
                  for e in Cochain.zero(self.complex, m - 1, Ring.Q).units()]
         return lattice, space
@@ -774,7 +772,7 @@ def check_bunke_schick(ctx):
 
     # sequence: classes of integral cocycles map onto the kernel of a
     st_km1 = cx.cohomology_structure(k - 1)
-    for zvec in st_km1.cocycle_basis:
+    for zvec in st_km1.basis:
         u = Cochain(cx, k - 1, Ring.Z, list(zvec))
         eta = whitney(u.as_q())
         y = DiffCochain(cx, k, k - 1, -u, Cochain.zero(cx, k - 2, Ring.Q),
@@ -877,12 +875,12 @@ def check_derham_whitney(ctx):
                         "delta(int(w)) == int(d w)", degree=deg, x=x)
     for deg in range(0, cx.dim + 1):
         hst = cx.homology_structure(deg)
-        if not hst.torsion_cycles:
+        if not hst.torsion:
             continue
         st = cx.cohomology_structure(deg)
-        for tor in hst.torsion_cycles:
-            cycle = Chain(cx, deg, list(tor.cycle))
-            for zvec in st.cocycle_basis:
+        for tor in hst.torsion:
+            cycle = Chain(cx, deg, list(tor.gen))
+            for zvec in st.basis:
                 w = whitney(Cochain(cx, deg, Ring.Q, list(zvec)))
                 run.require(integrate(w, cycle) == 0,
                             "closed-form period over a torsion cycle vanishes",

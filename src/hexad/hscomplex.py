@@ -22,8 +22,9 @@ from math import lcm
 from .exactalg import IntRow
 from .plforms import (WhitneyForm, d as d_form, format_whitney_form,
                       parse_whitney_lines)
-from .simplicial import (Cochain, ComplexParseError, Coords, Ring, _parse_int,
-                         _tokenize, format_cochain, parse_cochain_lines)
+from .simplicial import (Cochain, ComplexParseError, Coords, Ring, _once,
+                         _parse_int, _tokenize, format_cochain,
+                         parse_cochain_lines)
 
 
 class DiffCochain(Coords):
@@ -201,7 +202,7 @@ def format_diff_cochain(x):
 def load_diff_cochain(text, complex):
     level = None
     sections = {}
-    opened_at = {}  # section -> line of its `section` line
+    opened_at = {}  # section or "level" -> its line
     degree_at = {}  # section -> (line, column) of its degree line
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -210,6 +211,7 @@ def load_diff_cochain(text, complex):
             continue
         key, kcol = toks[0]
         if key == "level":
+            _once(opened_at, key, lineno, kcol)
             if len(toks) != 2:
                 raise ComplexParseError(lineno, kcol, "level takes one integer")
             level = _parse_int(toks[1][0], lineno, toks[1][1], "a level")
@@ -220,12 +222,8 @@ def load_diff_cochain(text, complex):
                 raise ComplexParseError(lineno, kcol,
                                         "section must be c, T or omega")
             current, ncol = toks[1]
-            if current in sections:
-                raise ComplexParseError(lineno, ncol, "section %s repeats the "
-                                        "one on line %d"
-                                        % (current, opened_at[current]))
+            _once(opened_at, current, lineno, ncol, "section %s" % current)
             sections[current] = []
-            opened_at[current] = lineno
             continue
         if current is None:
             raise ComplexParseError(lineno, kcol, "content outside any section")

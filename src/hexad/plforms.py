@@ -95,7 +95,7 @@ def period_vector(form):
     if not d(form).is_zero():
         raise ValueError("period vector of a non-closed form")
     st = form.complex.homology_structure(form.degree)
-    cycles = [Chain(form.complex, form.degree, list(c)) for c in st.free_cycles]
+    cycles = [Chain(form.complex, form.degree, list(c)) for c in st.free]
     return PeriodVector(form.degree,
                         tuple(integrate(form, z) for z in cycles))
 

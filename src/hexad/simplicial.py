@@ -9,6 +9,7 @@ complex is immutable afterwards and safe to share between threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -146,8 +147,12 @@ class SimplicialComplex:
             self._cob_smith[k] = smith_form(self.coboundary_matrix(k))
             self._bd_smith[k + 1] = smith_form(self.boundary(k + 1))
         for k in range(0, self.dim + 1):
-            self._cohom[k] = _cohomology_structure(self, k)
-            self._homol[k] = _homology_structure(self, k)
+            self._cohom[k] = _presentation(k, self._cob_smith[k],
+                                           self.coboundary_matrix(k - 1),
+                                           self._cob_smith[k - 1])
+            self._homol[k] = _presentation(k, self._bd_smith[k],
+                                           self.boundary(k + 1),
+                                           self._bd_smith[k + 1])
 
     @classmethod
     def from_facets(cls, name, n_vertices, facets):
@@ -244,14 +249,12 @@ class SimplicialComplex:
         return list(acc)
 
     def cohomology_structure(self, k):
-        if not (0 <= k <= self.dim):
-            return _cohomology_structure(self, k)
-        return self._cohom[k]
+        """The Presentation of H^k(X; Z); empty off 0..dim."""
+        return self._cohom.get(k) or _empty_presentation(k)
 
     def homology_structure(self, k):
-        if not (0 <= k <= self.dim):
-            return _homology_structure(self, k)
-        return self._homol[k]
+        """The Presentation of H_k(X; Z); empty off 0..dim."""
+        return self._homol.get(k) or _empty_presentation(k)
 
     def __repr__(self):
         counts = ",".join(str(self.n_simplices(k)) for k in range(self.dim + 1))
@@ -484,140 +487,78 @@ class Cochain(Coords):
 # cohomology and homology with constructive witnesses
 
 @dataclass(frozen=True)
-class TorsionClass:
-    """Cocycle `gen` of finite order: order * gen = coboundary of `primitive`."""
+class Torsion:
+    """A generator of finite order: order * gen == image * witness, for
+    the image matrix of its presentation."""
 
     order: int
     gen: tuple
-    primitive: tuple
+    witness: tuple
 
 
 @dataclass(frozen=True)
-class CohomologyStructure:
-    """Constructive presentation of H^k(X; Z).
+class Presentation:
+    """Constructive presentation of a kernel modulo an image in degree k:
+    H^k(X; Z) = ker delta^k / im delta^{k-1} or H_k(X; Z) = ker d_k / im d_{k+1}.
 
-    cocycle_basis     Z-basis of the integer cocycle lattice
-    coboundary_gens   columns of the previous coboundary matrix
-    free_gens         cocycles projecting to a basis of the free part
-    torsion_gens      torsion classes with explicit primitives
-    group             the abstract group
-    q_rank            dim H^k(X; Q)
+    basis    Z-basis of the kernel lattice (cocycles or cycles)
+    free     kernel members projecting to a basis of the free part
+    torsion  Torsion generators with their witnesses
+    group    the abstract group
     """
 
     degree: int
-    cocycle_basis: tuple
-    coboundary_gens: tuple
-    free_gens: tuple
-    torsion_gens: tuple
-    group: FgAbelianGroup
-    q_rank: int
-
-
-@dataclass(frozen=True)
-class TorsionCycle:
-    """Cycle of finite order: order * cycle = boundary of `bounding_chain`."""
-
-    order: int
-    cycle: tuple
-    bounding_chain: tuple
-
-
-@dataclass(frozen=True)
-class HomologyStructure:
-    degree: int
-    cycle_basis: tuple
-    boundary_gens: tuple
-    free_cycles: tuple
-    torsion_cycles: tuple
+    basis: tuple
+    free: tuple
+    torsion: tuple
     group: FgAbelianGroup
 
 
-def _quotient_presentation(kernel_vecs, image_cols, image_smith):
-    """Shared kernel-mod-image bookkeeping.
+def _empty_presentation(k):
+    return Presentation(k, (), (), (), FgAbelianGroup(0))
 
-    kernel_vecs: Z-basis of the kernel lattice (list of int vectors)
-    image_cols: generators of the image sublattice (each a kernel member)
-    image_smith: Smith form of the matrix op whose integer solutions
-        certify `order * gen = op(x)`
 
-    Returns (free_gens, torsion_list, group) where torsion_list has entries
-    (order, gen_vector, solver_witness).
-    """
-    z = len(kernel_vecs)
-    if z == 0:
-        return (), (), FgAbelianGroup(0)
-    ambient = len(kernel_vecs[0])
-    kernel_mat = Matrix.from_columns(kernel_vecs, rows=ambient)
+def _presentation(k, kernel_smith, image, image_smith):
+    """The presentation of ker m / im image in degree k, for m * image == 0,
+    from kernel_smith = smith_form(m) and image_smith = smith_form(image);
+    the torsion witnesses are integer solves on image_smith."""
+    basis = tuple(tuple(v) for v in kernel_smith.kernel())
+    z = len(basis)
+    if not (z and image.cols):
+        return Presentation(k, basis, basis, (), FgAbelianGroup(z))
+    ambient = len(basis[0])
+    kernel_mat = Matrix.from_columns(basis, rows=ambient)
     # with the standard basis as kernel basis (top-degree cohomology, H_0)
     # the relations matrix is the image matrix itself, already reduced
-    standard = kernel_mat == Matrix.identity(ambient)
-    if standard:
-        coords = image_cols
+    if kernel_mat == Matrix.identity(ambient):
+        relations = image_smith
     else:
         kernel_fact = Factored(kernel_mat)
         coords = []
-        for col in image_cols:
+        for col in image.transpose().data:
             sol = kernel_fact.solve(col)
             if sol is None or sol.den != 1:
                 raise ArithmeticError("image generator is not in the kernel lattice")
-            coords.append(list(sol.nums))
-    if coords:
-        f = image_smith if standard else smith_form(Matrix.from_columns(coords, rows=z))
-        diag = f.diagonal
-        new_basis = [f.u_inv.column(i) for i in range(z)]
-    else:
-        diag = []
-        new_basis = [[1 if t == i else 0 for t in range(z)] for i in range(z)]
+            coords.append(sol.nums)
+        relations = smith_form(Matrix.from_columns(coords, rows=z))
+    # the kernel members of the basis that diagonalizes the relations
     gens = []
-    for vec in new_basis:
+    for i in range(z):
         g = [0] * ambient
-        for coeff, kb in zip(vec, kernel_vecs):
+        for coeff, kb in zip(relations.u_inv.column(i), basis):
             if coeff:
                 g = [a + coeff * b for a, b in zip(g, kb)]
         gens.append(tuple(g))
-    rank_img = sum(1 for d in diag if d != 0)
-    free_gens = tuple(gens[i] for i in range(rank_img, z))
+    rank_img = relations.rank
     torsion = []
-    for i, d in enumerate(diag):
+    for d, g in zip(relations.diagonal, gens):
         if d >= 2:
-            wit = image_smith.solve([d * x for x in gens[i]])
+            wit = image_smith.solve([d * x for x in g])
             if wit is None:
                 raise ArithmeticError("torsion witness system has no solution")
-            torsion.append((d, gens[i], tuple(wit)))
-    group = FgAbelianGroup(z - rank_img, tuple(d for d, _, _ in torsion))
-    return free_gens, tuple(torsion), group
-
-
-def _cohomology_structure(complex, k):
-    delta_prev = complex.coboundary_matrix(k - 1)
-    nk = complex.n_simplices(k)
-    if nk == 0:
-        return CohomologyStructure(k, (), (), (), (), FgAbelianGroup(0), 0)
-    cocycles = [tuple(v) for v in complex.coboundary_smith(k).kernel()]
-    coboundaries = [tuple(delta_prev.column(j)) for j in range(delta_prev.cols)]
-    free_gens, torsion, group = _quotient_presentation(
-        [list(v) for v in cocycles], [list(c) for c in coboundaries],
-        complex.coboundary_smith(k - 1))
-    torsion_gens = tuple(TorsionClass(d, tuple(g), w) for d, g, w in torsion)
-    q_rank = ((nk - complex.coboundary_smith(k).rank)
-              - complex.coboundary_smith(k - 1).rank)
-    return CohomologyStructure(k, tuple(cocycles), tuple(coboundaries),
-                               free_gens, torsion_gens, group, q_rank)
-
-
-def _homology_structure(complex, k):
-    bd_next = complex.boundary(k + 1)
-    nk = complex.n_simplices(k)
-    if nk == 0:
-        return HomologyStructure(k, (), (), (), (), FgAbelianGroup(0))
-    cycles = [tuple(v) for v in complex.boundary_smith(k).kernel()]
-    boundaries = [tuple(bd_next.column(j)) for j in range(bd_next.cols)]
-    free_cycles, torsion, group = _quotient_presentation(
-        [list(v) for v in cycles], [list(c) for c in boundaries],
-        complex.boundary_smith(k + 1))
-    torsion_cycles = tuple(TorsionCycle(d, tuple(g), w) for d, g, w in torsion)
-    return HomologyStructure(k, tuple(cycles), tuple(boundaries),
-                             free_cycles, torsion_cycles, group)
+            torsion.append(Torsion(d, g, tuple(wit)))
+    group = FgAbelianGroup(z - rank_img, tuple(t.order for t in torsion))
+    return Presentation(k, basis, tuple(gens[rank_img:]), tuple(torsion), group)
 
 
 def cohomology(complex, k, ring):
@@ -631,7 +572,7 @@ def cohomology(complex, k, ring):
     if not (0 <= k <= complex.dim):
         raise ValueError("degree %d out of range 0..%d" % (k, complex.dim))
     if ring is Ring.Q:
-        return complex.cohomology_structure(k).q_rank
+        return complex.cohomology_structure(k).group.rank
     if ring is Ring.Z:
         return complex.cohomology_structure(k).group
     # Q/Z: Hom(H_k, Q/Z) = (Q/Z)^rank H_k + torsion(H_k), read off the matrices
@@ -659,11 +600,30 @@ def _tokenize(line):
     return out
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text):
+    """The value of text when it is an ASCII integer [+-]?[0-9]+, else
+    None; int() alone would also read '1_0', ' 1' and non-ASCII digits."""
+    return int(text) if _INTEGER.fullmatch(text) else None
+
+
 def _parse_int(tok, lineno, col, what):
-    try:
-        return int(tok)
-    except ValueError:
+    value = _integer(tok)
+    if value is None:
         raise ComplexParseError(lineno, col, "expected %s, got %r" % (what, tok))
+    return value
+
+
+def _once(first_lines, key, lineno, col, what=None):
+    """Record that `key` is given on line lineno.  A second one would
+    silently replace the first, so it is a parse error at (lineno, col)
+    that names the first line."""
+    if key in first_lines:
+        raise ComplexParseError(lineno, col, "%s repeats the one on line %d"
+                                % (what or key, first_lines[key]))
+    first_lines[key] = lineno
 
 
 # Bound on the faces a complex file may ask the face closure to enumerate,
@@ -684,11 +644,14 @@ def load_complex(text):
     n_vertices = None
     facets = []
     enumerated = 0
+    first_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize(raw)
         if not toks:
             continue
         key, kcol = toks[0]
+        if key in ("name", "vertices"):
+            _once(first_lines, key, lineno, kcol)
         if key == "name":
             if len(toks) != 2:
                 raise ComplexParseError(lineno, kcol, "name takes one identifier")
@@ -737,13 +700,11 @@ def load_complex(text):
 
 
 def _parse_fraction(tok, lineno, col):
-    try:
-        if "/" in tok:
-            num, den = tok.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok))
-    except (ValueError, ZeroDivisionError):
+    num, slash, den = tok.partition("/")
+    num, den = _integer(num), _integer(den) if slash else 1
+    if num is None or not den:
         raise ComplexParseError(lineno, col, "expected p or p/q, got %r" % tok)
+    return Fraction(num, den)
 
 
 def parse_cochain_lines(lines, complex, header_line, *, expect_ring=None):
@@ -754,15 +715,18 @@ def parse_cochain_lines(lines, complex, header_line, *, expect_ring=None):
     degree = None
     ring = None
     values = {}
+    first_lines = {}  # directive or value simplex -> its line
     fractional = []  # (line, column, message) of each non-integer value
     for lineno, raw in lines:
         toks = _tokenize(raw)
         if not toks:
             continue
         key, kcol = toks[0]
-        if key in ("degree", "ring") and len(toks) != 2:
-            raise ComplexParseError(lineno, kcol,
-                                    "%s takes one argument" % key)
+        if key in ("degree", "ring"):
+            _once(first_lines, key, lineno, kcol)
+            if len(toks) != 2:
+                raise ComplexParseError(lineno, kcol,
+                                        "%s takes one argument" % key)
         if key == "degree":
             degree = _parse_int(toks[1][0], lineno, toks[1][1], "a degree")
         elif key == "ring":
@@ -778,9 +742,8 @@ def parse_cochain_lines(lines, complex, header_line, *, expect_ring=None):
                 raise ComplexParseError(lineno, kcol,
                                         "value takes a simplex and a scalar")
             stext, scol = toks[1]
-            try:
-                simplex = tuple(int(p) for p in stext.split(","))
-            except ValueError:
+            simplex = tuple(map(_integer, stext.split(",")))
+            if None in simplex:
                 raise ComplexParseError(lineno, scol,
                                         "bad simplex tuple %r" % stext)
             try:
@@ -788,6 +751,8 @@ def parse_cochain_lines(lines, complex, header_line, *, expect_ring=None):
             except KeyError:
                 raise ComplexParseError(lineno, scol,
                                         "no %d-simplex %r" % (degree, simplex))
+            _once(first_lines, simplex, lineno, kcol,
+                  "value for %s" % stext)
             v = values[idx] = _parse_fraction(toks[2][0], lineno, toks[2][1])
             if v.denominator != 1:
                 fractional.append((lineno, toks[2][1], "non-integer value %s "

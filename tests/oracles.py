@@ -163,6 +163,30 @@ KLEIN_BOTTLE = [(0, 1, 5), (0, 3, 5), (1, 2, 6), (1, 5, 6), (0, 2, 3), (2, 3, 6)
 POINT = [(0,)]
 INTERVAL = [(0, 1)]
 
+
+
+def moore(p):
+    """Facets of the mod-p Moore space M(Z/p, 1): an inner 3-cycle a_j, an
+    outer 3p-cycle b_i winding p times around it through a collar, and a
+    cone vertex c over the outer cycle.  Vertices: a_j = j, b_i = 3 + i,
+    c = 3 + 3p; H_1 = Z/p, H_2 = 0."""
+    n = 3 * p
+    b = [3 + i for i in range(n)]
+    c = 3 + n
+    facets = []
+    for i in range(n):
+        bi, bn = b[i], b[(i + 1) % n]
+        facets += [(bi, bn, i % 3), (bn, i % 3, (i + 1) % 3), (c, bi, bn)]
+    return sorted(tuple(sorted(f)) for f in facets)
+
+
+def suspension(facets, n_vertices):
+    """Facets of the suspension: every facet joined with each of two new
+    vertices n_vertices and n_vertices + 1."""
+    return sorted(tuple(f) + (apex,) for f in facets
+                  for apex in (n_vertices, n_vertices + 1))
+
+
 CATALOG_FACETS = {
     "point": POINT,
     "interval": INTERVAL,
@@ -171,6 +195,14 @@ CATALOG_FACETS = {
     "torus": TORUS,
     "projective-plane": PROJECTIVE_PLANE,
     "klein-bottle": KLEIN_BOTTLE,
+}
+
+# complexes with odd torsion and torsion in degree 3, which the catalog
+# lacks: name -> (vertex count, facets)
+TORSION_FACETS = {
+    "moore-3": (13, moore(3)),
+    "moore-5": (19, moore(5)),
+    "suspended-projective-plane": (8, suspension(PROJECTIVE_PLANE, 6)),
 }
 
 
@@ -431,7 +463,7 @@ def oracle_integer_period_generators(complex, degree):
     (ambient dimension, lattice generators the integer cocycle basis,
     space generators the columns of the previous coboundary)."""
     delta_prev = complex.coboundary_matrix(degree - 1)
-    lattice = [list(z) for z in complex.cohomology_structure(degree).cocycle_basis]
+    lattice = [list(z) for z in complex.cohomology_structure(degree).basis]
     space = [delta_prev.column(j) for j in range(delta_prev.cols)]
     return complex.n_simplices(degree), lattice, space
 

@@ -151,7 +151,7 @@ def test_criterion_07_mapping_cone_comparison_and_les():
     # the 2-torsion classes of RP^2 and the Klein bottle are among the
     # sampled targets at degree 1 because H^2(X; Z) has a Z/2 summand
     for name in ("projective-plane", "klein-bottle"):
-        tors = catalog(name).cohomology_structure(2).torsion_gens
+        tors = catalog(name).cohomology_structure(2).torsion
         assert [t.order for t in tors] == [2]
     print("PASS criterion 7: cone comparison two-sided witnesses plus LES "
           "exactness on all complexes and degrees, 2-torsion included")
@@ -164,13 +164,13 @@ def test_criterion_08_derham_whitney_identities():
         assert rep.status == "PASS", (name, rep.counterexample)
     # explicit torsion-period vanishing on the projective plane
     cx = catalog("projective-plane")
-    tor = cx.homology_structure(1).torsion_cycles[0]
-    cycle = Chain(cx, 1, list(tor.cycle))
+    tor = cx.homology_structure(1).torsion[0]
+    cycle = Chain(cx, 1, list(tor.gen))
     rng = rng_for(SEED, "acceptance_c8")
     st = cx.cohomology_structure(1)
     for _ in range(25):
         acc = Cochain.zero(cx, 1, Ring.Q)
-        for zvec in st.cocycle_basis:
+        for zvec in st.basis:
             acc = acc + Cochain(cx, 1, Ring.Q, list(zvec)).scale(
                 Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6])))
         assert integrate(whitney(acc), cycle) == 0

@@ -26,7 +26,8 @@ def run_cli(args):
 # SHA-256 of fixed report bytes.  The determinism tests compare two runs of
 # the same code, so only a pinned digest catches a change to a report.  The
 # klein-bottle verify report carries torsion and WhitneyForm and Cochain
-# reprs; compute carries cycle bases; the torus verify covers degrees 1-3.
+# reprs; compute carries the free cycles of every catalog complex; the
+# torus verify covers degrees 1-3.
 # The seed-0 reports with 25 trials (point, interval, circle, sphere and
 # the three *-seed0 entries) equal the seed-0 catalog-verify digests of
 # perfbench/hashes.json, so every catalog complex is pinned at every
@@ -55,6 +56,24 @@ PINNED_REPORTS = {
     "compute-klein-bottle": (
         ["compute", "--complex", "klein-bottle"],
         "d1d540bca14c12c1d8d07115ccc24e237049a6870ac8b10003707462acb84625"),
+    "compute-point": (
+        ["compute", "--complex", "point"],
+        "68484597d0ef90298484d77f9c1bb7fceeec575e20f36b302851ff1a5dc3e05d"),
+    "compute-interval": (
+        ["compute", "--complex", "interval"],
+        "59f88b93802114ea1fb4c9721304791064773776953f24f4a07580bddf660402"),
+    "compute-circle": (
+        ["compute", "--complex", "circle"],
+        "371342cf5c9a053f4b06d21adfec3ef7acc8404c547a762ca79379e8a9e99d3b"),
+    "compute-sphere": (
+        ["compute", "--complex", "sphere"],
+        "7b7f3d591b15204cdb7055c107c1ab4e68d722aac41eca360c5ef8d2e52ee8cc"),
+    "compute-torus": (
+        ["compute", "--complex", "torus"],
+        "62ae1ec42846ae8ae8a6fb132a9245507415c3e9366871d2b5579dda03508be6"),
+    "compute-projective-plane": (
+        ["compute", "--complex", "projective-plane"],
+        "87c28dc5ad82922b5b057aff63a7c1889ee2cd3ae0f23a8206b562d97d360d05"),
     "verify-torus-all-degrees": (
         ["verify", "--complex", "torus", "--seed", "7", "--trials", "3"],
         "7260ea1db5d2f29c0fa6756b8fbf08c80798f032c97b19353f60e60b945fbf25"),
@@ -341,6 +360,18 @@ _C_T_OMEGA = ("section c\ndegree 1\nring Z\nsection T\ndegree 0\nring Q\n"
 ], ids=["level-double-minus", "level-superscript", "repeated-section",
         "omega-missing", "omega-below-level"])
 def test_diff_cochain_defects_are_parse_errors(text, where, reason):
+    with pytest.raises(ComplexParseError) as err:
+        load_diff_cochain(text, catalog("circle"))
+    assert (err.value.line, err.value.column) == where
+    assert reason in str(err.value)
+
+
+@pytest.mark.parametrize("text,where,reason", [
+    ("level 1\nlevel 2\n" + _C_T_OMEGA, (2, 1), "level repeats the one on line 1"),
+    ("level 1_0\n" + _C_T_OMEGA, (1, 7), "expected a level"),
+    ("level \u0661\n" + _C_T_OMEGA, (1, 7), "expected a level"),
+], ids=["level-repeated", "level-underscore", "level-arabic-indic"])
+def test_diff_cochain_level_is_one_ascii_integer(text, where, reason):
     with pytest.raises(ComplexParseError) as err:
         load_diff_cochain(text, catalog("circle"))
     assert (err.value.line, err.value.column) == where

@@ -136,9 +136,9 @@ def test_compare_covers_torsion_on_projective_plane():
     # and its nonzero class is certified by a non-integral pairing
     cx = catalog("projective-plane")
     st = cx.cohomology_structure(2)
-    assert len(st.torsion_gens) == 1
-    tor = st.torsion_gens[0]
-    v = Cochain(cx, 1, Ring.Q, [Fraction(x, tor.order) for x in tor.primitive])
+    assert len(st.torsion) == 1
+    tor = st.torsion[0]
+    v = Cochain(cx, 1, Ring.Q, [Fraction(x, tor.order) for x in tor.witness])
     dv = v.coboundary()
     assert all(x.denominator == 1 for x in dv.values)
     u = Cochain(cx, 2, Ring.Z, [int(x) for x in dv.values])
@@ -169,7 +169,7 @@ def test_comparison_constant_on_cone_classes():
 def test_les_gamma_hits_torsion_on_projective_plane():
     cx = catalog("projective-plane")
     st = cx.cohomology_structure(2)
-    tor = st.torsion_gens[0]
+    tor = st.torsion[0]
     t = Cochain(cx, 2, Ring.Z, list(tor.gen))
     from hexad.exactalg import rational_solve
     v = rational_solve(cx.coboundary_matrix(1),
@@ -190,7 +190,7 @@ def _cone_solver_samples(rng, cx, deg):
                                       random_cochain(rng, cx, deg - 1, Ring.Q)))
                for _ in range(4)]
     samples += lattice[cx.n_simplices(deg):]
-    for g in cx.cohomology_structure(deg).free_gens:
+    for g in cx.cohomology_structure(deg).free:
         for den in (2, 3):
             v = Cochain(cx, deg, Ring.Q, [Fraction(x, den) for x in g])
             samples.append(ConeCochain(cx, deg, Cochain.zero(cx, deg + 1, Ring.Z),

@@ -163,7 +163,7 @@ def test_witness_I_surjective():
     rng = random.Random(9)
     cx = catalog("torus")
     st = cx.cohomology_structure(1)
-    for zvec in st.cocycle_basis:
+    for zvec in st.basis:
         c = Cochain(cx, 1, Ring.Z, list(zvec))
         t = random_cochain(rng, cx, 0, Ring.Q).coboundary()
         x = witness_I_surjective(c, t)
@@ -171,7 +171,7 @@ def test_witness_I_surjective():
         assert is_cocycle(x)
     # torsion class of H^2(RP^2; Z) is hit by I
     rp2 = catalog("projective-plane")
-    tor = rp2.cohomology_structure(2).torsion_gens[0]
+    tor = rp2.cohomology_structure(2).torsion[0]
     c = Cochain(rp2, 2, Ring.Z, list(tor.gen))
     x = witness_I_surjective(c, Cochain.zero(rp2, 2, Ring.Q))
     assert map_I(x)[0] == c
@@ -187,6 +187,16 @@ def test_omega_decomposer_matches_periods():
     c, t = dec.decompose(w3)
     assert derham_cochain(w3) == c.as_q() + t.coboundary()
     assert dec.decompose(WhitneyForm(cx, 1, [Fraction(1, 2), 0, 0])) is None
+
+
+@pytest.mark.parametrize("name", sorted(oracles.TORSION_FACETS))
+def test_run_all_checks_pass_on_odd_and_degree_three_torsion(name):
+    n_vertices, facets = oracles.TORSION_FACETS[name]
+    cx = simplicial.SimplicialComplex.from_facets(name, n_vertices, facets)
+    for k in range(1, cx.dim + 2):
+        reports = run_all_checks(HexagonContext(cx, k, seed=0, trials=2))
+        assert [(r.name, r.counterexample) for r in reports
+                if r.status == "FAIL"] == [], k
 
 
 @pytest.mark.parametrize("name,k", [("point", 1), ("circle", 1), ("circle", 2),
@@ -302,9 +312,9 @@ def test_induced_hexagon_torsion_injectivity():
     # the i image of the RP^2 torsion cone class is not a coboundary
     cx = catalog("projective-plane")
     ctx = HexagonContext(cx, 2, seed=2, trials=4)
-    tor = cx.cohomology_structure(2).torsion_gens[0]
+    tor = cx.cohomology_structure(2).torsion[0]
     t = Cochain(cx, 2, Ring.Z, list(tor.gen))
-    s = Cochain(cx, 1, Ring.Q, [Fraction(v, tor.order) for v in tor.primitive])
+    s = Cochain(cx, 1, Ring.Q, [Fraction(v, tor.order) for v in tor.witness])
     z = ConeCochain(cx, 1, t, s)
     assert z.is_cocycle()
     assert ctx.bhat_solver.solve(map_i(z)) is None
@@ -407,7 +417,7 @@ def _omega_decomposer_samples(rng, cx, m):
                                       gens[:len(lattice)], gens[len(lattice):])
                    for _ in range(4)]
     base += [whitney(Cochain(cx, m, Ring.Q, [Fraction(x, den) for x in g]))
-             for g in cx.cohomology_structure(m).free_gens for den in (2, 3)]
+             for g in cx.cohomology_structure(m).free for den in (2, 3)]
     if n:
         for eta in rng.sample(base, min(8, len(base))):
             j = rng.randrange(n)
@@ -471,7 +481,7 @@ def test_map_ch_accepts_exactly_the_cochains_killing_every_cycle(
         samples = [random_cochain(rng, cx, k - 1, Ring.Q).coboundary()
                    for _ in range(3)]
         samples += [random_cochain(rng, cx, k, Ring.Q) for _ in range(3)]
-        classes = list(st.free_gens) + [tor.gen for tor in st.torsion_gens]
+        classes = list(st.free) + [tor.gen for tor in st.torsion]
         samples += [Cochain(cx, k, Ring.Q, list(g)) + samples[0]
                     for g in classes]
         c = Cochain.zero(cx, k, Ring.Z)

@@ -152,7 +152,7 @@ def test_evaluate_character_rejects_bad_input():
     bad = DiffCochain(sphere, 2, 2, Cochain.zero(sphere, 2, Ring.Z), t,
                       WhitneyForm.zero(sphere, 2))
     assert not is_cocycle(bad)
-    cyc = Chain(sphere, 1, list(sphere.homology_structure(1).cycle_basis[0]))
+    cyc = Chain(sphere, 1, list(sphere.homology_structure(1).basis[0]))
     assert cyc.is_cycle()
     with pytest.raises(ValueError):
         evaluate_character(bad, cyc)
@@ -162,11 +162,11 @@ def test_character_shift_invariance():
     rng = random.Random(11)
     cx = catalog("torus")
     st = cx.cohomology_structure(1)
-    z_cochain = Cochain(cx, 1, Ring.Z, list(st.cocycle_basis[0]))
+    z_cochain = Cochain(cx, 1, Ring.Z, list(st.basis[0]))
     x = DiffCochain(cx, 1, 1, z_cochain, Cochain.zero(cx, 0, Ring.Q),
                     whitney(z_cochain.as_q()))
     hst = cx.homology_structure(0)
-    cycles = [Chain(cx, 0, list(c)) for c in hst.free_cycles]
+    cycles = [Chain(cx, 0, list(c)) for c in hst.free]
     for _ in range(8):
         y = DiffCochain(cx, 1, 0, random_cochain(rng, cx, 0, Ring.Z),
                         random_cochain(rng, cx, -1, Ring.Q), None)

@@ -1,7 +1,9 @@
 """Every imported name is read by the module that imports it, so a deleted
-code path cannot leave a dead import behind; and only `exactalg` names the
+code path cannot leave a dead import behind; only `exactalg` names the
 one-shot Gauss-Jordan and Hermite solvers or `MixedSolver`, so the other
-modules solve their systems on Smith forms or a kept factorization."""
+modules solve their systems on Smith forms or a kept factorization; and no
+module names the per-kind (co)homology records that one `Presentation`
+and one `Torsion` replaced."""
 
 import ast
 from pathlib import Path
@@ -12,6 +14,9 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(ROOT.glob("src/hexad/*.py")) + sorted(ROOT.glob("tests/*.py"))
 SOLVER_LAYER = {"rational_rank", "rational_solve", "rational_kernel", "hnf_solve",
                 "kernel_basis", "quotient_group", "MixedSolver"}
+PER_KIND_PRESENTATION = {"TorsionClass", "TorsionCycle", "CohomologyStructure",
+                         "HomologyStructure", "_quotient_presentation",
+                         "q_rank", "coboundary_gens", "boundary_gens"}
 
 
 def unused_imports(source):
@@ -48,9 +53,9 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def solver_layer_names(source):
-    """(line, name) of each import, name or attribute in the source that
-    refers to the solver layer."""
+def refused_names(source, refused):
+    """(line, name) of each import, name, attribute or definition in the
+    source that is in `refused`."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -59,10 +64,18 @@ def solver_layer_names(source):
             names = [node.id]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names = [node.name]
         else:
             continue
-        found += [(node.lineno, n) for n in names if n in SOLVER_LAYER]
+        found += [(node.lineno, n) for n in names if n in refused]
     return found
+
+
+def solver_layer_names(source):
+    """(line, name) of each reference to the solver layer in the source."""
+    return refused_names(source, SOLVER_LAYER)
 
 
 def test_the_checker_sees_solver_layer_names():
@@ -80,6 +93,24 @@ def test_the_checker_sees_solver_layer_names():
     ids=lambda p: str(p.relative_to(ROOT)))
 def test_only_exactalg_touches_the_solver_layer(path):
     assert solver_layer_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_checker_sees_per_kind_presentation_names():
+    assert sorted(refused_names(
+        "from .simplicial import TorsionCycle\nst.q_rank\n"
+        "def _quotient_presentation(): pass\nclass TorsionClass: pass\n",
+        PER_KIND_PRESENTATION)) == [(1, "TorsionCycle"), (2, "q_rank"),
+                                    (3, "_quotient_presentation"),
+                                    (4, "TorsionClass")]
+    assert refused_names("st.boundary_gens\nst.basis\n",
+                         PER_KIND_PRESENTATION) == [(1, "boundary_gens")]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/hexad/*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_one_presentation_for_homology_and_cohomology(path):
+    assert refused_names(path.read_text(encoding="utf-8"),
+                         PER_KIND_PRESENTATION) == []
 
 
 def function_local_imports(source):

@@ -83,25 +83,25 @@ def test_omega_A_invariant_under_exact_shifts():
     rng = random.Random(31)
     cx = catalog("torus")
     st = cx.cohomology_structure(1)
-    for zvec in st.cocycle_basis:
+    for zvec in st.basis:
         w = whitney(Cochain(cx, 1, Ring.Z, list(zvec)).as_q())
         eta = whitney(random_q_cochain(rng, cx, 0))
         assert in_omega_A(w) == in_omega_A(w + d(eta))
     frac = whitney(Cochain(cx, 1, Ring.Q,
-                           [Fraction(x, 2) for x in st.free_gens[0]]))
+                           [Fraction(x, 2) for x in st.free[0]]))
     eta = whitney(random_q_cochain(rng, cx, 0))
     assert in_omega_A(frac) == in_omega_A(frac + d(eta)) == False
 
 
 def test_torsion_periods_vanish_on_projective_plane():
     cx = catalog("projective-plane")
-    tor = cx.homology_structure(1).torsion_cycles[0]
-    cycle = Chain(cx, 1, list(tor.cycle))
+    tor = cx.homology_structure(1).torsion[0]
+    cycle = Chain(cx, 1, list(tor.gen))
     rng = random.Random(8)
     st = cx.cohomology_structure(1)
     for _ in range(20):
         acc = Cochain.zero(cx, 1, Ring.Q)
-        for zvec in st.cocycle_basis:
+        for zvec in st.basis:
             acc = acc + Cochain(cx, 1, Ring.Q, list(zvec)).scale(
                 Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])))
         w = whitney(acc)

@@ -107,19 +107,53 @@ def test_cohomology_z_matches_quotient_group_oracle(name):
     for k in range(cx.dim + 1):
         st = cx.cohomology_structure(k)
         n = cx.n_simplices(k)
-        oracle = quotient_group(MixedSubgroup(n, st.cocycle_basis, ()),
-                                MixedSubgroup(n, st.coboundary_gens, ()))
+        delta = cx.coboundary_matrix(k - 1)
+        coboundaries = [delta.column(j) for j in range(delta.cols)]
+        oracle = quotient_group(MixedSubgroup(n, st.basis, ()),
+                                MixedSubgroup(n, coboundaries, ()))
         assert cohomology(cx, k, Ring.Z) == oracle
+
+
+@pytest.mark.parametrize("name", sorted(oracles.TORSION_FACETS))
+def test_odd_and_degree_three_torsion_presentations(name):
+    # M(Z/3, 1), M(Z/5, 1) and the suspended projective plane, whose H^3 is
+    # Z/2: both presentations against the oracle's groups and boundaries
+    n_vertices, facets = oracles.TORSION_FACETS[name]
+    cx = SimplicialComplex.from_facets(name, n_vertices, facets)
+    by_dim = oracles.close_facets(facets)
+    groups = [oracles.oracle_homology(facets, k) for k in range(cx.dim + 1)]
+    for k in range(cx.dim + 1):
+        assert cx.simplices_of(k) == tuple(by_dim[k])
+        n = len(by_dim[k])
+        up = oracles.oracle_boundary(by_dim, k + 1)  # boundary_{k+1}
+        down = oracles.oracle_boundary(by_dim, k) if k else []  # boundary_k
+        delta_prev = [list(col) for col in zip(*down)]  # delta^{k-1}
+        rank, torsion = groups[k]
+        prev_torsion = groups[k - 1][1] if k else []
+        for st, group, image in (
+                (cx.homology_structure(k), (rank, torsion), up),
+                (cx.cohomology_structure(k), (rank, prev_torsion), delta_prev)):
+            assert st.group == FgAbelianGroup(group[0], tuple(group[1]))
+            assert [t.order for t in st.torsion] == group[1]
+            for t in st.torsion:
+                assert [t.order * x for x in t.gen] == [
+                    oracles.vec_dot(row, t.witness) for row in image]
+        assert cohomology(cx, k, Ring.Q) == (
+            n - oracles.oracle_rank(up, len(by_dim.get(k + 1, ())))
+            - oracles.oracle_rank(down, n))
+    torsion = {k: t for k, (_, t) in enumerate(groups) if t}
+    assert torsion == {"moore-3": {1: [3]}, "moore-5": {1: [5]},
+                       "suspended-projective-plane": {2: [2]}}[name]
 
 
 def test_homology_basis_circle_sphere_torus():
     circle = catalog("circle")
-    free = circle.homology_structure(1).free_cycles
+    free = circle.homology_structure(1).free
     assert len(free) == 1
     z = Chain(circle, 1, list(free[0]))
     assert z.is_cycle() and not z.is_zero()
-    assert catalog("sphere").homology_structure(1).free_cycles == ()
-    assert len(catalog("torus").homology_structure(1).free_cycles) == 2
+    assert catalog("sphere").homology_structure(1).free == ()
+    assert len(catalog("torus").homology_structure(1).free) == 2
 
 
 def test_homology_basis_certified_independent():
@@ -128,8 +162,9 @@ def test_homology_basis_certified_independent():
     from hexad.exactalg import MixedSolver, MixedSubgroup, NonMembership
     cx = catalog("torus")
     free = [Chain(cx, 1, list(v))
-            for v in cx.homology_structure(1).free_cycles]
-    boundaries = [list(c) for c in cx.homology_structure(1).boundary_gens]
+            for v in cx.homology_structure(1).free]
+    bd = cx.boundary(2)
+    boundaries = [bd.column(j) for j in range(bd.cols)]
     solver = MixedSolver(MixedSubgroup(cx.n_simplices(1), boundaries, []))
     rng = random.Random(3)
     for _ in range(10):
@@ -144,18 +179,18 @@ def test_homology_basis_certified_independent():
 def test_torsion_witnesses_on_projective_plane():
     cx = catalog("projective-plane")
     hst = cx.homology_structure(1)
-    assert len(hst.torsion_cycles) == 1
-    tor = hst.torsion_cycles[0]
+    assert len(hst.torsion) == 1
+    tor = hst.torsion[0]
     assert tor.order == 2
-    cycle = Chain(cx, 1, list(tor.cycle))
-    bound = Chain(cx, 2, list(tor.bounding_chain))
+    cycle = Chain(cx, 1, list(tor.gen))
+    bound = Chain(cx, 2, list(tor.witness))
     assert cycle.is_cycle()
     assert bound.boundary() == cycle.scale(2)
     cst = cx.cohomology_structure(2)
     assert cst.group == FgAbelianGroup(0, (2,))
-    tg = cst.torsion_gens[0]
+    tg = cst.torsion[0]
     gen = Cochain(cx, 2, Ring.Z, list(tg.gen))
-    prim = Cochain(cx, 1, Ring.Z, list(tg.primitive))
+    prim = Cochain(cx, 1, Ring.Z, list(tg.witness))
     assert prim.coboundary() == gen.scale(2)
 
 
@@ -299,6 +334,60 @@ def test_load_cochain_refuses_degrees_outside_the_complex():
             load_cochain("degree %d\nring Q\nvalue 0,2 5\n" % degree, cx)
         assert (err.value.line, err.value.column) == (3, 7)
     assert cx.index_of(1, (0, 2)) == 1
+
+
+def _parse_error(text):
+    """The (line, column, reason) at which a complex or circle-cochain text
+    is refused; a text that opens with `name` is a complex file."""
+    with pytest.raises(ComplexParseError) as err:
+        if text.startswith("name"):
+            load_complex(text)
+        else:
+            load_cochain(text, catalog("circle"))
+    return err.value.line, err.value.column, err.value.reason
+
+
+@pytest.mark.parametrize("text,where,reason", [
+    ("name x\nvertices 1_0\nfacet 0 1\n", (2, 10), "expected a vertex count"),
+    ("name x\nvertices 4\nfacet \u0663 1\n", (3, 7), "expected a vertex index"),
+    ("name x\nvertices 4\nfacet 0 \uff11\n", (3, 9), "expected a vertex index"),
+    ("degree \u0661\nring Q\n", (1, 8), "expected a degree"),
+    ("degree 1\nring Q\nvalue 0,\u0661 1_0/3\n", (3, 7), "bad simplex tuple"),
+    ("degree 1\nring Q\nvalue 0,1_0 1\n", (3, 7), "bad simplex tuple"),
+    ("degree 1\nring Q\nvalue 0,1 1_0/3\n", (3, 11), "expected p or p/q"),
+    ("degree 1\nring Q\nvalue 0,1 1/\u0663\n", (3, 11), "expected p or p/q"),
+    ("degree 1\nring Q\nvalue 0,1 1/0\n", (3, 11), "expected p or p/q"),
+], ids=["count-underscore", "index-arabic-indic", "index-fullwidth",
+        "degree-arabic-indic", "simplex-arabic-indic", "simplex-underscore",
+        "value-underscore", "value-denominator-arabic-indic", "value-over-zero"])
+def test_integers_are_ascii_digits(text, where, reason):
+    line, column, got = _parse_error(text)
+    assert (line, column) == where and reason in got
+
+
+def test_signed_ascii_integers_still_load():
+    cx = catalog("circle")
+    c = load_cochain("degree 1\nring Q\nvalue +0,+1 -3/-4\nvalue 0,2 +5\n", cx)
+    assert c.values == (Fraction(3, 4), Fraction(5), Fraction(0))
+    assert load_complex("name x\nvertices +2\nfacet 0 +1\n").n_vertices == 2
+
+
+@pytest.mark.parametrize("text,where,reason", [
+    # a vertex value would land on an edge under the second degree
+    ("degree 0\nring Z\nvalue 2 7\ndegree 1\n", (4, 1),
+     "degree repeats the one on line 1"),
+    ("degree 1\nring Z\nvalue 0,1 5\nring Q\nvalue 0,1 1/2\n", (4, 1),
+     "ring repeats the one on line 2"),
+    ("degree 1\nring Q\nvalue 0,1 1\n  value 0,1 2\n", (4, 3),
+     "value for 0,1 repeats the one on line 3"),
+    ("name x\nvertices 3\nfacet 0 1\nvertices 2\n", (4, 1),
+     "vertices repeats the one on line 2"),
+    ("name a\n name b\nvertices 2\nfacet 0 1\n", (2, 2),
+     "name repeats the one on line 1"),
+], ids=["degree", "ring", "value", "vertices", "name"])
+def test_repeated_directives_are_parse_errors(text, where, reason):
+    line, column, got = _parse_error(text)
+    assert (line, column) == where and got == reason
 
 
 def test_qmodz_representatives_reduced():
