@@ -220,22 +220,14 @@ class Matrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """u * m * v == d with u, v unimodular and d diagonal, d_1 | d_2 | ...;
-    u_inv is the inverse of u."""
+    """u * m * v == diag(d_1, d_2, ...), r x c, u and v unimodular, d_1 | d_2
+    | ... with the `rank` nonzero d_i first; u_inv is the inverse of u."""
 
     u: Matrix
-    d: Matrix
+    diagonal: tuple
     v: Matrix
     u_inv: Matrix
-
-    @property
-    def rank(self):
-        return sum(1 for x in self.diagonal if x != 0)
-
-    @property
-    def diagonal(self):
-        n = min(self.d.rows, self.d.cols)
-        return [self.d.data[i][i] for i in range(n)]
+    rank: int
 
     def solve(self, b):
         """Integer x with m*x == b as a list, or None: `solve_q(b)` when it
@@ -269,25 +261,37 @@ class SmithForm:
             return None
         return self._preimage(w, bden, r)
 
+    def in_image_q(self, b):
+        """Whether m*x == b has a rational solution, that is, whether
+        `solve_q(b)` is not None: rows r, r+1, ... of u vanish on b's
+        numerators.  Only those rows are read, and no x is built."""
+        bnum = self._numerators(b)[0]
+        return not any(sum(map(mul, row, bnum))
+                       for row in self.u.data[self.rank:])
+
+    def _numerators(self, b):
+        bnum, bden = IntRow.of(b)
+        if len(bnum) != self.u.rows:
+            raise ValueError("right-hand side length does not match")
+        return bnum, bden
+
     def _rows(self, b):
         # (u*bnum, bden, rank) for b == bnum / bden
-        bnum, bden = IntRow.of(b)
-        if len(bnum) != self.d.rows:
-            raise ValueError("right-hand side length does not match")
+        bnum, bden = self._numerators(b)
         return self.u.mul_vec(bnum), bden, self.rank
 
     def _preimage(self, w, bden, r):
         # v*y / bden with y_i = w_i / d_i for i < r, and d_{r-1} a multiple
         # of every nonzero d_i
-        top = self.d.data[r - 1][r - 1] if r else 1
+        top = self.diagonal[r - 1] if r else 1
         y = [wi * (top // di) for wi, di in zip(w, self.diagonal[:r])]
-        return IntRow(self.v.mul_vec(y + [0] * (self.d.cols - r)),
+        return IntRow(self.v.mul_vec(y + [0] * (self.v.cols - r)),
                       bden * top)
 
     def kernel(self):
         """Z-basis of the integer kernel {x : m*x == 0}, as column vectors:
         columns r, r+1, ... of v, r the rank."""
-        return [self.v.column(j) for j in range(self.rank, self.d.cols)]
+        return [self.v.column(j) for j in range(self.rank, self.v.cols)]
 
 
 def smith_form(m):
@@ -438,11 +442,13 @@ def smith_form(m):
                     row_neg(i + 1)
                 changed = True
 
+    diagonal = tuple([a[i][i] for i in range(n)])
     return SmithForm(
         u=Matrix(r, r, u),
-        d=Matrix(r, c, a),
+        diagonal=diagonal,
         v=Matrix(c, c, v),
         u_inv=Matrix(r, r, uinv),
+        rank=sum(1 for x in diagonal if x),
     )
 
 
@@ -457,13 +463,8 @@ def kernel_basis(m):
 def column_lattice_basis(m):
     """Z-basis of the lattice spanned by the columns of an integer matrix."""
     f = smith_form(m)
-    n = min(m.rows, m.cols)
-    out = []
-    for j in range(n):
-        dj = f.d.data[j][j]
-        if dj != 0:
-            out.append([dj * a for a in f.u_inv.column(j)])
-    return out
+    return [[dj * a for a in f.u_inv.column(j)]
+            for j, dj in enumerate(f.diagonal[:f.rank])]
 
 
 def hnf_solve(a, b):
@@ -717,11 +718,11 @@ class MixedSolver:
             y = [sum(map(mul, phi, xnum)) for phi in self.proj]
         f = self.smith
         w = f.u.mul_vec(y)
-        nn = min(self.bmat.rows, self.bmat.cols)
+        nn = len(f.diagonal)
         z = [0] * self.bmat.cols
         for i, wi in enumerate(w):
             # the projected coordinate is wi / xden; it must lie in d*Z
-            d = f.d.data[i][i] if i < nn else 0
+            d = f.diagonal[i] if i < nn else 0
             if d == 0:
                 if wi:
                     return self._certificate(i, 0, Fraction(wi, xden))

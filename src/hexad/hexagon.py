@@ -107,7 +107,7 @@ def map_ch(c, t):
     """ch(c, t) = j(c) + t for an integral cocycle c and coboundary t."""
     if c.ring is not Ring.Z or not c.is_cocycle():
         raise ValueError("ch needs an integral cocycle in the first slot")
-    if t.complex.coboundary_smith(t.degree - 1).solve_q(t.row) is None:
+    if not t.complex.coboundary_smith(t.degree - 1).in_image_q(t.row):
         raise ValueError("ch needs a rational coboundary in the second slot")
     return c.as_q() + t
 

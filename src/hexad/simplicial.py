@@ -2,9 +2,12 @@
 
 Simplices are stored as strictly increasing tuples of vertex indices;
 boundary signs come from position parity, which fixes all orientation
-conventions once and for all.  Every derived structure (boundary matrices,
-cocycle bases, homology data) is computed eagerly at construction, so a
-complex is immutable afterwards and safe to share between threads.
+conventions once and for all.  The boundary operator is stored once, as
+one face table per degree that serves both d and delta; dense matrices are
+built from it on demand.  Every derived structure (face tables, the Smith
+forms of the coboundary matrices, cohomology and homology presentations)
+is computed eagerly at construction, so a complex is immutable afterwards
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -109,12 +112,12 @@ MAX_SIMPLICES_PER_DIMENSION = 1000
 
 
 class SimplicialComplex:
-    """Immutable finite abstract simplicial complex with cached matrices
-    and one Smith form per boundary and coboundary matrix."""
+    """Immutable finite abstract simplicial complex.  The boundary operator
+    is stored once, as one face table per degree; dense matrices are built
+    from it on demand, and one Smith form is kept per coboundary matrix."""
 
     __slots__ = ("name", "n_vertices", "simplices", "_sizes", "_index",
-                 "_bound", "_cob_sparse", "_cob_smith", "_bd_smith",
-                 "_cohom", "_homol")
+                 "_faces", "_cob_smith", "_cohom", "_homol")
 
     def __init__(self, name, n_vertices, simplices_by_dim):
         self.name = str(name)
@@ -127,32 +130,27 @@ class SimplicialComplex:
         self.simplices = tuple(simps)
         self._sizes = {k: len(lst) for k, lst in enumerate(self.simplices)}
         self._index = tuple({s: i for i, s in enumerate(lst)} for lst in self.simplices)
-        self._bound = {}
-        self._cob_sparse = {}
-        self._cob_smith = {}
-        self._bd_smith = {}
-        self._cohom = {}
-        self._homol = {}
         violations = ["dimension %d has %d simplices, over the limit of %d"
                       % (k, n, MAX_SIMPLICES_PER_DIMENSION) for k, n
                       in self._sizes.items() if n > MAX_SIMPLICES_PER_DIMENSION]
         violations += validate_data(self.n_vertices, self.simplices)
         if violations:
             raise InvalidComplexError(violations)
-        # boundary matrices for 1..dim; everything else has a zero shape
-        for k in range(1, self.dim + 1):
-            self._bound[k] = self._build_boundary(k)
-            self._cob_sparse[k - 1] = self._build_cob_sparse(k - 1)
-        for k in range(-1, self.dim + 1):
-            self._cob_smith[k] = smith_form(self.coboundary_matrix(k))
-            self._bd_smith[k + 1] = smith_form(self.boundary(k + 1))
-        for k in range(0, self.dim + 1):
-            self._cohom[k] = _presentation(k, self._cob_smith[k],
-                                           self.coboundary_matrix(k - 1),
-                                           self._cob_smith[k - 1])
-            self._homol[k] = _presentation(k, self._bd_smith[k],
-                                           self.boundary(k + 1),
-                                           self._bd_smith[k + 1])
+        # _faces[k], k = 0..dim-1, serves delta^k and d_{k+1}: entry i lists,
+        # for every (k+1)-simplex, the index of the face opposite its vertex
+        # i (sign (-1)^i); every other degree has a zero operator
+        self._faces = {k: tuple(tuple(self._index[k][s[:i] + s[i + 1:]]
+                                      for s in self.simplices[k + 1])
+                                for i in range(k + 2))
+                       for k in range(self.dim)}
+        # the Smith forms of d serve the homology presentations only
+        delta = {k: self.coboundary_matrix(k) for k in range(-1, self.dim + 1)}
+        cob = self._cob_smith = {k: smith_form(m) for k, m in delta.items()}
+        bd = {k + 1: smith_form(m.transpose()) for k, m in delta.items()}
+        self._cohom = {k: _presentation(k, cob[k], delta[k - 1].transpose().data,
+                                        cob[k - 1]) for k in range(self.dim + 1)}
+        self._homol = {k: _presentation(k, bd[k], delta[k].data, bd[k + 1])
+                       for k in range(self.dim + 1)}
 
     @classmethod
     def from_facets(cls, name, n_vertices, facets):
@@ -190,56 +188,32 @@ class SimplicialComplex:
             raise KeyError("no %d-simplex %r in %s" % (k, tuple(simplex), self.name))
         return i
 
-    def _build_boundary(self, k):
-        lower = self.simplices_of(k - 1)
-        upper = self.simplices_of(k)
-        index = self._index[k - 1]
-        data = [[0] * len(upper) for _ in lower]
-        for j, s in enumerate(upper):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                data[index[face]][j] = -1 if i % 2 else 1
-        return Matrix(len(lower), len(upper), data)
-
-    def _build_cob_sparse(self, k):
-        # face structure of delta^k: entry i lists, for every (k+1)-simplex,
-        # the index of the face opposite its vertex i (sign (-1)^i)
-        index = self._index[k] if 0 <= k <= self.dim else {}
-        upper = self.simplices_of(k + 1)
-        return tuple(tuple(index[s[:i] + s[i + 1:]] for s in upper)
-                     for i in range(k + 2))
-
     def boundary(self, k):
-        """Boundary operator C_k -> C_{k-1} for any k (zero shape off-range)."""
-        if k in self._bound:
-            return self._bound[k]
-        return Matrix.zeros(self.n_simplices(k - 1), self.n_simplices(k))
+        """d_k: C_k -> C_{k-1} as a dense matrix, coboundary_matrix(k - 1)^T."""
+        return self.coboundary_matrix(k - 1).transpose()
 
     def coboundary_matrix(self, k):
-        """Coboundary operator C^k -> C^{k+1}: transpose of boundary(k+1)."""
-        return self.boundary(k + 1).transpose()
+        """delta^k: C^k -> C^{k+1} as a dense matrix, built from the face
+        table (zero shape off-range)."""
+        data = [[0] * self.n_simplices(k) for _ in range(self.n_simplices(k + 1))]
+        for i, faces in enumerate(self._faces.get(k, ())):
+            for row, f in zip(data, faces):
+                row[f] = -1 if i % 2 else 1
+        return Matrix(self.n_simplices(k + 1), self.n_simplices(k), data)
 
     def coboundary_smith(self, k):
         """smith_form(coboundary_matrix(k)), built once per degree with the
         complex; cocycle lattices, ranks and every solve against delta^k."""
-        if k in self._cob_smith:
-            return self._cob_smith[k]
-        return smith_form(self.coboundary_matrix(k))
-
-    def boundary_smith(self, k):
-        """smith_form(boundary(k)), built once per degree with the complex."""
-        if k in self._bd_smith:
-            return self._bd_smith[k]
-        return smith_form(self.boundary(k))
+        return self._cob_smith.get(k) or smith_form(self.coboundary_matrix(k))
 
     def coboundary_values(self, k, nums):
         """Apply delta^k to a vector of integers (the numerators of a
         cochain; its denominator is unchanged).
 
         Semantically identical to coboundary_matrix(k).mul_vec(nums); the
-        signs are read from the precomputed sparse face lists.
+        signs are read from the face table.
         """
-        faces = self._cob_sparse.get(k)
+        faces = self._faces.get(k)
         if faces is None:
             return [0] * self.n_simplices(k + 1)
         get = nums.__getitem__
@@ -247,6 +221,15 @@ class SimplicialComplex:
         for i in range(1, len(faces)):
             acc = map(sub if i % 2 else add, acc, map(get, faces[i]))
         return list(acc)
+
+    def boundary_values(self, k, nums):
+        """Apply d_{k+1} to a vector of integers: the transpose of
+        coboundary_values(k), read from the same face table."""
+        out = [0] * self.n_simplices(k)
+        for i, faces in enumerate(self._faces.get(k, ())):
+            for f, x in zip(faces, nums):
+                out[f] += -x if i % 2 else x
+        return out
 
     def cohomology_structure(self, k):
         """The Presentation of H^k(X; Z); empty off 0..dim."""
@@ -387,8 +370,8 @@ class Chain(Coords):
         return Chain(self.complex, self.degree, row)
 
     def boundary(self):
-        mat = self.complex.boundary(self.degree)
-        return Chain(self.complex, self.degree - 1, mat.mul_vec(self.coeffs))
+        return Chain(self.complex, self.degree - 1,
+                     self.complex.boundary_values(self.degree - 1, self.coeffs))
 
     def is_cycle(self):
         return all(c == 0 for c in self.boundary().coeffs)
@@ -518,24 +501,24 @@ def _empty_presentation(k):
     return Presentation(k, (), (), (), FgAbelianGroup(0))
 
 
-def _presentation(k, kernel_smith, image, image_smith):
+def _presentation(k, kernel_smith, image_gens, image_smith):
     """The presentation of ker m / im image in degree k, for m * image == 0,
-    from kernel_smith = smith_form(m) and image_smith = smith_form(image);
-    the torsion witnesses are integer solves on image_smith."""
+    from kernel_smith = smith_form(m), the columns of the image matrix and
+    image_smith = smith_form(image); the torsion witnesses are integer
+    solves on image_smith."""
     basis = tuple(tuple(v) for v in kernel_smith.kernel())
     z = len(basis)
-    if not (z and image.cols):
+    if not (z and image_gens):
         return Presentation(k, basis, basis, (), FgAbelianGroup(z))
     ambient = len(basis[0])
-    kernel_mat = Matrix.from_columns(basis, rows=ambient)
-    # with the standard basis as kernel basis (top-degree cohomology, H_0)
-    # the relations matrix is the image matrix itself, already reduced
-    if kernel_mat == Matrix.identity(ambient):
+    # m == 0 (top-degree cohomology, H_0): the kernel basis is the standard
+    # one, and the relations matrix is the image matrix, already reduced
+    if kernel_smith.rank == 0:
         relations = image_smith
     else:
-        kernel_fact = Factored(kernel_mat)
+        kernel_fact = Factored(Matrix.from_columns(basis, rows=ambient))
         coords = []
-        for col in image.transpose().data:
+        for col in image_gens:
             sol = kernel_fact.solve(col)
             if sol is None or sol.den != 1:
                 raise ArithmeticError("image generator is not in the kernel lattice")
@@ -636,7 +619,9 @@ def load_complex(text):
     """Parse the complex file format.
 
     Lines: `name <identifier>`, `vertices <n>`, `facet v0 v1 ...`,
-    with `#` comments.  Facets are closed under faces automatically; a
+    with `#` comments.  Every vertex 0..n-1 must lie in some facet (an
+    isolated vertex v is written `facet v`), or the count is refused.
+    Facets are closed under faces automatically; a
     file whose facets would enumerate more than MAX_FACE_ENUMERATION faces
     is rejected at the facet that passes the bound.
     """
@@ -660,6 +645,7 @@ def load_complex(text):
             if len(toks) != 2:
                 raise ComplexParseError(lineno, kcol, "vertices takes one count")
             n_vertices = _parse_int(toks[1][0], lineno, toks[1][1], "a vertex count")
+            count_at = (lineno, toks[1][1])
             if n_vertices <= 0:
                 raise ComplexParseError(lineno, toks[1][1],
                                         "vertex count must be positive")
@@ -696,6 +682,11 @@ def load_complex(text):
         raise ComplexParseError(1, 1, "missing vertices line")
     if not facets:
         raise ComplexParseError(1, 1, "no facets given")
+    used = set().union(*facets)
+    unused = next((v for v in range(n_vertices) if v not in used), None)
+    if unused is not None:
+        raise ComplexParseError(*count_at, "vertex %d is in no facet; an isolated "
+                                "vertex is written 'facet %d'" % (unused, unused))
     return SimplicialComplex.from_facets(name, n_vertices, facets)
 
 

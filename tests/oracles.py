@@ -98,7 +98,7 @@ def oracle_rank(rows, ncols):
         for i in range(len(a)):
             if i != rank and a[i][col] != 0:
                 f = a[i][col] / a[rank][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
 
@@ -187,6 +187,30 @@ def suspension(facets, n_vertices):
                   for apex in (n_vertices, n_vertices + 1))
 
 
+def staircase_product(facets_a, facets_b, n_b):
+    """Facets of the product of two complexes, each ordered by its vertex
+    numbers: for facets s of the first and t of the second, one simplex per
+    monotone staircase from (s_0, t_0) to (s_p, t_q), each step moving one
+    coordinate to its next vertex.  Vertex (a, b) is a * n_b + b, so every
+    staircase is already increasing."""
+    facets = []
+    for s in facets_a:
+        for t in facets_b:
+            s, t = sorted(s), sorted(t)
+            p, q = len(s) - 1, len(t) - 1
+            for a_steps in combinations(range(p + q), p):
+                i = j = 0
+                path = [s[0] * n_b + t[0]]
+                for step in range(p + q):
+                    if step in a_steps:
+                        i += 1
+                    else:
+                        j += 1
+                    path.append(s[i] * n_b + t[j])
+                facets.append(tuple(path))
+    return sorted(facets)
+
+
 CATALOG_FACETS = {
     "point": POINT,
     "interval": INTERVAL,
@@ -203,6 +227,13 @@ TORSION_FACETS = {
     "moore-3": (13, moore(3)),
     "moore-5": (19, moore(5)),
     "suspended-projective-plane": (8, suspension(PROJECTIVE_PLANE, 6)),
+}
+
+# RP^2 x S^1 (18 vertices, H_1 = Z + Z/2, H_2 = Z/2, H_3 = 0): Z/2 in H^2
+# and H^3.  Kept apart from TORSION_FACETS, whose checks run every degree.
+PRODUCT_FACETS = {
+    "projective-plane-times-circle": (18, staircase_product(PROJECTIVE_PLANE,
+                                                            CIRCLE, 3)),
 }
 
 

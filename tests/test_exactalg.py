@@ -24,7 +24,9 @@ from hexad.exactalg import (
     smith_form,
     xgcd,
 )
+from hexad.simplicial import catalog
 from oracles import (
+    CATALOG_FACETS,
     CIRCLE,
     close_facets,
     det_bareiss,
@@ -53,9 +55,10 @@ def test_xgcd_basic():
 def test_snf_identity_and_zero():
     ident = Matrix.identity(3)
     f = smith_form(ident)
-    assert f.d == ident and f.u == ident and f.v == ident
-    zero = Matrix.zeros(2, 3)
-    assert smith_form(zero).d == zero
+    assert f.diagonal == (1, 1, 1) and f.rank == 3
+    assert f.u == ident and f.v == ident
+    zero = smith_form(Matrix.zeros(2, 3))
+    assert zero.diagonal == (0, 0) and zero.rank == 0
 
 
 def test_snf_circle_boundary_matches_textbook_reduction():
@@ -64,7 +67,7 @@ def test_snf_circle_boundary_matches_textbook_reduction():
     b1 = oracle_boundary(by_dim, 1)
     m = Matrix.from_rows(b1)
     f = smith_form(m)
-    assert f.diagonal == [1, 1, 0]
+    assert f.diagonal == (1, 1, 0)
     assert oracle_smith_diagonal(b1) == [1, 1]
 
 
@@ -73,16 +76,17 @@ def test_snf_random_invariants():
     for _ in range(150):
         m = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5))
         f = smith_form(m)
-        assert f.u.mul(m).mul(f.v) == f.d
+        diag = f.diagonal
+        assert len(diag) == min(m.rows, m.cols)
+        assert f.u.mul(m).mul(f.v) == Matrix(
+            m.rows, m.cols, [[diag[i] if i == j else 0 for j in range(m.cols)]
+                             for i in range(m.rows)])
         assert abs(det_bareiss(f.u)) == 1
         assert abs(det_bareiss(f.v)) == 1
         assert f.u.mul(f.u_inv) == Matrix.identity(m.rows)
-        diag = f.diagonal
+        assert f.rank == sum(1 for x in diag if x != 0)
         for i in range(len(diag)):
             assert diag[i] >= 0
-            for j in range(m.cols):
-                if j != i and j < m.cols:
-                    assert f.d.data[i][j] == 0
         for a, b in zip(diag, diag[1:]):
             if a == 0:
                 assert b == 0
@@ -295,6 +299,34 @@ def test_smith_solve_q_examples():
     assert delta0.mul_vec(x.fractions()) == [Fraction(1, 2), 0, Fraction(1, 2)]
     with pytest.raises(ValueError):
         smith_form(delta0).solve_q([0, 0])
+
+
+def test_in_image_q_decides_what_solve_q_answers():
+    # seeded random matrices and every catalog delta^k, with right-hand
+    # sides m x (inside the image) and random ones (mostly outside)
+    rng = random.Random(23)
+    mats = [random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), -3, 3)
+            for _ in range(120)]
+    for name in sorted(CATALOG_FACETS):
+        cx = catalog(name)
+        mats += [cx.coboundary_matrix(k) for k in range(-1, cx.dim + 1)]
+    outcomes = set()
+    for m in mats:
+        f = smith_form(m)
+        x = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+             for _ in range(m.cols)]
+        inside = m.mul_vec(x)
+        outside = [Fraction(rng.randint(-6, 6), rng.choice([1, 2]))
+                   for _ in range(m.rows)]
+        for b in (inside, outside):
+            answer = f.in_image_q(b)
+            assert answer == (f.solve_q(b) is not None)
+            assert answer == f.in_image_q(IntRow.of(b))
+            outcomes.add(answer)
+        assert f.in_image_q(inside)
+        with pytest.raises(ValueError):
+            f.in_image_q([0] * (m.rows + 1))
+    assert outcomes == {True, False}
 
 
 def test_quotient_group_examples():

@@ -199,6 +199,16 @@ def test_run_all_checks_pass_on_odd_and_degree_three_torsion(name):
                 if r.status == "FAIL"] == [], k
 
 
+def test_run_all_checks_pass_on_projective_plane_times_circle():
+    # degree 1 only: degrees 2-4 take several seconds each
+    n_vertices, facets = oracles.PRODUCT_FACETS["projective-plane-times-circle"]
+    cx = simplicial.SimplicialComplex.from_facets(
+        "projective-plane-times-circle", n_vertices, facets)
+    reports = run_all_checks(HexagonContext(cx, 1, seed=0, trials=2))
+    assert [(r.name, r.counterexample) for r in reports
+            if r.status == "FAIL"] == []
+
+
 @pytest.mark.parametrize("name,k", [("point", 1), ("circle", 1), ("circle", 2),
                                     ("sphere", 2), ("projective-plane", 2)])
 def test_run_all_checks_pass(name, k):

@@ -3,7 +3,8 @@ code path cannot leave a dead import behind; only `exactalg` names the
 one-shot Gauss-Jordan and Hermite solvers or `MixedSolver`, so the other
 modules solve their systems on Smith forms or a kept factorization; and no
 module names the per-kind (co)homology records that one `Presentation`
-and one `Torsion` replaced."""
+and one `Torsion` replaced, or the dense boundary matrices and boundary
+Smith forms that one face table per degree replaced."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,8 @@ SOLVER_LAYER = {"rational_rank", "rational_solve", "rational_kernel", "hnf_solve
 PER_KIND_PRESENTATION = {"TorsionClass", "TorsionCycle", "CohomologyStructure",
                          "HomologyStructure", "_quotient_presentation",
                          "q_rank", "coboundary_gens", "boundary_gens"}
+OLD_BOUNDARY_STORAGE = {"boundary_smith", "_bd_smith", "_bound",
+                        "_build_boundary", "_cob_sparse"}
 
 
 def unused_imports(source):
@@ -111,6 +114,23 @@ def test_the_checker_sees_per_kind_presentation_names():
 def test_one_presentation_for_homology_and_cohomology(path):
     assert refused_names(path.read_text(encoding="utf-8"),
                          PER_KIND_PRESENTATION) == []
+
+
+def test_the_checker_sees_old_boundary_storage_names():
+    assert sorted(refused_names(
+        "self._bound = {}\ncx.boundary_smith(2)\n"
+        "def _build_boundary(self, k): pass\nself._cob_sparse.get(k)\n",
+        OLD_BOUNDARY_STORAGE)) == [(1, "_bound"), (2, "boundary_smith"),
+                                   (3, "_build_boundary"), (4, "_cob_sparse")]
+    assert refused_names("self._bd_smith[k]\nself._faces[k]\n",
+                         OLD_BOUNDARY_STORAGE) == [(1, "_bd_smith")]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/hexad/*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_one_face_table_stores_the_boundary_operator(path):
+    assert refused_names(path.read_text(encoding="utf-8"),
+                         OLD_BOUNDARY_STORAGE) == []
 
 
 def function_local_imports(source):

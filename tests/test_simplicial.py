@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hexad import simplicial
-from hexad.exactalg import FgAbelianGroup, MixedSubgroup, quotient_group
+from hexad.exactalg import FgAbelianGroup, Matrix, MixedSubgroup, quotient_group
 from hexad.simplicial import (
     MAX_FACE_ENUMERATION,
     Chain,
@@ -114,11 +114,14 @@ def test_cohomology_z_matches_quotient_group_oracle(name):
         assert cohomology(cx, k, Ring.Z) == oracle
 
 
-@pytest.mark.parametrize("name", sorted(oracles.TORSION_FACETS))
+@pytest.mark.parametrize("name", sorted(oracles.TORSION_FACETS)
+                         + sorted(oracles.PRODUCT_FACETS))
 def test_odd_and_degree_three_torsion_presentations(name):
-    # M(Z/3, 1), M(Z/5, 1) and the suspended projective plane, whose H^3 is
-    # Z/2: both presentations against the oracle's groups and boundaries
-    n_vertices, facets = oracles.TORSION_FACETS[name]
+    # M(Z/3, 1), M(Z/5, 1), the suspended projective plane, whose H^3 is
+    # Z/2, and RP^2 x S^1, whose H^2 and H^3 are Z/2: both presentations
+    # against the oracle's groups and boundaries
+    n_vertices, facets = {**oracles.TORSION_FACETS,
+                          **oracles.PRODUCT_FACETS}[name]
     cx = SimplicialComplex.from_facets(name, n_vertices, facets)
     by_dim = oracles.close_facets(facets)
     groups = [oracles.oracle_homology(facets, k) for k in range(cx.dim + 1)]
@@ -143,7 +146,56 @@ def test_odd_and_degree_three_torsion_presentations(name):
             - oracles.oracle_rank(down, n))
     torsion = {k: t for k, (_, t) in enumerate(groups) if t}
     assert torsion == {"moore-3": {1: [3]}, "moore-5": {1: [5]},
-                       "suspended-projective-plane": {2: [2]}}[name]
+                       "suspended-projective-plane": {2: [2]},
+                       "projective-plane-times-circle": {1: [2], 2: [2]}}[name]
+
+
+def test_staircase_products_match_the_benchmark_oracle():
+    # the cylinder and the torus from the circle, and RP^2 x S^1: simplex
+    # counts and integral homology from the facets alone
+    complexes = oracles.perfbench_complexes()
+    circle, interval = oracles.CIRCLE, oracles.INTERVAL
+    cylinder = oracles.staircase_product(circle, interval, 2)
+    torus = oracles.staircase_product(circle, circle, 3)
+    assert complexes.homology(cylinder) == [(1, ()), (1, ()), (0, ())]
+    assert complexes.homology(torus) == [(1, ()), (2, ()), (1, ())]
+    n_vertices, facets = oracles.PRODUCT_FACETS["projective-plane-times-circle"]
+    by_dim = oracles.close_facets(facets)
+    assert n_vertices == 18
+    assert [len(by_dim[k]) for k in range(4)] == [18, 108, 180, 90]
+    assert complexes.homology(facets) == [(1, ()), (1, (2,)), (0, (2,)),
+                                          (0, ())]
+
+
+FACE_TABLE_INPUTS = {
+    **{name: (len({v for f in facets for v in f}), facets)
+       for name, facets in oracles.CATALOG_FACETS.items()},
+    **oracles.TORSION_FACETS,
+    "T5": oracles.perfbench_complexes().grid_torus(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACE_TABLE_INPUTS))
+def test_one_face_table_serves_boundary_and_coboundary(name):
+    # d_{k+1} by the face table against the oracle's dense matrix, with
+    # delta^k its transpose and Chain.boundary the same map, for every k
+    # from -1 to dim + 1
+    n_vertices, facets = FACE_TABLE_INPUTS[name]
+    cx = (catalog(name) if name in oracles.CATALOG_FACETS
+          else SimplicialComplex.from_facets(name, n_vertices, facets))
+    by_dim = oracles.close_facets(facets)
+    rng = random.Random("faces@" + name)
+    for k in range(-1, cx.dim + 2):
+        lower, upper = len(by_dim.get(k, ())), len(by_dim.get(k + 1, ()))
+        oracle = oracles.oracle_boundary(by_dim, k + 1) if k >= 0 else []
+        assert cx.coboundary_matrix(k) == Matrix(
+            upper, lower, [[row[j] for row in oracle] for j in range(upper)])
+        assert cx.boundary(k + 1) == Matrix(lower, upper, oracle)
+        for _ in range(4):
+            c = [rng.randint(-9, 9) for _ in range(upper)]
+            expected = [oracles.vec_dot(row, c) for row in oracle]
+            assert cx.boundary_values(k, c) == expected
+            assert Chain(cx, k + 1, c).boundary() == Chain(cx, k, expected)
 
 
 def test_homology_basis_circle_sphere_torus():
@@ -238,6 +290,22 @@ facet 0 2
         load_complex("name x\nfacet 0 1\n")
     with pytest.raises(ComplexParseError):
         load_complex("name x\nvertices 2\nwibble\n")
+
+
+def test_load_complex_refuses_a_vertex_in_no_facet():
+    # three vertices and one edge would load as two 0-simplices, H_0 = Z;
+    # the count is refused, and an isolated vertex is written `facet v`
+    with pytest.raises(ComplexParseError) as err:
+        load_complex("name x\nvertices 3\nfacet 0 1\n")
+    assert (err.value.line, err.value.column) == (2, 10)
+    assert "vertex 2" in err.value.reason and "'facet 2'" in err.value.reason
+    with pytest.raises(ComplexParseError) as err:
+        load_complex("name x\n# two unused\n  vertices   4\nfacet 1 3\n")
+    assert (err.value.line, err.value.column) == (3, 14)
+    assert "vertex 0 " in err.value.reason
+    cx = load_complex("name x\nvertices 3\nfacet 0 1\nfacet 2\n")
+    assert cx.n_simplices(0) == 3
+    assert cx.homology_structure(0).group == FgAbelianGroup(2)
 
 
 def _refuse_closure(monkeypatch):
