@@ -24,8 +24,6 @@ from .hexagon import (
 from .hscomplex import format_diff_cochain
 from .plforms import load_whitney_form
 from .simplicial import (
-    ComplexParseError,
-    InvalidComplexError,
     catalog,
     catalog_names,
     cohomology,
@@ -288,9 +286,6 @@ def main(argv=None):
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
-    except (ComplexParseError, InvalidComplexError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except (KeyError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

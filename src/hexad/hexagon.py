@@ -198,6 +198,9 @@ def witness_I_surjective(c, t):
     """
     if c.ring is not Ring.Z or not c.is_cocycle():
         raise ValueError("first slot must be an integral cocycle")
+    if t.degree != c.degree:
+        raise ValueError("the coboundary has degree %d, but the cocycle has "
+                         "degree %d" % (t.degree, c.degree))
     if t.ring is not Ring.Q:
         t = t.as_q()
     sol = c.complex.coboundary_smith(t.degree - 1).solve_q(t.row)

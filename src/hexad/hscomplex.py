@@ -22,8 +22,8 @@ from math import lcm
 from .exactalg import IntRow
 from .plforms import (WhitneyForm, d as d_form, format_whitney_form,
                       parse_whitney_lines)
-from .simplicial import (Cochain, ComplexParseError, Coords, Ring, _once,
-                         _parse_int, _tokenize, format_cochain,
+from .simplicial import (Cochain, ComplexParseError, Coords, Ring, _directives,
+                         _numbered, _once, _parse_int, format_cochain,
                          parse_cochain_lines)
 
 
@@ -202,32 +202,27 @@ def format_diff_cochain(x):
 def load_diff_cochain(text, complex):
     level = None
     sections = {}
-    opened_at = {}  # section or "level" -> its line
+    opened_at = {}  # section -> its line
     degree_at = {}  # section -> (line, column) of its degree line
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw)
-        if not toks:
-            continue
-        key, kcol = toks[0]
+    lines = _numbered(text)
+    for lineno, key, kcol, args in _directives(lines, {"level": "integer"}):
         if key == "level":
-            _once(opened_at, key, lineno, kcol)
-            if len(toks) != 2:
-                raise ComplexParseError(lineno, kcol, "level takes one integer")
-            level = _parse_int(toks[1][0], lineno, toks[1][1], "a level")
+            (tok, col), = args
+            level = _parse_int(tok, lineno, col, "a level")
             level_at = (lineno, kcol)
             continue
         if key == "section":
-            if len(toks) != 2 or toks[1][0] not in ("c", "T", "omega"):
+            if len(args) != 1 or args[0][0] not in ("c", "T", "omega"):
                 raise ComplexParseError(lineno, kcol,
                                         "section must be c, T or omega")
-            current, ncol = toks[1]
+            (current, ncol), = args
             _once(opened_at, current, lineno, ncol, "section %s" % current)
             sections[current] = []
             continue
         if current is None:
             raise ComplexParseError(lineno, kcol, "content outside any section")
-        sections[current].append((lineno, raw))
+        sections[current].append(lines[lineno - 1])
         if key == "degree":
             degree_at[current] = (lineno, kcol)
     if level is None:

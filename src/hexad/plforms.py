@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exactalg import IntRow
-from .simplicial import (Chain, Cochain, ComplexParseError, Coords, Ring,
-                         _tokenize, parse_cochain_lines)
+from .simplicial import (Cochain, ComplexParseError, Coords, Ring, _directives,
+                         _numbered, format_cochain, parse_cochain_lines)
 
 
 class NotExactError(ValueError):
@@ -91,13 +92,15 @@ class PeriodVector:
 
 
 def period_vector(form):
-    """Periods of a closed form over the free homology basis in its degree."""
+    """Periods of a closed form over the free homology basis in its degree:
+    the integer pairing of its numerators with each free cycle, over its
+    denominator."""
     if not d(form).is_zero():
         raise ValueError("period vector of a non-closed form")
-    st = form.complex.homology_structure(form.degree)
-    cycles = [Chain(form.complex, form.degree, list(c)) for c in st.free]
-    return PeriodVector(form.degree,
-                        tuple(integrate(form, z) for z in cycles))
+    nums, den = form.row
+    free = form.complex.homology_structure(form.degree).free
+    return PeriodVector(form.degree, tuple(
+        Fraction(sum(map(mul, nums, z)), den) for z in free))
 
 
 def in_omega_A(form):
@@ -143,36 +146,25 @@ def derham_representative(cocycle):
 
 
 def format_whitney_form(form):
-    lines = ["whitney-form", "degree %d" % form.degree, "ring Q"]
-    for s, v in zip(form.complex.simplices_of(form.degree), form.coeffs):
-        if v != 0:
-            lines.append("value %s %s" % (",".join(str(x) for x in s), v))
-    return "\n".join(lines) + "\n"
+    """A `whitney-form` header over the form's de Rham cochain file."""
+    return "whitney-form\n" + format_cochain(derham_cochain(form))
 
 
 def load_whitney_form(text, complex):
-    return parse_whitney_lines(list(enumerate(text.splitlines(), start=1)),
-                               complex, 1)
+    return parse_whitney_lines(_numbered(text), complex, 1)
 
 
 def parse_whitney_lines(lines, complex, header_line):
-    """Parse a `whitney-form` header and its cochain lines, given as (line
-    number, text) pairs; lines holding no header are reported at
-    `header_line`, the line that opens them (1 for a whole file)."""
-    header = None
-    body = []
-    for lineno, raw in lines:
-        toks = _tokenize(raw)
-        if not toks:
-            continue
-        if header is None:
-            if [tok for tok, _ in toks] != ["whitney-form"]:
-                raise ComplexParseError(lineno, toks[0][1],
-                                        "expected whitney-form header")
-            header = lineno
-            continue
-        body.append((lineno, raw))
-    if header is None:
+    """Parse a `whitney-form` header and the `ring Q` cochain lines after
+    it, given as (line number, text) pairs in file order; lines holding no
+    header are reported at `header_line`, the line that opens them (1 for
+    a whole file)."""
+    first = next(_directives(lines, {}), None)
+    if first is None:
         raise ComplexParseError(header_line, 1, "expected whitney-form header")
+    header, key, kcol, args = first
+    if key != "whitney-form" or args:
+        raise ComplexParseError(header, kcol, "expected whitney-form header")
+    body = [(lineno, raw) for lineno, raw in lines if lineno > header]
     return whitney(parse_cochain_lines(body, complex, header,
                                        expect_ring=Ring.Q))

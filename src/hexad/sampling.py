@@ -74,7 +74,7 @@ def random_chain(rng, complex, degree):
 
 
 def random_cochain(rng, complex, degree, ring):
-    ring = Ring(ring) if not isinstance(ring, Ring) else ring
+    ring = Ring(ring)
     n = complex.n_simplices(degree)
     if ring is Ring.Z:
         return Cochain(complex, degree, ring, IntRow(random_ints(rng, n), 1))

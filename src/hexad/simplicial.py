@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from operator import add, mul, sub
 
@@ -34,15 +35,6 @@ class Ring(Enum):
     Z = "Z"
     Q = "Q"
     QMODZ = "QmodZ"
-
-
-def _as_ring(ring):
-    if isinstance(ring, Ring):
-        return ring
-    for r in Ring:
-        if r.value == ring:
-            return r
-    raise ValueError("unknown coefficient ring %r" % (ring,))
 
 
 class InvalidComplexError(ValueError):
@@ -374,7 +366,7 @@ class Chain(Coords):
                      self.complex.boundary_values(self.degree - 1, self.coeffs))
 
     def is_cycle(self):
-        return all(c == 0 for c in self.boundary().coeffs)
+        return not any(self.complex.boundary_values(self.degree - 1, self.coeffs))
 
     def __repr__(self):
         return "Chain(deg=%d, %r)" % (self.degree, list(self.coeffs))
@@ -398,7 +390,7 @@ class Cochain(Coords):
 
     def __init__(self, complex, degree, ring, values):
         if type(ring) is not Ring:
-            ring = _as_ring(ring)
+            ring = Ring(ring)
         row = IntRow.of(values)
         if ring is Ring.Z:
             if row.den != 1:
@@ -497,6 +489,7 @@ class Presentation:
     group: FgAbelianGroup
 
 
+@cache
 def _empty_presentation(k):
     return Presentation(k, (), (), (), FgAbelianGroup(0))
 
@@ -551,7 +544,7 @@ def cohomology(complex, k, ring):
     Q      -> integer rank
     Q/Z    -> (divisible_rank, finite FgAbelianGroup)
     """
-    ring = _as_ring(ring)
+    ring = Ring(ring)
     if not (0 <= k <= complex.dim):
         raise ValueError("degree %d out of range 0..%d" % (k, complex.dim))
     if ring is Ring.Q:
@@ -567,20 +560,10 @@ def cohomology(complex, k, ring):
 # text formats
 
 def _tokenize(line):
-    """Split a line into (token, 1-based column) pairs, dropping comments."""
-    if "#" in line:
-        line = line[:line.index("#")]
-    out = []
-    col = 0
-    while col < len(line):
-        if line[col].isspace():
-            col += 1
-            continue
-        start = col
-        while col < len(line) and not line[col].isspace():
-            col += 1
-        out.append((line[start:col], start + 1))
-    return out
+    """Split a line into (token, 1-based column) pairs, dropping comments;
+    tokens are separated by what str.isspace() calls whitespace."""
+    return [(m.group(), m.start() + 1)
+            for m in re.finditer(r"\S+", line.partition("#")[0])]
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -609,6 +592,31 @@ def _once(first_lines, key, lineno, col, what=None):
     first_lines[key] = lineno
 
 
+def _numbered(text):
+    """A text's lines as (line number, text) pairs, numbered from 1."""
+    return list(enumerate(text.splitlines(), start=1))
+
+
+def _directives(lines, single):
+    """Scan (line number, text) pairs: yield (line, key, column, args) for
+    each line that holds a token, args being the (token, column) pairs after
+    its first token, the key.  `single` maps each single-valued key to what
+    its argument is: such a key takes exactly one argument and is given
+    once, else the line is a parse error at the key."""
+    first_lines = {}
+    for lineno, raw in lines:
+        toks = _tokenize(raw)
+        if not toks:
+            continue
+        (key, kcol), args = toks[0], toks[1:]
+        if key in single:
+            _once(first_lines, key, lineno, kcol)
+            if len(args) != 1:
+                raise ComplexParseError(lineno, kcol, "%s takes one %s"
+                                        % (key, single[key]))
+        yield lineno, key, kcol, args
+
+
 # Bound on the faces a complex file may ask the face closure to enumerate,
 # summed as 2^|f| - 1 over its facets: about 1,000 times the ~1,000
 # simplices of the largest complexes the checks are meant for.
@@ -629,34 +637,24 @@ def load_complex(text):
     n_vertices = None
     facets = []
     enumerated = 0
-    first_lines = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw)
-        if not toks:
-            continue
-        key, kcol = toks[0]
-        if key in ("name", "vertices"):
-            _once(first_lines, key, lineno, kcol)
+    for lineno, key, kcol, args in _directives(
+            _numbered(text), {"name": "identifier", "vertices": "count"}):
         if key == "name":
-            if len(toks) != 2:
-                raise ComplexParseError(lineno, kcol, "name takes one identifier")
-            name = toks[1][0]
+            name = args[0][0]
         elif key == "vertices":
-            if len(toks) != 2:
-                raise ComplexParseError(lineno, kcol, "vertices takes one count")
-            n_vertices = _parse_int(toks[1][0], lineno, toks[1][1], "a vertex count")
-            count_at = (lineno, toks[1][1])
+            (tok, col), = args
+            n_vertices = _parse_int(tok, lineno, col, "a vertex count")
+            count_at = (lineno, col)
             if n_vertices <= 0:
-                raise ComplexParseError(lineno, toks[1][1],
-                                        "vertex count must be positive")
+                raise ComplexParseError(lineno, col, "vertex count must be positive")
         elif key == "facet":
             if n_vertices is None:
                 raise ComplexParseError(lineno, kcol,
                                         "facet before the vertices line")
-            if len(toks) < 2:
+            if not args:
                 raise ComplexParseError(lineno, kcol, "facet needs vertex indices")
             parsed = [(_parse_int(tok, lineno, col, "a vertex index"), col)
-                      for tok, col in toks[1:]]
+                      for tok, col in args]
             verts = [v for v, _ in parsed]
             for v, col in parsed:
                 if v < 0 or v >= n_vertices:
@@ -701,38 +699,31 @@ def _parse_fraction(tok, lineno, col):
 def parse_cochain_lines(lines, complex, header_line, *, expect_ring=None):
     """Parse `degree`, `ring`, `value` lines, given as (line number, text)
     pairs, into a Cochain.  A missing degree or ring line, or a ring other
-    than `expect_ring`, is reported at `header_line`: the line that opens
-    the lines (1 for a whole file)."""
+    than the `Ring` member `expect_ring`, is reported at `header_line`: the
+    line that opens the lines (1 for a whole file)."""
     degree = None
     ring = None
     values = {}
-    first_lines = {}  # directive or value simplex -> its line
+    value_lines = {}  # value simplex -> its line
     fractional = []  # (line, column, message) of each non-integer value
-    for lineno, raw in lines:
-        toks = _tokenize(raw)
-        if not toks:
-            continue
-        key, kcol = toks[0]
-        if key in ("degree", "ring"):
-            _once(first_lines, key, lineno, kcol)
-            if len(toks) != 2:
-                raise ComplexParseError(lineno, kcol,
-                                        "%s takes one argument" % key)
+    for lineno, key, kcol, args in _directives(
+            lines, {"degree": "argument", "ring": "argument"}):
         if key == "degree":
-            degree = _parse_int(toks[1][0], lineno, toks[1][1], "a degree")
+            (tok, col), = args
+            degree = _parse_int(tok, lineno, col, "a degree")
         elif key == "ring":
+            (tok, col), = args
             try:
-                ring = _as_ring(toks[1][0])
+                ring = Ring(tok)
             except ValueError:
-                raise ComplexParseError(lineno, toks[1][1],
-                                        "unknown ring %r" % toks[1][0])
+                raise ComplexParseError(lineno, col, "unknown ring %r" % tok)
         elif key == "value":
             if degree is None:
                 raise ComplexParseError(lineno, kcol, "value before degree line")
-            if len(toks) != 3:
+            if len(args) != 2:
                 raise ComplexParseError(lineno, kcol,
                                         "value takes a simplex and a scalar")
-            stext, scol = toks[1]
+            (stext, scol), (vtext, vcol) = args
             simplex = tuple(map(_integer, stext.split(",")))
             if None in simplex:
                 raise ComplexParseError(lineno, scol,
@@ -742,19 +733,17 @@ def parse_cochain_lines(lines, complex, header_line, *, expect_ring=None):
             except KeyError:
                 raise ComplexParseError(lineno, scol,
                                         "no %d-simplex %r" % (degree, simplex))
-            _once(first_lines, simplex, lineno, kcol,
-                  "value for %s" % stext)
-            v = values[idx] = _parse_fraction(toks[2][0], lineno, toks[2][1])
+            _once(value_lines, simplex, lineno, kcol, "value for %s" % stext)
+            v = values[idx] = _parse_fraction(vtext, lineno, vcol)
             if v.denominator != 1:
-                fractional.append((lineno, toks[2][1], "non-integer value %s "
+                fractional.append((lineno, vcol, "non-integer value %s "
                                    "in a Z-cochain" % v))
         else:
             raise ComplexParseError(lineno, kcol, "unknown directive %r" % key)
     if degree is None or ring is None:
         raise ComplexParseError(header_line, 1, "cochain needs degree and ring lines")
-    if expect_ring is not None and ring is not _as_ring(expect_ring):
-        raise ComplexParseError(header_line, 1,
-                                "expected ring %s" % _as_ring(expect_ring).value)
+    if expect_ring is not None and ring is not expect_ring:
+        raise ComplexParseError(header_line, 1, "expected ring %s" % expect_ring.value)
     if ring is Ring.Z and fractional:
         raise ComplexParseError(*fractional[0])
     vals = [values.get(i, 0) for i in range(complex.n_simplices(degree))]
@@ -762,8 +751,7 @@ def parse_cochain_lines(lines, complex, header_line, *, expect_ring=None):
 
 
 def load_cochain(text, complex):
-    return parse_cochain_lines(list(enumerate(text.splitlines(), start=1)),
-                               complex, 1)
+    return parse_cochain_lines(_numbered(text), complex, 1)
 
 
 def format_cochain(cochain):

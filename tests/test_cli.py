@@ -210,6 +210,56 @@ def test_witness_commands(tmp_path, capsys):
     assert t == Cochain(cx, 0, Ring.Q, [1, 0, 0]).coboundary()
 
 
+# SHA-256 of the witness output on the circle, recorded before Whitney form
+# files were written by the cochain writer under their header.  The inputs
+# are literal text, so only the output side is pinned, byte for byte.
+WITNESS_INPUTS = {
+    "form": "whitney-form\ndegree 1\nring Q\n"
+            "value 0,1 5/2\nvalue 0,2 -1/3\nvalue 1,2 -5/6\n",
+    "cocycle": "degree 1\nring Z\nvalue 0,2 -1\n",
+    "coboundary": "degree 1\nring Q\n"
+                  "value 0,1 -2/3\nvalue 0,2 1/4\nvalue 1,2 11/12\n",
+}
+PINNED_WITNESSES = {
+    ("R", "text"): "49447f3bab168517bc680116475fcb3870c1ff1217a392581dbf3462791ee8bb",
+    ("R", "json"): "391f945ff854e42354e6f7d26a97e621e88101fa3338fea9bdb9af28d9eb6c2c",
+    ("I", "text"): "7089846e4c1ab5e9df7d40823fa645f5bb1d6701b36ff6eb27ba1921674174af",
+    ("I", "json"): "10614282e6c7cb5ec2582c1d23a3052d04123b271ffc991425ed215f24276f92",
+}
+
+
+@pytest.mark.parametrize("kind,fmt", sorted(PINNED_WITNESSES))
+def test_witness_bytes_are_pinned(tmp_path, kind, fmt):
+    files = {}
+    for label, text in WITNESS_INPUTS.items():
+        files[label] = tmp_path / label
+        files[label].write_text(text)
+    if kind == "R":
+        inputs = ["--form", str(files["form"])]
+    else:
+        inputs = ["--cocycle", str(files["cocycle"]),
+                  "--coboundary", str(files["coboundary"])]
+    report = tmp_path / "witness.out"
+    assert run_cli(["witness", "--complex", "circle", "--kind", kind] + inputs
+                   + ["--format", fmt, "--report", str(report)]) == 0
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == PINNED_WITNESSES[kind, fmt]
+
+
+@pytest.mark.parametrize("c_degree,t_degree", [(1, 2), (2, 1)])
+def test_witness_I_names_both_degrees_when_they_differ(tmp_path, capsys,
+                                                       c_degree, t_degree):
+    c_file, t_file = tmp_path / "c", tmp_path / "t"
+    c_file.write_text("degree %d\nring Z\n" % c_degree)
+    t_file.write_text("degree %d\nring Q\n" % t_degree)
+    assert run_cli(["witness", "--complex", "circle", "--kind", "I",
+                    "--cocycle", str(c_file), "--coboundary", str(t_file)]
+                   ) == 2
+    assert capsys.readouterr().err == (
+        "error: the coboundary has degree %d, but the cocycle has degree %d\n"
+        % (t_degree, c_degree))
+
+
 def test_witness_rejects_bad_targets(tmp_path, capsys):
     cx = catalog("circle")
     form_file = tmp_path / "half.wform"
@@ -370,7 +420,10 @@ def test_diff_cochain_defects_are_parse_errors(text, where, reason):
     ("level 1\nlevel 2\n" + _C_T_OMEGA, (2, 1), "level repeats the one on line 1"),
     ("level 1_0\n" + _C_T_OMEGA, (1, 7), "expected a level"),
     ("level \u0661\n" + _C_T_OMEGA, (1, 7), "expected a level"),
-], ids=["level-repeated", "level-underscore", "level-arabic-indic"])
+    ("level\n" + _C_T_OMEGA, (1, 1), "level takes one integer"),
+    (" level 1 2\n" + _C_T_OMEGA, (1, 2), "level takes one integer"),
+], ids=["level-repeated", "level-underscore", "level-arabic-indic",
+        "level-no-argument", "level-two-arguments"])
 def test_diff_cochain_level_is_one_ascii_integer(text, where, reason):
     with pytest.raises(ComplexParseError) as err:
         load_diff_cochain(text, catalog("circle"))

@@ -180,6 +180,17 @@ def test_witness_I_surjective():
                              Cochain(catalog("circle"), 1, Ring.Q, [1, 0, 0]))
 
 
+def test_witness_I_refuses_another_degree_before_any_solve(monkeypatch):
+    def refuse(self, k):
+        raise AssertionError("solved against delta^%d" % k)
+    monkeypatch.setattr(simplicial.SimplicialComplex, "coboundary_smith", refuse)
+    cx = catalog("torus")
+    with pytest.raises(ValueError, match="the coboundary has degree 2, but "
+                       "the cocycle has degree 1"):
+        witness_I_surjective(Cochain.zero(cx, 1, Ring.Z),
+                             Cochain.zero(cx, 2, Ring.Q))
+
+
 def test_omega_decomposer_matches_periods():
     cx = catalog("circle")
     dec = OmegaDecomposer(cx, 1)

@@ -4,7 +4,9 @@ one-shot Gauss-Jordan and Hermite solvers or `MixedSolver`, so the other
 modules solve their systems on Smith forms or a kept factorization; and no
 module names the per-kind (co)homology records that one `Presentation`
 and one `Torsion` replaced, or the dense boundary matrices and boundary
-Smith forms that one face table per degree replaced."""
+Smith forms that one face table per degree replaced; and only `simplicial`
+tokenizes a text format, while no module names the ring lookup that
+`Ring(name)` replaced."""
 
 import ast
 from pathlib import Path
@@ -131,6 +133,16 @@ def test_the_checker_sees_old_boundary_storage_names():
 def test_one_face_table_stores_the_boundary_operator(path):
     assert refused_names(path.read_text(encoding="utf-8"),
                          OLD_BOUNDARY_STORAGE) == []
+
+
+SIMPLICIAL = ROOT / "src" / "hexad" / "simplicial.py"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_the_text_format_rules_live_in_simplicial(path):
+    # one scanner tokenizes every format, and rings are read by Ring(name)
+    refused = {"_as_ring"} if path == SIMPLICIAL else {"_as_ring", "_tokenize"}
+    assert refused_names(path.read_text(encoding="utf-8"), refused) == []
 
 
 def function_local_imports(source):

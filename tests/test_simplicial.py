@@ -452,7 +452,19 @@ def test_signed_ascii_integers_still_load():
      "vertices repeats the one on line 2"),
     ("name a\n name b\nvertices 2\nfacet 0 1\n", (2, 2),
      "name repeats the one on line 1"),
-], ids=["degree", "ring", "value", "vertices", "name"])
+    # the other half of the single-valued rule: exactly one argument
+    ("name\nvertices 2\nfacet 0 1\n", (1, 1), "name takes one identifier"),
+    ("name a b\nvertices 2\nfacet 0 1\n", (1, 1), "name takes one identifier"),
+    ("name x\n  vertices\nfacet 0 1\n", (2, 3), "vertices takes one count"),
+    ("name x\nvertices 2 3\nfacet 0 1\n", (2, 1), "vertices takes one count"),
+    ("degree\nring Q\n", (1, 1), "degree takes one argument"),
+    ("degree 1 2\nring Q\n", (1, 1), "degree takes one argument"),
+    ("degree 1\n ring # Q\n", (2, 2), "ring takes one argument"),
+    ("degree 1\nring Q Z\n", (2, 1), "ring takes one argument"),
+], ids=["degree", "ring", "value", "vertices", "name",
+        "name-no-argument", "name-two-arguments", "vertices-no-argument",
+        "vertices-two-arguments", "degree-no-argument", "degree-two-arguments",
+        "ring-no-argument", "ring-two-arguments"])
 def test_repeated_directives_are_parse_errors(text, where, reason):
     line, column, got = _parse_error(text)
     assert (line, column) == where and got == reason
