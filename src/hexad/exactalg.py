@@ -9,11 +9,11 @@ A rational vector is kept as an `IntRow`, integer numerators over one
 denominator, so vector arithmetic and solves run on integers.
 
 The module provides Smith normal form with unimodular transforms (and
-the inverse of the row transform), integer and rational linear solvers,
-and decision procedures for subgroups of Q^n that mix a lattice part
-(integer spans) with a vector-space part (rational spans).  Membership
-answers always come with a witness or a certificate that re-verifies
-independently.
+the inverse of the row transform, all kept sparse), integer and rational
+linear solvers, and decision procedures for subgroups of Q^n that mix a
+lattice part (integer spans) with a vector-space part (rational spans).
+Membership answers always come with a witness or a certificate that
+re-verifies independently.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import add, mul
 
@@ -218,15 +219,57 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
+def _sparse(vectors, n):
+    """The (indices, values) pairs listing the nonzero entries of dense
+    vectors of length n."""
+    ks = range(n)
+    return tuple([(tuple(compress(ks, vec)), tuple(filter(None, vec)))
+                  for vec in vectors])
+
+
+def _dense(vec, n):
+    """The dense list of n ints of a sparse (indices, values) vector."""
+    out = [0] * n
+    for i, a in zip(*vec):
+        out[i] = a
+    return out
+
+
+def _rows_times(rows, nums):
+    """The product of the matrix with these sparse rows and a dense vector,
+    yielded one row at a time."""
+    for idx, vals in rows:
+        acc = 0
+        for i, a in zip(idx, vals):
+            acc += a * nums[i]
+        yield acc
+
+
+def _columns_times(cols, coeffs, n):
+    """sum coeffs[j] * cols[j] over sparse columns of height n, as a dense
+    list; columns past the end of coeffs are not read."""
+    out = [0] * n
+    for (idx, vals), c in zip(cols, coeffs):
+        if c:
+            for i, a in zip(idx, vals):
+                out[i] += a * c
+    return out
+
+
 @dataclass(frozen=True)
 class SmithForm:
     """u * m * v == diag(d_1, d_2, ...), r x c, u and v unimodular, d_1 | d_2
-    | ... with the `rank` nonzero d_i first; u_inv is the inverse of u."""
+    | ... with the `rank` nonzero d_i first; u_inv is the inverse of u.
 
-    u: Matrix
+    The transforms are kept sparse, each in the orientation its products
+    read: `u_rows` are the rows of u, `v_cols` and `u_inv_cols` the columns
+    of v and u_inv, each an (indices, values) pair of tuples listing its
+    nonzero entries in index order."""
+
+    u_rows: tuple
     diagonal: tuple
-    v: Matrix
-    u_inv: Matrix
+    v_cols: tuple
+    u_inv_cols: tuple
     rank: int
 
     def solve(self, b):
@@ -246,52 +289,54 @@ class SmithForm:
         u*m == d*v^-1, and u is unimodular; so with w = u*b the split
         exists exactly when w_i is an integer for every i >= r.  Then
         c = u_inv*(0, ..., 0, w_r, ...) and x = v*y with y_i = w_i / d_i.
+        Rows r, r+1, ... of u are read first, and only columns r, r+1, ...
+        of u_inv.
         """
-        w, bden, r = self._rows(b)
-        if any(wi % bden for wi in w[r:]):
+        bnum, bden = self._numerators(b)
+        r = self.rank
+        high = list(_rows_times(self.u_rows[r:], bnum))
+        if any(wi % bden for wi in high):
             return None
-        c = self.u_inv.mul_vec([0] * r + [wi // bden for wi in w[r:]])
-        return c, self._preimage(w, bden, r)
+        c = _columns_times(self.u_inv_cols[r:], [wi // bden for wi in high],
+                           len(self.u_rows))
+        return c, self._preimage(bnum, bden)
 
     def solve_q(self, b):
         """Rational x with m*x == b as an IntRow, or None: the split of b
         with c == 0, which exists exactly when w_i == 0 for every i >= r."""
-        w, bden, r = self._rows(b)
-        if any(w[r:]):
+        bnum, bden = self._numerators(b)
+        if any(_rows_times(self.u_rows[self.rank:], bnum)):
             return None
-        return self._preimage(w, bden, r)
+        return self._preimage(bnum, bden)
 
     def in_image_q(self, b):
         """Whether m*x == b has a rational solution, that is, whether
         `solve_q(b)` is not None: rows r, r+1, ... of u vanish on b's
         numerators.  Only those rows are read, and no x is built."""
         bnum = self._numerators(b)[0]
-        return not any(sum(map(mul, row, bnum))
-                       for row in self.u.data[self.rank:])
+        return not any(_rows_times(self.u_rows[self.rank:], bnum))
 
     def _numerators(self, b):
         bnum, bden = IntRow.of(b)
-        if len(bnum) != self.u.rows:
+        if len(bnum) != len(self.u_rows):
             raise ValueError("right-hand side length does not match")
         return bnum, bden
 
-    def _rows(self, b):
-        # (u*bnum, bden, rank) for b == bnum / bden
-        bnum, bden = self._numerators(b)
-        return self.u.mul_vec(bnum), bden, self.rank
-
-    def _preimage(self, w, bden, r):
-        # v*y / bden with y_i = w_i / d_i for i < r, and d_{r-1} a multiple
-        # of every nonzero d_i
+    def _preimage(self, bnum, bden):
+        # v*y / bden with y_i = w_i / d_i for w = u*bnum and i < r, over
+        # d_{r-1}, a multiple of every nonzero d_i: rows and columns below r
+        r = self.rank
         top = self.diagonal[r - 1] if r else 1
-        y = [wi * (top // di) for wi, di in zip(w, self.diagonal[:r])]
-        return IntRow(self.v.mul_vec(y + [0] * (self.v.cols - r)),
+        y = [wi * (top // di) for wi, di
+             in zip(_rows_times(self.u_rows[:r], bnum), self.diagonal[:r])]
+        return IntRow(_columns_times(self.v_cols, y, len(self.v_cols)),
                       bden * top)
 
     def kernel(self):
         """Z-basis of the integer kernel {x : m*x == 0}, as column vectors:
         columns r, r+1, ... of v, r the rank."""
-        return [self.v.column(j) for j in range(self.rank, self.v.cols)]
+        n = len(self.v_cols)
+        return [_dense(col, n) for col in self.v_cols[self.rank:]]
 
 
 def smith_form(m):
@@ -444,10 +489,10 @@ def smith_form(m):
 
     diagonal = tuple([a[i][i] for i in range(n)])
     return SmithForm(
-        u=Matrix(r, r, u),
+        u_rows=_sparse(u, r),
         diagonal=diagonal,
-        v=Matrix(c, c, v),
-        u_inv=Matrix(r, r, uinv),
+        v_cols=_sparse(zip(*v), c),
+        u_inv_cols=_sparse(zip(*uinv), r),
         rank=sum(1 for x in diagonal if x),
     )
 
@@ -463,7 +508,7 @@ def kernel_basis(m):
 def column_lattice_basis(m):
     """Z-basis of the lattice spanned by the columns of an integer matrix."""
     f = smith_form(m)
-    return [[dj * a for a in f.u_inv.column(j)]
+    return [[dj * a for a in _dense(f.u_inv_cols[j], m.rows)]
             for j, dj in enumerate(f.diagonal[:f.rank])]
 
 
@@ -717,7 +762,7 @@ class MixedSolver:
         else:
             y = [sum(map(mul, phi, xnum)) for phi in self.proj]
         f = self.smith
-        w = f.u.mul_vec(y)
+        w = list(_rows_times(f.u_rows, y))
         nn = len(f.diagonal)
         z = [0] * self.bmat.cols
         for i, wi in enumerate(w):
@@ -730,7 +775,7 @@ class MixedSolver:
                 return self._certificate(i, d, Fraction(wi, xden))
             else:
                 z[i] = wi // (d * xden)
-        zz = f.v.mul_vec(z)
+        zz = _columns_times(f.v_cols, z, len(z))
         residue = list(xnum)
         for coeff, gen in zip(zz, s.lattice_gens):
             if coeff:
@@ -748,11 +793,10 @@ class MixedSolver:
 
     def _certificate(self, i, modulus, value):
         phi = [0] * self.subgroup.ambient_dim
-        for t, row_phi in enumerate(self.proj):
-            coeff = self.smith.u.data[i][t]
-            if coeff:
-                for j in range(len(phi)):
-                    phi[j] += coeff * row_phi[j]
+        for t, coeff in zip(*self.smith.u_rows[i]):
+            row_phi = self.proj[t]
+            for j in range(len(phi)):
+                phi[j] += coeff * row_phi[j]
         return NonMembership(tuple(phi), modulus, Fraction(value))
 
 

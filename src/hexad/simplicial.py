@@ -96,10 +96,12 @@ def validate_data(n_vertices, simplices_by_dim):
     return violations
 
 
-# Bound on the simplices of one dimension: the Smith transforms are dense,
-# n x n for n simplices, so 1,000 one-vertex facets load in 1.65 s at 120 MB
-# peak RSS and a 1,000-edge cycle in 40 s at 213 MB (Python 3.11, 2 CPUs).
-# T_13, the largest grid torus measured for scaling, has 507 edges.
+# Bound on the simplices of one dimension: the Smith reduction runs on dense
+# n x n lists for n simplices (only the transforms it keeps are sparse), so
+# 1,000 one-vertex facets load in 0.53 s at 44 MB peak RSS and a 1,000-edge
+# cycle in 29-47 s at 104 MB (Python 3.11, 2 shared CPUs; with dense kept
+# transforms the same loads peaked at 90 and 145 MB).  T_13, the largest
+# grid torus measured for scaling, has 507 edges.
 MAX_SIMPLICES_PER_DIMENSION = 1000
 
 
@@ -128,12 +130,12 @@ class SimplicialComplex:
         violations += validate_data(self.n_vertices, self.simplices)
         if violations:
             raise InvalidComplexError(violations)
-        # _faces[k], k = 0..dim-1, serves delta^k and d_{k+1}: entry i lists,
-        # for every (k+1)-simplex, the index of the face opposite its vertex
-        # i (sign (-1)^i); every other degree has a zero operator
+        # _faces[k], k = 0..dim-1, serves delta^k and d_{k+1}: one row per
+        # (k+1)-simplex, whose entry i is the index of the face opposite its
+        # vertex i (sign (-1)^i); every other degree has a zero operator
         self._faces = {k: tuple(tuple(self._index[k][s[:i] + s[i + 1:]]
-                                      for s in self.simplices[k + 1])
-                                for i in range(k + 2))
+                                      for i in range(k + 2))
+                                for s in self.simplices[k + 1])
                        for k in range(self.dim)}
         # the Smith forms of d serve the homology presentations only
         delta = {k: self.coboundary_matrix(k) for k in range(-1, self.dim + 1)}
@@ -188,8 +190,8 @@ class SimplicialComplex:
         """delta^k: C^k -> C^{k+1} as a dense matrix, built from the face
         table (zero shape off-range)."""
         data = [[0] * self.n_simplices(k) for _ in range(self.n_simplices(k + 1))]
-        for i, faces in enumerate(self._faces.get(k, ())):
-            for row, f in zip(data, faces):
+        for row, faces in zip(data, self._faces.get(k, ())):
+            for i, f in enumerate(faces):
                 row[f] = -1 if i % 2 else 1
         return Matrix(self.n_simplices(k + 1), self.n_simplices(k), data)
 
@@ -203,24 +205,35 @@ class SimplicialComplex:
         cochain; its denominator is unchanged).
 
         Semantically identical to coboundary_matrix(k).mul_vec(nums); the
-        signs are read from the face table.
+        signs are read from the face table, in one pass over its rows.
         """
         faces = self._faces.get(k)
         if faces is None:
             return [0] * self.n_simplices(k + 1)
+        # 2, 3 and 4 faces per simplex are spelled out; more faces go through
+        # one map per face position
+        x = nums
+        if k == 0:
+            return [x[a] - x[b] for a, b in faces]
+        if k == 1:
+            return [x[a] - x[b] + x[c] for a, b, c in faces]
+        if k == 2:
+            return [x[a] - x[b] + x[c] - x[d] for a, b, c, d in faces]
         get = nums.__getitem__
-        acc = map(get, faces[0])
-        for i in range(1, len(faces)):
-            acc = map(sub if i % 2 else add, acc, map(get, faces[i]))
+        columns = list(zip(*faces))
+        acc = map(get, columns[0])
+        for i in range(1, len(columns)):
+            acc = map(sub if i % 2 else add, acc, map(get, columns[i]))
         return list(acc)
 
     def boundary_values(self, k, nums):
         """Apply d_{k+1} to a vector of integers: the transpose of
         coboundary_values(k), read from the same face table."""
         out = [0] * self.n_simplices(k)
-        for i, faces in enumerate(self._faces.get(k, ())):
-            for f, x in zip(faces, nums):
-                out[f] += -x if i % 2 else x
+        for faces, x in zip(self._faces.get(k, ()), nums):
+            if x:
+                for i, f in enumerate(faces):
+                    out[f] += -x if i % 2 else x
         return out
 
     def cohomology_structure(self, k):
@@ -521,9 +534,8 @@ def _presentation(k, kernel_smith, image_gens, image_smith):
     gens = []
     for i in range(z):
         g = [0] * ambient
-        for coeff, kb in zip(relations.u_inv.column(i), basis):
-            if coeff:
-                g = [a + coeff * b for a, b in zip(g, kb)]
+        for t, coeff in zip(*relations.u_inv_cols[i]):
+            g = [a + coeff * b for a, b in zip(g, basis[t])]
         gens.append(tuple(g))
     rank_img = relations.rank
     torsion = []

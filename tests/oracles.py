@@ -9,6 +9,8 @@ expectations do not depend on the code under test.
 import importlib.util
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from operator import mul
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -581,6 +583,93 @@ def oracle_delta_cone(z):
     from hexad.cone import ConeCochain
     return ConeCochain(z.complex, z.degree + 1, -z.integral.coboundary(),
                        z.rational.coboundary() - z.integral.as_q())
+
+
+# ---------------------------------------------------------------------------
+# dense Smith-form products, the reference of the sparse ones
+
+def dense_transforms(f):
+    """(u, v, u_inv) of a SmithForm as dense lists of rows, read from its
+    sparse `u_rows`, `v_cols` and `u_inv_cols`."""
+    r, c = len(f.u_rows), len(f.v_cols)
+
+    def rows(vectors, n):
+        out = [[0] * n for _ in vectors]
+        for row, (idx, vals) in zip(out, vectors):
+            for i, a in zip(idx, vals):
+                row[i] = a
+        return out
+
+    u = rows(f.u_rows, r)
+    v = [list(col) for col in zip(*rows(f.v_cols, c))] if c else []
+    u_inv = [list(col) for col in zip(*rows(f.u_inv_cols, r))] if r else []
+    return u, v, u_inv
+
+
+def _canonical(nums, den):
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
+
+
+class DenseSmith:
+    """split, solve_q, solve, in_image_q and kernel of a SmithForm by dense
+    products with u, v and u_inv, every row and column read; answers are
+    lists and (numerators, denominator) pairs in canonical form."""
+
+    def __init__(self, f):
+        self.u, self.v, self.u_inv = dense_transforms(f)
+        self.diagonal, self.rank = f.diagonal, f.rank
+
+    @staticmethod
+    def _mul(m, x):
+        nz = [t for t, xt in enumerate(x) if xt]
+        xs = [x[t] for t in nz]
+        return [sum(map(mul, map(row.__getitem__, nz), xs)) for row in m]
+
+    def _rows(self, b):
+        b = [Fraction(x) for x in b]
+        if len(b) != len(self.u):
+            raise ValueError("right-hand side length does not match")
+        bden = 1
+        for x in b:
+            bden = bden * x.denominator // gcd(bden, x.denominator)
+        return self._mul(self.u, [int(x * bden) for x in b]), bden
+
+    def _preimage(self, w, bden):
+        r = self.rank
+        top = self.diagonal[r - 1] if r else 1
+        y = [wi * (top // di) for wi, di in zip(w, self.diagonal[:r])]
+        return _canonical(self._mul(self.v, y + [0] * (len(self.v) - r)),
+                          bden * top)
+
+    def split(self, b):
+        w, bden = self._rows(b)
+        r = self.rank
+        if any(wi % bden for wi in w[r:]):
+            return None
+        c = self._mul(self.u_inv, [0] * r + [wi // bden for wi in w[r:]])
+        return c, self._preimage(w, bden)
+
+    def solve_q(self, b):
+        w, bden = self._rows(b)
+        if any(w[self.rank:]):
+            return None
+        return self._preimage(w, bden)
+
+    def solve(self, b):
+        x = self.solve_q(b)
+        return None if x is None or x[1] != 1 else list(x[0])
+
+    def in_image_q(self, b):
+        return self.solve_q(b) is not None
+
+    def kernel(self):
+        return [[row[j] for row in self.v] for j in range(self.rank, len(self.v))]
+
+    def u_times_u_inv_column(self, j):
+        """u times column j of u_inv, which is e_j exactly when that column
+        is the j-th column of the inverse."""
+        return self._mul(self.u, [row[j] for row in self.u_inv])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -24,16 +25,21 @@ from hexad.exactalg import (
     smith_form,
     xgcd,
 )
-from hexad.simplicial import catalog
+from hexad.simplicial import SimplicialComplex, catalog
 from oracles import (
     CATALOG_FACETS,
     CIRCLE,
+    PRODUCT_FACETS,
+    TORSION_FACETS,
+    DenseSmith,
     close_facets,
+    dense_transforms,
     det_bareiss,
     oracle_boundary,
     oracle_smith_diagonal,
     verify_non_membership,
     verify_witness,
+    perfbench_complexes,
 )
 
 
@@ -41,6 +47,11 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return Matrix(rows, cols,
                   [[rng.randint(lo, hi) for _ in range(cols)]
                    for _ in range(rows)])
+
+
+def transforms(f):
+    """(u, v, u_inv) of a SmithForm as dense square Matrix objects."""
+    return tuple(Matrix(len(t), len(t), t) for t in dense_transforms(f))
 
 
 def test_xgcd_basic():
@@ -56,7 +67,8 @@ def test_snf_identity_and_zero():
     ident = Matrix.identity(3)
     f = smith_form(ident)
     assert f.diagonal == (1, 1, 1) and f.rank == 3
-    assert f.u == ident and f.v == ident
+    u, v, _ = transforms(f)
+    assert u == ident and v == ident
     zero = smith_form(Matrix.zeros(2, 3))
     assert zero.diagonal == (0, 0) and zero.rank == 0
 
@@ -76,14 +88,15 @@ def test_snf_random_invariants():
     for _ in range(150):
         m = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5))
         f = smith_form(m)
+        u, v, u_inv = transforms(f)
         diag = f.diagonal
         assert len(diag) == min(m.rows, m.cols)
-        assert f.u.mul(m).mul(f.v) == Matrix(
+        assert u.mul(m).mul(v) == Matrix(
             m.rows, m.cols, [[diag[i] if i == j else 0 for j in range(m.cols)]
                              for i in range(m.rows)])
-        assert abs(det_bareiss(f.u)) == 1
-        assert abs(det_bareiss(f.v)) == 1
-        assert f.u.mul(f.u_inv) == Matrix.identity(m.rows)
+        assert abs(det_bareiss(u)) == 1
+        assert abs(det_bareiss(v)) == 1
+        assert u.mul(u_inv) == Matrix.identity(m.rows)
         assert f.rank == sum(1 for x in diag if x != 0)
         for i in range(len(diag)):
             assert diag[i] >= 0
@@ -327,6 +340,81 @@ def test_in_image_q_decides_what_solve_q_answers():
         with pytest.raises(ValueError):
             f.in_image_q([0] * (m.rows + 1))
     assert outcomes == {True, False}
+
+
+# name -> (vertex count, facets); the catalog complexes are built by name
+SMITH_INPUTS = {**TORSION_FACETS, **PRODUCT_FACETS,
+                "T5": perfbench_complexes().grid_torus(5)}
+
+
+def smith_complex(name):
+    if name in CATALOG_FACETS:
+        return catalog(name)
+    if name == "sd-projective-plane":
+        rp2 = catalog("projective-plane")
+        n_vertices, facets = perfbench_complexes().barycentric_subdivision(
+            [s for layer in rp2.simplices for s in layer])
+    else:
+        n_vertices, facets = SMITH_INPUTS[name]
+    return SimplicialComplex.from_facets(name, n_vertices, facets)
+
+
+def _is_sparse_vector(vec, n):
+    idx, vals = vec
+    return (len(idx) == len(vals) and all(vals)
+            and list(idx) == sorted(set(idx)) and all(0 <= i < n for i in idx))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_FACETS) + sorted(SMITH_INPUTS)
+                         + ["sd-projective-plane"])
+def test_sparse_smith_products_agree_with_the_dense_reference(name):
+    # every coboundary Smith form of the complex: split, solve_q, solve,
+    # in_image_q and kernel() against today's dense products, on right-hand
+    # sides inside the rational and the integral image, inside Z^n plus the
+    # rational image, and random ones (mostly outside all three)
+    cx = smith_complex(name)
+    rng = random.Random("sparse-smith@" + name)
+    outcomes = set()
+    for k in range(-1, cx.dim + 1):
+        m = cx.coboundary_matrix(k)
+        f = cx.coboundary_smith(k)
+        ref = DenseSmith(f)
+        assert len(f.u_rows) == len(f.u_inv_cols) == m.rows
+        assert len(f.v_cols) == m.cols
+        assert all(_is_sparse_vector(vec, m.rows)
+                   for vec in f.u_rows + f.u_inv_cols)
+        assert all(_is_sparse_vector(vec, m.cols) for vec in f.v_cols)
+        assert f.kernel() == ref.kernel()
+        for j in range(m.rows):
+            assert ref.u_times_u_inv_column(j) == [int(i == j)
+                                                   for i in range(m.rows)]
+        for _ in range(3):
+            x = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+                 for _ in range(m.cols)]
+            z = [rng.randint(-6, 6) for _ in range(m.cols)]
+            lift = [rng.randint(-3, 3) + v for v in m.mul_vec(x)]
+            outside = [Fraction(rng.randint(-6, 6), rng.choice([1, 2]))
+                       for _ in range(m.rows)]
+            for b in (m.mul_vec(x), m.mul_vec(z), lift, outside):
+                assert f.split(b) == ref.split(b)
+                assert f.solve_q(b) == ref.solve_q(b)
+                assert f.solve(b) == ref.solve(b)
+                assert f.in_image_q(b) == ref.in_image_q(b)
+                outcomes.add((f.split(b) is None, f.solve_q(b) is None,
+                              f.solve(b) is None))
+    assert (False, False, False) in outcomes
+    if cx.dim >= 1:
+        assert (True, True, True) in outcomes
+
+
+def test_no_smith_form_field_is_a_dense_matrix():
+    # the transforms are kept sparse only; a dense copy would be a Matrix
+    for name in sorted(CATALOG_FACETS):
+        cx = catalog(name)
+        for k in range(-1, cx.dim + 1):
+            f = cx.coboundary_smith(k)
+            assert not [field.name for field in fields(f)
+                        if isinstance(getattr(f, field.name), Matrix)]
 
 
 def test_quotient_group_examples():

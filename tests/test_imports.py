@@ -4,9 +4,10 @@ one-shot Gauss-Jordan and Hermite solvers or `MixedSolver`, so the other
 modules solve their systems on Smith forms or a kept factorization; and no
 module names the per-kind (co)homology records that one `Presentation`
 and one `Torsion` replaced, or the dense boundary matrices and boundary
-Smith forms that one face table per degree replaced; and only `simplicial`
-tokenizes a text format, while no module names the ring lookup that
-`Ring(name)` replaced."""
+Smith forms that one face table per degree replaced, or reads the dense
+Smith transforms that the sparse `u_rows`, `v_cols` and `u_inv_cols`
+replaced; and only `simplicial` tokenizes a text format, while no module
+names the ring lookup that `Ring(name)` replaced."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,9 @@ PER_KIND_PRESENTATION = {"TorsionClass", "TorsionCycle", "CohomologyStructure",
                          "q_rank", "coboundary_gens", "boundary_gens"}
 OLD_BOUNDARY_STORAGE = {"boundary_smith", "_bd_smith", "_bound",
                         "_build_boundary", "_cob_sparse"}
+# the dense SmithForm transforms; refused as attributes only, since u and v
+# are ordinary local names
+OLD_DENSE_TRANSFORMS = {"u", "v", "u_inv"}
 
 
 def unused_imports(source):
@@ -133,6 +137,28 @@ def test_the_checker_sees_old_boundary_storage_names():
 def test_one_face_table_stores_the_boundary_operator(path):
     assert refused_names(path.read_text(encoding="utf-8"),
                          OLD_BOUNDARY_STORAGE) == []
+
+
+def refused_attributes(source, refused):
+    """(line, name) of each attribute read or set in the source whose name
+    is in `refused`."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in refused)
+
+
+def test_the_checker_sees_old_dense_transform_names():
+    assert refused_attributes(
+        "f.u.mul_vec(b)\nrelations.u_inv.column(i)\nself.smith.v.cols\n",
+        OLD_DENSE_TRANSFORMS) == [(1, "u"), (2, "u_inv"), (3, "v")]
+    assert refused_attributes("for u in basis:\n    v = u\nf.u_rows[r:]\n",
+                              OLD_DENSE_TRANSFORMS) == []
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/hexad/*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_smith_transforms_are_read_sparse(path):
+    assert refused_attributes(path.read_text(encoding="utf-8"),
+                              OLD_DENSE_TRANSFORMS) == []
 
 
 SIMPLICIAL = ROOT / "src" / "hexad" / "simplicial.py"

@@ -172,14 +172,19 @@ FACE_TABLE_INPUTS = {
        for name, facets in oracles.CATALOG_FACETS.items()},
     **oracles.TORSION_FACETS,
     "T5": oracles.perfbench_complexes().grid_torus(5),
+    # dimension 4: delta^3 has 5 faces per simplex, past the unrolled cases
+    "double-suspension-projective-plane": (10, oracles.suspension(
+        oracles.suspension(oracles.PROJECTIVE_PLANE, 6), 8)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FACE_TABLE_INPUTS))
 def test_one_face_table_serves_boundary_and_coboundary(name):
     # d_{k+1} by the face table against the oracle's dense matrix, with
-    # delta^k its transpose and Chain.boundary the same map, for every k
-    # from -1 to dim + 1
+    # delta^k its transpose and Chain.boundary the same map, and delta^k by
+    # coboundary_values against the oracle's face-by-face sum, for every k
+    # from -1 to dim + 1: every face count the complex has, and the zero
+    # operators off the range
     n_vertices, facets = FACE_TABLE_INPUTS[name]
     cx = (catalog(name) if name in oracles.CATALOG_FACETS
           else SimplicialComplex.from_facets(name, n_vertices, facets))
@@ -196,6 +201,12 @@ def test_one_face_table_serves_boundary_and_coboundary(name):
             expected = [oracles.vec_dot(row, c) for row in oracle]
             assert cx.boundary_values(k, c) == expected
             assert Chain(cx, k + 1, c).boundary() == Chain(cx, k, expected)
+            x = [rng.randint(-9, 9) for _ in range(lower)]
+            expected = (oracles.oracle_coboundary_values(
+                by_dim.get(k, []), by_dim.get(k + 1, []), x) if k >= 0
+                else [0] * upper)
+            assert cx.coboundary_values(k, x) == expected
+            assert cx.coboundary_values(k, tuple(x)) == expected
 
 
 def test_homology_basis_circle_sphere_torus():
