@@ -219,41 +219,56 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def _sparse(vectors, n):
-    """The (indices, values) pairs listing the nonzero entries of dense
-    vectors of length n."""
-    ks = range(n)
-    return tuple([(tuple(compress(ks, vec)), tuple(filter(None, vec)))
-                  for vec in vectors])
+class SparseVectors(namedtuple("SparseVectors", "indices values")):
+    """Integer vectors kept by their nonzero entries: vector j has the
+    values values[j] at the indices indices[j], in index order.
 
+    Each is a list, not a tuple: CPython keeps up to 2,000 freed tuples of
+    each length below 21, so the short tuples of a dropped transform would
+    go on holding memory."""
 
-def _dense(vec, n):
-    """The dense list of n ints of a sparse (indices, values) vector."""
-    out = [0] * n
-    for i, a in zip(*vec):
-        out[i] = a
-    return out
+    __slots__ = ()
 
+    @classmethod
+    def of(cls, vectors, n):
+        """The sparse form of dense vectors of length n."""
+        ks = range(n)
+        indices, values = [], []
+        for vec in vectors:
+            indices.append(list(compress(ks, vec)))
+            values.append(list(filter(None, vec)))
+        return cls(tuple(indices), tuple(values))
 
-def _rows_times(rows, nums):
-    """The product of the matrix with these sparse rows and a dense vector,
-    yielded one row at a time."""
-    for idx, vals in rows:
-        acc = 0
-        for i, a in zip(idx, vals):
-            acc += a * nums[i]
-        yield acc
+    def entries(self, j):
+        """The (index, value) pairs of vector j's nonzero entries."""
+        return zip(self.indices[j], self.values[j])
 
+    def dense(self, j, n):
+        """Vector j as a dense list of n ints."""
+        out = [0] * n
+        for i, a in self.entries(j):
+            out[i] = a
+        return out
 
-def _columns_times(cols, coeffs, n):
-    """sum coeffs[j] * cols[j] over sparse columns of height n, as a dense
-    list; columns past the end of coeffs are not read."""
-    out = [0] * n
-    for (idx, vals), c in zip(cols, coeffs):
-        if c:
+    def times(self, nums, lo, hi):
+        """The products of vectors lo, ..., hi - 1, read as rows, with the
+        dense vector nums, yielded one row at a time."""
+        for idx, vals in zip(self.indices[lo:hi], self.values[lo:hi]):
+            acc = 0
             for i, a in zip(idx, vals):
-                out[i] += a * c
-    return out
+                acc += a * nums[i]
+            yield acc
+
+    def combine(self, coeffs, lo, n):
+        """sum coeffs[t] * vector lo + t, vectors of length n, as a dense
+        list; the vectors past the end of coeffs are not read."""
+        indices, values = self
+        out = [0] * n
+        for j, c in enumerate(coeffs, lo):
+            if c:
+                for i, a in zip(indices[j], values[j]):
+                    out[i] += a * c
+        return out
 
 
 @dataclass(frozen=True)
@@ -261,15 +276,14 @@ class SmithForm:
     """u * m * v == diag(d_1, d_2, ...), r x c, u and v unimodular, d_1 | d_2
     | ... with the `rank` nonzero d_i first; u_inv is the inverse of u.
 
-    The transforms are kept sparse, each in the orientation its products
-    read: `u_rows` are the rows of u, `v_cols` and `u_inv_cols` the columns
-    of v and u_inv, each an (indices, values) pair of tuples listing its
-    nonzero entries in index order."""
+    The transforms are kept as SparseVectors, each in the orientation its
+    products read: `u_rows` are the rows of u, `v_cols` and `u_inv_cols`
+    the columns of v and u_inv."""
 
-    u_rows: tuple
+    u_rows: SparseVectors
     diagonal: tuple
-    v_cols: tuple
-    u_inv_cols: tuple
+    v_cols: SparseVectors
+    u_inv_cols: SparseVectors
     rank: int
 
     def solve(self, b):
@@ -293,19 +307,18 @@ class SmithForm:
         of u_inv.
         """
         bnum, bden = self._numerators(b)
-        r = self.rank
-        high = list(_rows_times(self.u_rows[r:], bnum))
+        r, n = self.rank, len(bnum)
+        high = list(self.u_rows.times(bnum, r, n))
         if any(wi % bden for wi in high):
             return None
-        c = _columns_times(self.u_inv_cols[r:], [wi // bden for wi in high],
-                           len(self.u_rows))
+        c = self.u_inv_cols.combine([wi // bden for wi in high], r, n)
         return c, self._preimage(bnum, bden)
 
     def solve_q(self, b):
         """Rational x with m*x == b as an IntRow, or None: the split of b
         with c == 0, which exists exactly when w_i == 0 for every i >= r."""
         bnum, bden = self._numerators(b)
-        if any(_rows_times(self.u_rows[self.rank:], bnum)):
+        if any(self.u_rows.times(bnum, self.rank, len(bnum))):
             return None
         return self._preimage(bnum, bden)
 
@@ -314,11 +327,11 @@ class SmithForm:
         `solve_q(b)` is not None: rows r, r+1, ... of u vanish on b's
         numerators.  Only those rows are read, and no x is built."""
         bnum = self._numerators(b)[0]
-        return not any(_rows_times(self.u_rows[self.rank:], bnum))
+        return not any(self.u_rows.times(bnum, self.rank, len(bnum)))
 
     def _numerators(self, b):
         bnum, bden = IntRow.of(b)
-        if len(bnum) != len(self.u_rows):
+        if len(bnum) != len(self.u_rows.indices):
             raise ValueError("right-hand side length does not match")
         return bnum, bden
 
@@ -328,15 +341,15 @@ class SmithForm:
         r = self.rank
         top = self.diagonal[r - 1] if r else 1
         y = [wi * (top // di) for wi, di
-             in zip(_rows_times(self.u_rows[:r], bnum), self.diagonal[:r])]
-        return IntRow(_columns_times(self.v_cols, y, len(self.v_cols)),
+             in zip(self.u_rows.times(bnum, 0, r), self.diagonal)]
+        return IntRow(self.v_cols.combine(y, 0, len(self.v_cols.indices)),
                       bden * top)
 
     def kernel(self):
         """Z-basis of the integer kernel {x : m*x == 0}, as column vectors:
         columns r, r+1, ... of v, r the rank."""
-        n = len(self.v_cols)
-        return [_dense(col, n) for col in self.v_cols[self.rank:]]
+        n = len(self.v_cols.indices)
+        return [self.v_cols.dense(j, n) for j in range(self.rank, n)]
 
 
 def smith_form(m):
@@ -489,10 +502,10 @@ def smith_form(m):
 
     diagonal = tuple([a[i][i] for i in range(n)])
     return SmithForm(
-        u_rows=_sparse(u, r),
+        u_rows=SparseVectors.of(u, r),
         diagonal=diagonal,
-        v_cols=_sparse(zip(*v), c),
-        u_inv_cols=_sparse(zip(*uinv), r),
+        v_cols=SparseVectors.of(zip(*v), c),
+        u_inv_cols=SparseVectors.of(zip(*uinv), r),
         rank=sum(1 for x in diagonal if x),
     )
 
@@ -508,7 +521,7 @@ def kernel_basis(m):
 def column_lattice_basis(m):
     """Z-basis of the lattice spanned by the columns of an integer matrix."""
     f = smith_form(m)
-    return [[dj * a for a in _dense(f.u_inv_cols[j], m.rows)]
+    return [[dj * a for a in f.u_inv_cols.dense(j, m.rows)]
             for j, dj in enumerate(f.diagonal[:f.rank])]
 
 
@@ -762,7 +775,7 @@ class MixedSolver:
         else:
             y = [sum(map(mul, phi, xnum)) for phi in self.proj]
         f = self.smith
-        w = list(_rows_times(f.u_rows, y))
+        w = list(f.u_rows.times(y, 0, len(f.u_rows.indices)))
         nn = len(f.diagonal)
         z = [0] * self.bmat.cols
         for i, wi in enumerate(w):
@@ -775,7 +788,7 @@ class MixedSolver:
                 return self._certificate(i, d, Fraction(wi, xden))
             else:
                 z[i] = wi // (d * xden)
-        zz = _columns_times(f.v_cols, z, len(z))
+        zz = f.v_cols.combine(z, 0, len(z))
         residue = list(xnum)
         for coeff, gen in zip(zz, s.lattice_gens):
             if coeff:
@@ -793,7 +806,7 @@ class MixedSolver:
 
     def _certificate(self, i, modulus, value):
         phi = [0] * self.subgroup.ambient_dim
-        for t, coeff in zip(*self.smith.u_rows[i]):
+        for t, coeff in self.smith.u_rows.entries(i):
             row_phi = self.proj[t]
             for j in range(len(phi)):
                 phi[j] += coeff * row_phi[j]

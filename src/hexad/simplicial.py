@@ -98,8 +98,8 @@ def validate_data(n_vertices, simplices_by_dim):
 
 # Bound on the simplices of one dimension: the Smith reduction runs on dense
 # n x n lists for n simplices (only the transforms it keeps are sparse), so
-# 1,000 one-vertex facets load in 0.53 s at 44 MB peak RSS and a 1,000-edge
-# cycle in 29-47 s at 104 MB (Python 3.11, 2 shared CPUs; with dense kept
+# 1,000 one-vertex facets load in 0.5-0.8 s at 44 MB peak RSS and a 1,000-edge
+# cycle in 29-46 s at 103-105 MB (Python 3.11, 2 shared CPUs; with dense kept
 # transforms the same loads peaked at 90 and 145 MB).  T_13, the largest
 # grid torus measured for scaling, has 507 edges.
 MAX_SIMPLICES_PER_DIMENSION = 1000
@@ -210,20 +210,19 @@ class SimplicialComplex:
         faces = self._faces.get(k)
         if faces is None:
             return [0] * self.n_simplices(k + 1)
-        # 2, 3 and 4 faces per simplex are spelled out; more faces go through
-        # one map per face position
+        # edges and triangles are spelled out; for f > 3 faces per simplex
+        # the values at the faces are gathered in row order, so face i of
+        # every row is the slice vals[i::f]
         x = nums
         if k == 0:
             return [x[a] - x[b] for a, b in faces]
         if k == 1:
             return [x[a] - x[b] + x[c] for a, b, c in faces]
-        if k == 2:
-            return [x[a] - x[b] + x[c] - x[d] for a, b, c, d in faces]
-        get = nums.__getitem__
-        columns = list(zip(*faces))
-        acc = map(get, columns[0])
-        for i in range(1, len(columns)):
-            acc = map(sub if i % 2 else add, acc, map(get, columns[i]))
+        f = k + 2
+        vals = [x[i] for row in faces for i in row]
+        acc = vals[0::f]
+        for i in range(1, f):
+            acc = map(sub if i % 2 else add, acc, vals[i::f])
         return list(acc)
 
     def boundary_values(self, k, nums):
@@ -534,7 +533,7 @@ def _presentation(k, kernel_smith, image_gens, image_smith):
     gens = []
     for i in range(z):
         g = [0] * ambient
-        for t, coeff in zip(*relations.u_inv_cols[i]):
+        for t, coeff in relations.u_inv_cols.entries(i):
             g = [a + coeff * b for a, b in zip(g, basis[t])]
         gens.append(tuple(g))
     rank_img = relations.rank

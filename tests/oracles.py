@@ -589,13 +589,14 @@ def oracle_delta_cone(z):
 # dense Smith-form products, the reference of the sparse ones
 
 def dense_transforms(f):
-    """(u, v, u_inv) of a SmithForm as dense lists of rows, read from its
-    sparse `u_rows`, `v_cols` and `u_inv_cols`."""
-    r, c = len(f.u_rows), len(f.v_cols)
+    """(u, v, u_inv) of a SmithForm as dense lists of rows, read from the
+    `indices` and `values` of its sparse `u_rows`, `v_cols` and
+    `u_inv_cols`."""
+    r, c = len(f.u_rows.indices), len(f.v_cols.indices)
 
     def rows(vectors, n):
-        out = [[0] * n for _ in vectors]
-        for row, (idx, vals) in zip(out, vectors):
+        out = [[0] * n for _ in vectors.indices]
+        for row, idx, vals in zip(out, vectors.indices, vectors.values):
             for i, a in zip(idx, vals):
                 row[i] = a
         return out

@@ -359,10 +359,14 @@ def smith_complex(name):
     return SimplicialComplex.from_facets(name, n_vertices, facets)
 
 
-def _is_sparse_vector(vec, n):
-    idx, vals = vec
-    return (len(idx) == len(vals) and all(vals)
-            and list(idx) == sorted(set(idx)) and all(0 <= i < n for i in idx))
+def _is_sparse(vectors, count, n):
+    # `count` vectors of length n, each listing its nonzero entries once,
+    # in index order
+    indices, values = vectors
+    return (len(indices) == len(values) == count
+            and all(len(idx) == len(vals) and all(vals)
+                    and idx == sorted(set(idx)) and all(0 <= i < n for i in idx)
+                    for idx, vals in zip(indices, values)))
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_FACETS) + sorted(SMITH_INPUTS)
@@ -379,11 +383,9 @@ def test_sparse_smith_products_agree_with_the_dense_reference(name):
         m = cx.coboundary_matrix(k)
         f = cx.coboundary_smith(k)
         ref = DenseSmith(f)
-        assert len(f.u_rows) == len(f.u_inv_cols) == m.rows
-        assert len(f.v_cols) == m.cols
-        assert all(_is_sparse_vector(vec, m.rows)
-                   for vec in f.u_rows + f.u_inv_cols)
-        assert all(_is_sparse_vector(vec, m.cols) for vec in f.v_cols)
+        assert _is_sparse(f.u_rows, m.rows, m.rows)
+        assert _is_sparse(f.u_inv_cols, m.rows, m.rows)
+        assert _is_sparse(f.v_cols, m.cols, m.cols)
         assert f.kernel() == ref.kernel()
         for j in range(m.rows):
             assert ref.u_times_u_inv_column(j) == [int(i == j)

@@ -23,9 +23,9 @@ PER_KIND_PRESENTATION = {"TorsionClass", "TorsionCycle", "CohomologyStructure",
                          "q_rank", "coboundary_gens", "boundary_gens"}
 OLD_BOUNDARY_STORAGE = {"boundary_smith", "_bd_smith", "_bound",
                         "_build_boundary", "_cob_sparse"}
-# the dense SmithForm transforms; refused as attributes only, since u and v
-# are ordinary local names
-OLD_DENSE_TRANSFORMS = {"u", "v", "u_inv"}
+# the dense SmithForm transforms and the dense u*b accessor `_rows`; refused
+# as attributes only, since u and v are ordinary local names
+OLD_DENSE_TRANSFORMS = {"u", "v", "u_inv", "_rows"}
 
 
 def unused_imports(source):
@@ -148,8 +148,9 @@ def refused_attributes(source, refused):
 
 def test_the_checker_sees_old_dense_transform_names():
     assert refused_attributes(
-        "f.u.mul_vec(b)\nrelations.u_inv.column(i)\nself.smith.v.cols\n",
-        OLD_DENSE_TRANSFORMS) == [(1, "u"), (2, "u_inv"), (3, "v")]
+        "f.u.mul_vec(b)\nrelations.u_inv.column(i)\nself.smith.v.cols\n"
+        "w, bden, r = self._rows(b)\n",
+        OLD_DENSE_TRANSFORMS) == [(1, "u"), (2, "u_inv"), (3, "v"), (4, "_rows")]
     assert refused_attributes("for u in basis:\n    v = u\nf.u_rows[r:]\n",
                               OLD_DENSE_TRANSFORMS) == []
 
