@@ -17,7 +17,10 @@ that is re-verified by direct evaluation before it is counted.
 from __future__ import annotations
 
 import itertools
+import weakref
+from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 
 from .cone import (
     ConeCochain,
@@ -27,6 +30,7 @@ from .cone import (
     delta_cone,
     homology_cycles,
     les_exactness,
+    random_cone_cochain,
     _nonintegral_cycle,
 )
 from .exactalg import IntRow
@@ -121,19 +125,16 @@ def map_beta(z):
 
 def map_b(omega):
     """b(omega) = (0, integral of omega) for closed omega; a cone cocycle."""
-    if not d_form(omega).is_zero():
+    if not omega.is_closed():
         raise ValueError("b is defined on closed forms")
-    z = ConeCochain(omega.complex, omega.degree,
-                    Cochain.zero(omega.complex, omega.degree + 1, Ring.Z),
-                    derham_cochain(omega))
-    if not z.is_cocycle():
-        raise ArithmeticError("b must land in cone cocycles")
-    return z
+    return ConeCochain(omega.complex, omega.degree,
+                       Cochain.zero(omega.complex, omega.degree + 1, Ring.Z),
+                       derham_cochain(omega))
 
 
 def map_iota(omega):
     """Inclusion of closed forms into all forms."""
-    if not d_form(omega).is_zero():
+    if not omega.is_closed():
         raise ValueError("iota is defined on closed forms")
     return omega
 
@@ -158,7 +159,7 @@ class OmegaDecomposer:
     def decompose(self, form):
         if form.complex is not self.complex or form.degree != self.degree:
             raise ValueError("decomposer built for a different degree")
-        if not d_form(form).is_zero() or not in_omega_A(form):
+        if not form.is_closed() or not in_omega_A(form):
             return None
         res = self._smith.split(form.row)
         if res is None:
@@ -236,8 +237,9 @@ class HexagonContext:
     Holds the generator systems for cone cocycles, differential cocycles
     and integer-period forms, the fixed samples one degree down, and the
     membership solvers of the degree, which read the complex's own Smith
-    forms and factor nothing of their own; all twelve checks take it.
-    All fields are populated at construction and never mutated.
+    forms and factor nothing of their own, and the identity table
+    (`identities`); all twelve checks take it.  All fields are populated
+    at construction and never mutated.
     """
 
     def __init__(self, complex, degree, seed=0, trials=25):
@@ -309,6 +311,7 @@ class HexagonContext:
                 self.form_node_fractional.append(
                     (eta, cert, in_omega_A(eta),
                      self.bhat_solver.solve(map_a(eta))))
+        self.identities = identity_table(self)
 
     def _omega_gens(self, m):
         st = self.complex.cohomology_structure(m)
@@ -419,62 +422,133 @@ def _guarded(run, label, fn, **detail):
 
 
 # ---------------------------------------------------------------------------
+# the identity table
+
+Identity = namedtuple("Identity", "labels key lhs rhs gens sample count degree",
+                      defaults=(None, 0, None))
+
+
+def identity_table(ctx):
+    """Check name -> the Identity rows that check evaluates, in its order.
+
+    A row checks lhs(e) == rhs(e), or lhs(e) == 0 when rhs is None, for e
+    over gens() and then `count` draws of sample(rng); with several labels
+    lhs(e) and rhs(e) are tuples, compared slot by slot.  A FAIL payload
+    names e under `key`, after `degree` when that is not None.  Rows call
+    the maps through lambdas that read them from this module at call time,
+    and build their generators only when a check runs them."""
+    cx, k, n = ctx.complex, ctx.degree, ctx.trials
+    # a weak proxy: rows holding the context itself would make a cycle, and
+    # each context would then wait for the cyclic collector to be freed
+    ctx = weakref.proxy(ctx)
+    cones = (lambda: [*ctx.cone_lattice, *ctx.cone_space],
+             lambda rng: ctx.random_cone_cocycle(rng), n)
+    dhat_domain = DiffCochain.zero(cx, k, k - 1).units
+    return {
+        "faces": (
+            Identity(("R(a(eta)) == d(eta)",), "eta",
+                     lambda eta: map_R(map_a(eta)), d_form,
+                     WhitneyForm.zero(cx, k - 1).units,
+                     partial(random_whitney, complex=cx, degree=k - 1), n),
+            Identity(("I(i(z)) == beta(z)",), "z",
+                     lambda z: map_I(map_i(z)), lambda z: map_beta(z), *cones),
+            Identity(("i(b(w)) == a(iota(w))",), "w",
+                     lambda w: map_i(map_b(w)), lambda w: map_a(map_iota(w)),
+                     lambda: ctx.closed_km1, lambda rng: ctx.random_closed(rng),
+                     n),
+            Identity(("ch(I(x)) == der(R(x))",), "x",
+                     lambda x: map_ch(*map_I(x)), lambda x: map_der(map_R(x)),
+                     lambda: [*ctx.zhat_lattice, *ctx.zhat_space],
+                     lambda rng: ctx.random_zhat(rng), n),
+        ),
+        "dhat_square_zero": tuple(
+            Identity(("dhat(dhat(x)) == 0",), "x", lambda x: dhat(dhat(x)),
+                     None, DiffCochain.zero(cx, k, deg).units,
+                     partial(random_diff_cochain, complex=cx, level=k,
+                             degree=deg), n, deg)
+            for deg in (k - 2, k - 1, k)),
+        "delta_cone_square_zero": tuple(
+            Identity(("delta_cone(delta_cone(z)) == 0",), "z",
+                     lambda z: delta_cone(delta_cone(z)), None,
+                     ConeCochain.zero(cx, deg).units,
+                     partial(random_cone_cochain, complex=cx, degree=deg),
+                     n, deg)
+            for deg in (k - 2, k - 1, k)),
+        "derham_whitney": tuple(
+            Identity(("int(W(x)) == x", "d(W(x)) == W(delta x)",
+                      "delta(int(w)) == int(d w)"), "x",
+                     lambda x: (derham_cochain(whitney(x)), d_form(whitney(x)),
+                                derham_cochain(d_form(whitney(x)))),
+                     lambda x: (x, whitney(x.coboundary()),
+                                derham_cochain(whitney(x)).coboundary()),
+                     Cochain.zero(cx, deg, Ring.Q).units,
+                     partial(random_cochain, complex=cx, degree=deg,
+                             ring=Ring.Q), n // 2 + 1, deg)
+            for deg in range(cx.dim + 1)),
+        "main_diagonal": (Identity(("R(i(z)) == 0",), "z",
+                                   lambda z: map_R(map_i(z)), None, *cones),),
+        "induced_hexagon": (
+            Identity(("R vanishes on coboundary generators",), "y",
+                     lambda y: dhat(y).curvature, None, dhat_domain),
+            Identity(("i(cone coboundary) == dhat(u, -v)",), "y",
+                     lambda y: map_i(delta_cone(y)),
+                     lambda y: dhat(DiffCochain(cx, k, k - 1, y.integral,
+                                                -y.rational, None)),
+                     ConeCochain.zero(cx, k - 2).units),
+            Identity(("first slot of I(dhat) is an integral coboundary",
+                      "second slot of I(dhat) is delta(-j c')"), "y",
+                     lambda y: map_I(dhat(y)),
+                     lambda y: (y.integral.coboundary(),
+                                (-y.integral.as_q()).coboundary()),
+                     dhat_domain),
+        ),
+    }
+
+
+def _require_identities(run, rng, rows):
+    """Check each row on its generators and its samples, all drawn from rng
+    before any is evaluated.  Each side is guarded, so a map that rejects
+    its input is FAIL evidence under the row's labels."""
+    for row in rows:
+        elems = list(row.gens())
+        elems += [row.sample(rng) for _ in range(row.count)]
+        label = " and ".join(row.labels)
+        for elem in elems:
+            detail = ({row.key: elem} if row.degree is None
+                      else {"degree": row.degree, row.key: elem})
+            lhs = _guarded(run, label, lambda: row.lhs(elem), **detail)
+            if lhs is None:
+                continue
+            if row.rhs is None:
+                run.require(lhs.is_zero(), label, **detail, image=lhs)
+                continue
+            rhs = _guarded(run, label, lambda: row.rhs(elem), **detail)
+            if rhs is None:
+                continue
+            pairs = zip(lhs, rhs) if len(row.labels) > 1 else [(lhs, rhs)]
+            for text, (left, right) in zip(row.labels, pairs):
+                run.require(left == right, text, **detail, lhs=left, rhs=right)
+
+
+def _identity_run(ctx, name):
+    """The named check's run, after every table row of that check."""
+    run = CheckRun(name)
+    _require_identities(run, ctx.rng(name), ctx.identities[name])
+    return run
+
+
+# ---------------------------------------------------------------------------
 # checks
 
 def check_faces(ctx):
     """The four face identities, on spanning generators and random samples."""
-    run = CheckRun("faces")
-    rng = ctx.rng("faces")
-    cx, k = ctx.complex, ctx.degree
-
-    # R(a(eta)) == d(eta), eta over the Whitney basis and random forms
-    etas = WhitneyForm.zero(cx, k - 1).units()
-    etas += [random_whitney(rng, cx, k - 1) for _ in range(ctx.trials)]
-    for eta in etas:
-        lhs = _guarded(run, "R(a(eta))", lambda: map_R(map_a(eta)), eta=eta)
-        if lhs is not None:
-            run.require(lhs == d_form(eta), "R(a(eta)) == d(eta)",
-                        eta=eta, lhs=lhs, rhs=d_form(eta))
-
-    # I(i(z)) == beta(z) on cone cocycles
-    zs = list(ctx.cone_lattice) + list(ctx.cone_space)
-    zs += [ctx.random_cone_cocycle(rng) for _ in range(ctx.trials)]
-    for z in zs:
-        lhs = _guarded(run, "I(i(z))", lambda: map_I(map_i(z)), z=z)
-        rhs = _guarded(run, "beta(z)", lambda: map_beta(z), z=z)
-        if lhs is not None and rhs is not None:
-            run.require(lhs[0] == rhs[0] and lhs[1] == rhs[1],
-                        "I(i(z)) == beta(z)", z=z,
-                        lhs=(lhs[0], lhs[1]), rhs=(rhs[0], rhs[1]))
-
-    # i(b(w)) == a(iota(w)) on closed forms
-    closed = list(ctx.closed_km1)
-    closed += [ctx.random_closed(rng) for _ in range(ctx.trials)]
-    for w in closed:
-        lhs = _guarded(run, "i(b(w))", lambda: map_i(map_b(w)), w=w)
-        rhs = _guarded(run, "a(iota(w))", lambda: map_a(map_iota(w)), w=w)
-        if lhs is not None and rhs is not None:
-            run.require(lhs == rhs, "i(b(w)) == a(iota(w))", w=w,
-                        lhs=lhs, rhs=rhs)
-
-    # ch(I(x)) == der(R(x)) on differential cocycles
-    xs = list(ctx.zhat_lattice) + list(ctx.zhat_space)
-    xs += [ctx.random_zhat(rng) for _ in range(ctx.trials)]
-    for x in xs:
-        def rightsq():
-            c, t = map_I(x)
-            return map_ch(c, t), map_der(map_R(x))
-        pair = _guarded(run, "right square maps", rightsq, x=x)
-        if pair is not None:
-            run.require(pair[0] == pair[1], "ch(I(x)) == der(R(x))",
-                        x=x, lhs=pair[0], rhs=pair[1])
-    return run.report()
+    return _identity_run(ctx, "faces").report()
 
 
 def check_main_diagonal(ctx):
     """Exactness of the main diagonal inside the cocycle groups.
 
-    R(i(z)) == 0 identically; sampled curvature-kernel elements receive
+    R o i vanishes identically; sampled curvature-kernel elements receive
     re-verified i preimages; i and a have zero kernel, certified on bases
     of their domains by a unit pivot per image rather than sampled.
     """
@@ -483,12 +557,7 @@ def check_main_diagonal(ctx):
     cx, k = ctx.complex, ctx.degree
 
     # R o i = 0 on generators and random cocycles
-    zs = list(ctx.cone_lattice) + list(ctx.cone_space)
-    zs += [ctx.random_cone_cocycle(rng) for _ in range(ctx.trials)]
-    for z in zs:
-        img = _guarded(run, "R(i(z))", lambda: map_R(map_i(z)), z=z)
-        if img is not None:
-            run.require(img.is_zero(), "R(i(z)) == 0", z=z, image=img)
+    _require_identities(run, rng, ctx.identities["main_diagonal"])
 
     # sampled kernel elements of R receive i preimages
     for idx in range(ctx.trials):
@@ -563,7 +632,7 @@ def _form_node_exactness(ctx, run, rng):
     # non-closed forms survive a outright (their image has curvature)
     for _ in range(3):
         eta = random_whitney(rng, cx, k - 1)
-        if d_form(eta).is_zero():
+        if eta.is_closed():
             continue
         wit = ctx.bhat_solver.solve(map_a(eta))
         run.require(wit is None, "non-closed form survives a", eta=eta)
@@ -609,10 +678,8 @@ def check_induced_hexagon(ctx):
     cx, k = ctx.complex, ctx.degree
 
     # (a) lemma 1: R kills coboundaries
-    gens_y = DiffCochain.zero(cx, k, k - 1).units()
-    for y in gens_y:
-        run.require(dhat(y).curvature.is_zero(),
-                    "R vanishes on coboundary generators", y=y)
+    lemmas = ctx.identities["induced_hexagon"]
+    _require_identities(run, rng, lemmas[:1])
 
     # (a) lemma 2: integer-period forms map into coboundaries
     for eta, a_eta, dec, _ in ctx.form_node_gens:
@@ -624,26 +691,12 @@ def check_induced_hexagon(ctx):
                         "a(Omega_Z generator) is an explicit coboundary",
                         eta=eta, preimage=y)
 
-    # (a) lemma 3: i of a cone coboundary is an explicit coboundary
-    for y in ConeCochain.zero(cx, k - 2).units():
-        z = delta_cone(y)
-        mirrored = DiffCochain(cx, k, k - 1, y.integral, -y.rational, None)
-        run.require(map_i(z) == dhat(mirrored),
-                    "i(cone coboundary) == dhat(u, -v)", y=y)
-
-    # (a) lemma 4: I maps coboundaries into coboundary pairs
-    for y in gens_y:
-        c, t = map_I(dhat(y))
-        run.require(c == y.integral.coboundary(),
-                    "first slot of I(dhat) is an integral coboundary", y=y)
-        run.require(t == (-y.integral.as_q()).coboundary(),
-                    "second slot of I(dhat) is delta(-j c')", y=y)
+    # (a) lemmas 3 and 4: i and I of coboundaries are explicit coboundaries
+    _require_identities(run, rng, lemmas[1:])
 
     # (b) diagonal 1: injectivity of the induced i
     for _ in range(ctx.trials // 2 + 1):
-        m = random_cochain(rng, cx, k - 1, Ring.Z)
-        s = random_cochain(rng, cx, k - 2, Ring.Q)
-        z = delta_cone(ConeCochain(cx, k - 2, m, s))
+        z = delta_cone(random_cone_cochain(rng, cx, k - 2))
         wit = ctx.cone_cb_solver.solve(z)
         if run.require(wit is not None,
                        "i of a cone coboundary is recognized", z=z):
@@ -705,11 +758,10 @@ def check_induced_hexagon(ctx):
     # (c) induced squares and triangles on classes
     for _ in range(ctx.trials // 2 + 1):
         z = ctx.random_cone_cocycle(rng)
-        y = ConeCochain(cx, k - 2,
-                        random_cochain(rng, cx, k - 1, Ring.Z),
-                        random_cochain(rng, cx, k - 2, Ring.Q))
+        y = random_cone_cochain(rng, cx, k - 2)
         shifted = z + delta_cone(y)
-        p0 = map_I(map_i(z))
+        x = map_i(z)
+        p0 = map_I(x)
         p1 = map_I(map_i(shifted))
         run.require(p0 == map_beta(z), "upper triangle holds exactly", z=z)
         run.require(p1[0] - p0[0] == y.integral.coboundary()
@@ -718,7 +770,7 @@ def check_induced_hexagon(ctx):
                     z=z, shift=y)
         # descent consistency for the remaining induced maps
         cb, _ = ctx.random_coboundary(rng)
-        x, xprime = map_i(z), map_i(z) + cb
+        xprime = x + cb
         run.require(map_R(x) == map_R(xprime),
                     "curvature is class-invariant", z=z)
         for cyc in ctx.cycles_km1:
@@ -761,16 +813,17 @@ def check_bunke_schick(ctx):
     rng = ctx.rng("bunke_schick")
     cx, k = ctx.complex, ctx.degree
 
-    # square: ch(I(x)) == der(R(x)) and both sides are class invariants
+    # square: ch o I == der o R, and both sides are class invariants
     for _ in range(ctx.trials):
         x = ctx.random_zhat(rng)
         c, t = map_I(x)
         lhs = map_ch(c, t)
-        rhs = map_der(map_R(x))
-        run.require(lhs == rhs, "curvature square commutes", x=x)
+        curvature = map_R(x)
+        run.require(lhs == map_der(curvature), "curvature square commutes", x=x)
         cb, _ = ctx.random_coboundary(rng)
-        c2, t2 = map_I(x + cb)
-        run.require(map_ch(c2, t2) == lhs and map_R(x + cb) == map_R(x),
+        shifted = x + cb
+        c2, t2 = map_I(shifted)
+        run.require(map_ch(c2, t2) == lhs and map_R(shifted) == curvature,
                     "curvature square is class-invariant", x=x)
 
     # sequence: classes of integral cocycles map onto the kernel of a
@@ -828,54 +881,18 @@ def check_off_diagonal_note(ctx):
 
 def check_dhat_square(ctx):
     """dhat o dhat == 0 in all three degree regimes at level k."""
-    run = CheckRun("dhat_square_zero")
-    rng = ctx.rng("dhat_square_zero")
-    cx, q = ctx.complex, ctx.degree
-    for deg in (q - 2, q - 1, q):
-        elems = DiffCochain.zero(cx, q, deg).units()
-        elems += [random_diff_cochain(rng, cx, q, deg)
-                  for _ in range(ctx.trials)]
-        for x in elems:
-            run.require(dhat(dhat(x)).is_zero(), "dhat(dhat(x)) == 0",
-                        degree=deg, x=x)
-    return run.report()
+    return _identity_run(ctx, "dhat_square_zero").report()
 
 
 def check_cone_square(ctx):
     """delta_cone o delta_cone == 0 around the hexagon degrees."""
-    run = CheckRun("delta_cone_square_zero")
-    rng = ctx.rng("delta_cone_square_zero")
-    cx, k = ctx.complex, ctx.degree
-    for deg in (k - 2, k - 1, k):
-        elems = ConeCochain.zero(cx, deg).units()
-        elems += [ConeCochain(cx, deg,
-                              random_cochain(rng, cx, deg + 1, Ring.Z),
-                              random_cochain(rng, cx, deg, Ring.Q))
-                  for _ in range(ctx.trials)]
-        for z in elems:
-            run.require(delta_cone(delta_cone(z)).is_zero(),
-                        "delta_cone(delta_cone(z)) == 0", degree=deg, z=z)
-    return run.report()
+    return _identity_run(ctx, "delta_cone_square_zero").report()
 
 
 def check_derham_whitney(ctx):
     """The de Rham and Whitney identities, plus vanishing torsion periods."""
-    run = CheckRun("derham_whitney")
-    rng = ctx.rng("derham_whitney")
+    run = _identity_run(ctx, "derham_whitney")
     cx = ctx.complex
-    for deg in range(0, cx.dim + 1):
-        samples = Cochain.zero(cx, deg, Ring.Q).units()
-        samples += [random_cochain(rng, cx, deg, Ring.Q)
-                    for _ in range(ctx.trials // 2 + 1)]
-        for x in samples:
-            w = whitney(x)
-            run.require(derham_cochain(w) == x, "int(W(x)) == x",
-                        degree=deg, x=x)
-            run.require(d_form(w) == whitney(x.coboundary()),
-                        "d(W(x)) == W(delta x)", degree=deg, x=x)
-            run.require(derham_cochain(d_form(w))
-                        == derham_cochain(w).coboundary(),
-                        "delta(int(w)) == int(d w)", degree=deg, x=x)
     for deg in range(0, cx.dim + 1):
         hst = cx.homology_structure(deg)
         if not hst.torsion:

@@ -104,7 +104,7 @@ def _dhat_potential(x):
 
 
 def dhat(x):
-    """The differential, in all three degree regimes; dhat(dhat(x)) == 0.
+    """The differential, in all three degree regimes; dhat o dhat == 0.
 
     Each slot is computed on the integer rows and built once."""
     cx, q, k = x.complex, x.level, x.degree
@@ -122,13 +122,11 @@ def is_cocycle(x):
     """Whether dhat(x) == 0, decided slot by slot on the integer rows
     without building the image: delta c == 0, int(w) - j(c) - delta T == 0
     and d w == 0."""
-    cx, k = x.complex, x.degree
-    if any(cx.coboundary_values(k, x.integral.row.nums)):
+    if not x.integral.is_cocycle():
         return False
     if any(_dhat_potential(x)[0]):
         return False
-    return (x.curvature is None
-            or not any(cx.coboundary_values(k, x.curvature.row.nums)))
+    return x.curvature is None or x.curvature.is_closed()
 
 
 class CoboundarySolver:

@@ -55,6 +55,11 @@ class WhitneyForm(Coords):
         return cls(complex, degree,
                    IntRow((0,) * complex.n_simplices(degree), 1))
 
+    def is_closed(self):
+        """Whether d(self) == 0, decided on the integer row."""
+        return not any(self.complex.coboundary_values(self.degree,
+                                                      self.row.nums))
+
     def __repr__(self):
         return "WhitneyForm(deg=%d, %s)" % (self.degree,
                                             [str(c) for c in self.coeffs])
@@ -95,7 +100,7 @@ def period_vector(form):
     """Periods of a closed form over the free homology basis in its degree:
     the integer pairing of its numerators with each free cycle, over its
     denominator."""
-    if not d(form).is_zero():
+    if not form.is_closed():
         raise ValueError("period vector of a non-closed form")
     nums, den = form.row
     free = form.complex.homology_structure(form.degree).free
@@ -139,10 +144,7 @@ def derham_representative(cocycle):
         cocycle = cocycle.as_q()
     if not cocycle.is_cocycle():
         raise ValueError("representative requested for a non-cocycle")
-    form = whitney(cocycle)
-    if not d(form).is_zero():
-        raise ArithmeticError("Whitney form of a cocycle must be closed")
-    return form
+    return whitney(cocycle)
 
 
 def format_whitney_form(form):

@@ -463,7 +463,11 @@ class Cochain(Coords):
         return Cochain(self.complex, self.degree, Ring.QMODZ, self.row)
 
     def is_cocycle(self):
-        return self.coboundary().is_zero()
+        """Whether delta x == 0, on the integer row (over Q/Z, mod den)."""
+        nums = self.complex.coboundary_values(self.degree, self.row.nums)
+        if self.ring is Ring.QMODZ:
+            return not any(v % self.row.den for v in nums)
+        return not any(nums)
 
     def __repr__(self):
         return "Cochain(%s, deg=%d, %s)" % (

@@ -1,5 +1,9 @@
+import gc
+import hashlib
 import random
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +19,13 @@ from hexad.exactalg import (
 )
 from hexad.hexagon import (
     HexagonContext,
+    Identity,
     OmegaDecomposer,
     check_bunke_schick,
     check_character_compat,
+    check_cone_square,
+    check_derham_whitney,
+    check_dhat_square,
     check_faces,
     check_induced_hexagon,
     check_main_diagonal,
@@ -37,6 +45,7 @@ from hexad.hexagon import (
 )
 from hexad.hscomplex import DiffCochain, dhat, evaluate_character, is_cocycle
 from hexad.plforms import WhitneyForm, d, derham_cochain, whitney
+from hexad.report import CheckRun
 from hexad.sampling import random_cochain, random_combination
 from hexad.simplicial import Chain, Cochain, Ring, catalog, catalog_names
 
@@ -547,3 +556,110 @@ def test_rational_coboundary_solves_read_the_smith_form(name, k, monkeypatch):
     assert check_off_diagonal_note(ctx).ok
     assert [cohomology(cx, j, "Q") for j in range(cx.dim + 1)] == [
         expected_homology(name)[j][0] for j in range(cx.dim + 1)]
+
+
+# SHA-256 of the label and element of every `require` the identity checks
+# make on four contexts; reports count witnesses and cannot see which
+# element was checked under which label, or in what order
+EVALUATED_STREAM_DIGEST = (
+    "5c7ec1ec545cbcd634cb11b0f547a1e56b0d48dabd6abf8388b335c9f351dbff")
+STREAM_KEYS = ("eta", "z", "w", "x", "y", "degree", "cycle")
+
+
+def test_evaluated_stream_is_pinned(monkeypatch):
+    digest = hashlib.sha256()
+    require = CheckRun.require
+
+    def hashing(self, condition, label, **detail):
+        digest.update(label.encode("utf-8"))
+        for key in STREAM_KEYS:
+            if key in detail:
+                digest.update(("\t%s=%s" % (key, detail[key])).encode("utf-8"))
+        digest.update(b"\n")
+        return require(self, condition, label, **detail)
+    monkeypatch.setattr(CheckRun, "require", hashing)
+    for name, k in (("circle", 1), ("torus", 2), ("projective-plane", 2),
+                    ("klein-bottle", 2)):
+        ctx = HexagonContext(catalog(name), k, seed=0, trials=3)
+        for check in (check_faces, check_dhat_square, check_cone_square,
+                      check_derham_whitney, check_main_diagonal,
+                      check_induced_hexagon):
+            assert check(ctx).status == "PASS", (name, k, check.__name__)
+    assert digest.hexdigest() == EVALUATED_STREAM_DIGEST
+
+
+def test_a_false_row_fails_under_its_label():
+    # one row is one identity: a false one added to the table fails the
+    # check under its own label, at its first generator
+    ctx = circle_ctx()
+    etas = WhitneyForm.zero(ctx.complex, 0).units()
+    ctx.identities["faces"] += (
+        Identity(("R(a(eta)) == -d(eta)",), "eta",
+                 lambda eta: map_R(map_a(eta)), lambda eta: -d(eta),
+                 lambda: etas),)
+    report = check_faces(ctx)
+    assert report.status == "FAIL"
+    assert report.counterexample["check"] == "R(a(eta)) == -d(eta)"
+    assert report.counterexample["eta"] == str(etas[0])
+    assert report.witness_count == check_faces(circle_ctx()).witness_count
+
+
+def test_a_map_rejecting_a_row_input_fails_under_the_row_label(monkeypatch):
+    def reject(z):
+        raise ValueError("beta rejects")
+    monkeypatch.setattr(hexagon, "map_beta", reject)
+    report = check_faces(circle_ctx())
+    assert report.status == "FAIL"
+    assert report.counterexample["check"] == (
+        "I(i(z)) == beta(z) (map rejected input)")
+    assert report.counterexample["error"] == "beta rejects"
+
+
+def test_each_row_label_gets_one_witness_per_element(monkeypatch):
+    # on the circle at degree 1 every label of every row is required once
+    # per generator and once per sample, and by nothing else
+    ctx = circle_ctx(k=1)
+    counts = {}
+    require = CheckRun.require
+
+    def counting(self, condition, label, **detail):
+        counts[label] = counts.get(label, 0) + 1
+        return require(self, condition, label, **detail)
+    monkeypatch.setattr(CheckRun, "require", counting)
+    for check in (check_faces, check_dhat_square, check_cone_square,
+                  check_derham_whitney, check_main_diagonal,
+                  check_induced_hexagon):
+        assert check(ctx).status == "PASS"
+    expected = {}
+    for rows in ctx.identities.values():
+        for row in rows:
+            for label in row.labels:
+                expected[label] = (expected.get(label, 0)
+                                   + len(row.gens()) + row.count)
+    assert len(expected) == 14
+    assert {label: counts[label] for label in expected} == expected
+
+
+def test_each_tabled_label_is_written_once():
+    ctx = HexagonContext(catalog("torus"), 2, seed=0, trials=1)
+    source = "".join(path.read_text(encoding="utf-8") for path in
+                     sorted(Path(hexagon.__file__).parent.glob("*.py")))
+    labels = [label for rows in ctx.identities.values() for row in rows
+              for label in row.labels]
+    assert len(set(labels)) == 14
+    for label in set(labels):
+        assert source.count(label) == 1, label
+
+
+def test_a_context_is_freed_without_the_cyclic_collector():
+    # the identity table reaches its context weakly, so dropping the last
+    # reference frees the context and everything it holds at once
+    ctx = circle_ctx()
+    assert all(r.ok for r in run_all_checks(ctx))
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()

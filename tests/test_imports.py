@@ -7,7 +7,8 @@ and one `Torsion` replaced, or the dense boundary matrices and boundary
 Smith forms that one face table per degree replaced, or reads the dense
 Smith transforms that the sparse `u_rows`, `v_cols` and `u_inv_cols`
 replaced; and only `simplicial` tokenizes a text format, while no module
-names the ring lookup that `Ring(name)` replaced."""
+names the ring lookup that `Ring(name)` replaced; and the checks made of
+identity-table rows alone call no `run.require` of their own."""
 
 import ast
 from pathlib import Path
@@ -197,3 +198,35 @@ def test_the_checker_sees_function_local_imports():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_src_imports_only_at_module_level(path):
     assert function_local_imports(path.read_text(encoding="utf-8")) == []
+
+
+HEXAGON = ROOT / "src" / "hexad" / "hexagon.py"
+TABLE_ONLY_CHECKS = ("check_faces", "check_dhat_square", "check_cone_square")
+
+
+def own_require_calls(source, functions):
+    """(function, line) of each `.require(...)` call made in the body of
+    one of the named module-level functions."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            found += [(node.name, inner.lineno) for inner in ast.walk(node)
+                      if isinstance(inner, ast.Call)
+                      and isinstance(inner.func, ast.Attribute)
+                      and inner.func.attr == "require"]
+    return found
+
+
+def test_the_checker_sees_own_require_calls():
+    source = ("def f(run):\n    run.require(True, 'x')\n"
+              "def g(run):\n    h(run)\n")
+    assert own_require_calls(source, ("f", "g")) == [("f", 2)]
+    assert own_require_calls(source, ("g",)) == []
+
+
+def test_table_only_checks_require_nothing_themselves():
+    source = HEXAGON.read_text(encoding="utf-8")
+    names = {node.name for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)}
+    assert set(TABLE_ONLY_CHECKS) <= names
+    assert own_require_calls(source, TABLE_ONLY_CHECKS) == []

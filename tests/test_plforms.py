@@ -60,6 +60,9 @@ def test_whitney_derham_identities(name):
             assert d(w) == whitney(x.coboundary())             # d W = W delta
             assert derham_cochain(d(w)) == x.coboundary()      # delta int = int d
             assert d(d(w)).is_zero()
+            # closedness and cocycles are decided on the rows, as d and delta
+            assert w.is_closed() == d(w).is_zero() == x.is_cocycle()
+            assert d(w).is_closed() and x.coboundary().is_cocycle()
 
 
 def test_periods_and_omega_A_membership():

@@ -488,6 +488,23 @@ def test_qmodz_representatives_reduced():
     assert (c + c).values == (Fraction(2, 3), Fraction(1, 2), Fraction(0))
 
 
+def test_qmodz_cocycles_are_decided_mod_the_denominator():
+    # the rational coboundary of the representative may be a nonzero
+    # integer vector: the cochain is then a cocycle mod 1, and one whose
+    # coboundary is 1/2 is not
+    cx = SimplicialComplex.from_facets("tri", 3, [(0, 1, 2)])
+    half = Fraction(1, 2)
+    mod1_cocycle = Cochain(cx, 1, Ring.QMODZ, [half, 0, half])
+    assert Cochain(cx, 1, Ring.Q, mod1_cocycle.row).coboundary().values == (1,)
+    assert mod1_cocycle.is_cocycle()
+    assert mod1_cocycle.coboundary().is_zero()
+    not_cocycle = Cochain(cx, 1, Ring.QMODZ, [half, 0, 0])
+    assert Cochain(cx, 1, Ring.Q, not_cocycle.row).coboundary().values == (
+        half,)
+    assert not not_cocycle.is_cocycle()
+    assert not not_cocycle.coboundary().is_zero()
+
+
 def test_chain_boundary_and_cycles():
     cx = catalog("circle")
     z = Chain(cx, 1, [1, -1, 1])
