@@ -588,6 +588,32 @@ def test_evaluated_stream_is_pinned(monkeypatch):
     assert digest.hexdigest() == EVALUATED_STREAM_DIGEST
 
 
+# SHA-256 of the label and every detail item of every `require` that all
+# twelve checks make on five contexts, items sorted by key; the compared
+# values `lhs`, `rhs` and `image` are left out
+ALL_CHECKS_STREAM_DIGEST = (
+    "1bb896a11b7c8b896483c33eaf72900db9470420f964172f81dd5d31a0fe76fa")
+UNHASHED_KEYS = {"lhs", "rhs", "image"}
+
+
+def test_all_checks_stream_is_pinned(monkeypatch):
+    digest = hashlib.sha256()
+    require = CheckRun.require
+
+    def hashing(self, condition, label, **detail):
+        digest.update(label.encode("utf-8"))
+        for key in sorted(detail.keys() - UNHASHED_KEYS):
+            digest.update(("\t%s=%s" % (key, detail[key])).encode("utf-8"))
+        digest.update(b"\n")
+        return require(self, condition, label, **detail)
+    monkeypatch.setattr(CheckRun, "require", hashing)
+    for name, k in (("circle", 1), ("torus", 2), ("projective-plane", 2),
+                    ("klein-bottle", 2), ("sphere", 3)):
+        ctx = HexagonContext(catalog(name), k, seed=0, trials=3)
+        assert all(r.ok for r in run_all_checks(ctx)), (name, k)
+    assert digest.hexdigest() == ALL_CHECKS_STREAM_DIGEST
+
+
 def test_a_false_row_fails_under_its_label():
     # one row is one identity: a false one added to the table fails the
     # check under its own label, at its first generator
