@@ -31,7 +31,6 @@ from .simplicial import (
 )
 from .plforms import (
     NotExactError,
-    PeriodVector,
     WhitneyForm,
     d,
     derham_cochain,
@@ -89,7 +88,6 @@ __all__ = [
     "InvalidComplexError",
     "Matrix",
     "NotExactError",
-    "PeriodVector",
     "Rational",
     "Ring",
     "SimplicialComplex",

@@ -146,31 +146,13 @@ class Matrix:
         self.data = data
 
     @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, rows, *, cols=None):
-        rows = [list(r) for r in rows]
-        if cols is None:
-            if not rows:
-                raise ValueError("cannot infer width of an empty row list")
-            cols = len(rows[0])
+    def from_rows(cls, rows, *, cols):
         return cls(len(rows), cols, rows)
 
     @classmethod
-    def from_columns(cls, columns, *, rows=None):
-        columns = [list(c) for c in columns]
-        if rows is None:
-            if not columns:
-                raise ValueError("cannot infer height of an empty column list")
-            rows = len(columns[0])
-        data = [[col[i] for col in columns] for i in range(rows)]
-        return cls(rows, len(columns), data)
+    def from_columns(cls, columns, *, rows):
+        return cls(rows, len(columns),
+                   [[col[i] for col in columns] for i in range(rows)])
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
@@ -179,31 +161,6 @@ class Matrix:
         return Matrix(self.cols, self.rows,
                       [[self.data[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("matrix shapes do not compose")
-        out = []
-        for i in range(self.rows):
-            row = self.data[i]
-            out.append([sum(row[t] * other.data[t][j] for t in range(self.cols))
-                        for j in range(other.cols)])
-        return Matrix(self.rows, other.cols, out)
-
-    def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match matrix width")
-        out = []
-        for row in self.data:
-            acc = 0
-            for a, b in zip(row, v):
-                if a and b:
-                    acc += a * b
-            out.append(acc)
-        return out
-
-    def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows

@@ -177,14 +177,15 @@ def witness_R_surjective(omega):
     """Differential cocycle with the given integer-period curvature.
 
     Decomposes int(omega) = j(c) + delta T and returns (c, T, omega); the
-    result is re-verified to be a cocycle with curvature exactly omega.
+    result is re-verified to be a cocycle.  Its curvature is omega by
+    construction, and the decomposition has already decided its periods.
     """
     dec = OmegaDecomposer(omega.complex, omega.degree).decompose(omega)
     if dec is None:
         raise ValueError("form is not closed with integer periods")
     c, t = dec
     x = DiffCochain(omega.complex, omega.degree, omega.degree, c, t, omega)
-    if not is_cocycle(x) or map_R(x) != omega:
+    if not is_cocycle(x):
         raise ArithmeticError("curvature witness failed to re-verify")
     return x
 
@@ -299,8 +300,9 @@ class HexagonContext:
         self.decomposer_km1 = OmegaDecomposer(complex, k - 1)
         # the fixed targets of the form node, solved once for every check
         # that uses them: each integer-period generator one degree down
-        # with its decomposition and coboundary-solver witness, and each
-        # certified fractional sample with its period test and solver answer
+        # with its dhat preimage and coboundary-solver witness, each tested
+        # once, and each certified fractional sample with its period test
+        # and solver answer
         lattice, space = self.omega_gens_km1
         self.form_node_gens = [self.form_node_target(eta)
                                for eta in lattice + space]
@@ -322,13 +324,21 @@ class HexagonContext:
         return lattice, space
 
     def form_node_target(self, eta):
-        """(eta, a(eta), decomposition, coboundary-solver witness) for an
-        integer-period form one degree below the hexagon; the solver runs
-        only when the decomposition exists."""
+        """(eta, y, dhat(y) == a(eta), w, dhat(w) == a(eta)) for an
+        integer-period form one degree below the hexagon: y = (-c, -T) is
+        built from its decomposition int(eta) = j(c) + delta T, and w is the
+        coboundary solver's witness.  y and w are None, and their tests
+        False, when the decomposition or the solver has no answer."""
         a_eta = map_a(eta)
         dec = self.decomposer_km1.decompose(eta)
-        wit = self.bhat_solver.solve(a_eta) if dec is not None else None
-        return eta, a_eta, dec, wit
+        if dec is None:
+            return eta, None, False, None, False
+        c, t = dec
+        y = DiffCochain(self.complex, self.degree, self.degree - 1, -c, -t,
+                        None)
+        wit = self.bhat_solver.solve(a_eta)
+        return (eta, y, dhat(y) == a_eta, wit,
+                wit is not None and dhat(wit) == a_eta)
 
     # sampling helpers -----------------------------------------------------
 
@@ -604,24 +614,22 @@ def _form_node_exactness(ctx, run, rng):
     """Exactness at the form node, one degree below the hexagon: a(eta) is
     a coboundary exactly when eta is closed with integer periods, witnessed
     in both directions.  The generator targets and fractional samples are
-    the context's, solved once; the random samples are this check's."""
+    the context's, solved and tested once; the random samples are this
+    check's."""
     cx, k = ctx.complex, ctx.degree
     # integer-period forms die under a, with explicit dhat preimages
     samples = [ctx.random_omega(rng, k - 1) for _ in range(ctx.trials)]
     targets = itertools.chain(ctx.form_node_gens,
                               map(ctx.form_node_target, samples))
-    for eta, a_eta, dec, wit in targets:
-        if not run.require(dec is not None,
+    for eta, y, y_ok, wit, wit_ok in targets:
+        if not run.require(y is not None,
                            "integer-period form decomposes", eta=eta):
             continue
-        c, t = dec
-        y = DiffCochain(cx, k, k - 1, -c, -t, None)
-        run.require(dhat(y) == a_eta,
-                    "a(eta) == dhat(-c, -T) for integer-period eta",
+        run.require(y_ok, "a(eta) == dhat(-c, -T) for integer-period eta",
                     eta=eta, preimage=y)
         if run.require(wit is not None,
                        "coboundary solver confirms a(eta)", eta=eta):
-            run.require(dhat(wit) == a_eta, "solver witness re-verifies",
+            run.require(wit_ok, "solver witness re-verifies",
                         eta=eta, witness=wit)
     # fractional-period forms survive a, certified by a non-integral pairing
     for eta, cert, integral_periods, wit in ctx.form_node_fractional:
@@ -682,13 +690,10 @@ def check_induced_hexagon(ctx):
     _require_identities(run, rng, lemmas[:1])
 
     # (a) lemma 2: integer-period forms map into coboundaries
-    for eta, a_eta, dec, _ in ctx.form_node_gens:
-        if run.require(dec is not None, "Omega_Z generator decomposes",
+    for eta, y, y_ok, _, _ in ctx.form_node_gens:
+        if run.require(y is not None, "Omega_Z generator decomposes",
                        eta=eta):
-            c, t = dec
-            y = DiffCochain(cx, k, k - 1, -c, -t, None)
-            run.require(dhat(y) == a_eta,
-                        "a(Omega_Z generator) is an explicit coboundary",
+            run.require(y_ok, "a(Omega_Z generator) is an explicit coboundary",
                         eta=eta, preimage=y)
 
     # (a) lemmas 3 and 4: i and I of coboundaries are explicit coboundaries

@@ -11,7 +11,6 @@ identities of the smooth theory become exact linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -88,24 +87,15 @@ def whitney(cochain):
     return WhitneyForm(cochain.complex, cochain.degree, cochain.row)
 
 
-@dataclass(frozen=True)
-class PeriodVector:
-    """Integrals of a closed form over the free homology basis cycles."""
-
-    degree: int
-    values: tuple
-
-
 def period_vector(form):
     """Periods of a closed form over the free homology basis in its degree:
     the integer pairing of its numerators with each free cycle, over its
-    denominator."""
+    denominator, as a tuple of Fractions."""
     if not form.is_closed():
         raise ValueError("period vector of a non-closed form")
     nums, den = form.row
     free = form.complex.homology_structure(form.degree).free
-    return PeriodVector(form.degree, tuple(
-        Fraction(sum(map(mul, nums, z)), den) for z in free))
+    return tuple(Fraction(sum(map(mul, nums, z)), den) for z in free)
 
 
 def in_omega_A(form):
@@ -115,8 +105,7 @@ def in_omega_A(form):
     integrality over the free basis decides integrality over every integral
     homology class.
     """
-    pv = period_vector(form)
-    return all(v.denominator == 1 for v in pv.values)
+    return all(v.denominator == 1 for v in period_vector(form))
 
 
 def find_primitive(target):

@@ -49,8 +49,8 @@ class CheckRun:
         self.witnesses = 0
         self.failure = None
 
-    def witness(self, n=1):
-        self.witnesses += n
+    def witness(self):
+        self.witnesses += 1
 
     def require(self, condition, label, **detail):
         if condition:

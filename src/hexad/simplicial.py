@@ -182,10 +182,6 @@ class SimplicialComplex:
             raise KeyError("no %d-simplex %r in %s" % (k, tuple(simplex), self.name))
         return i
 
-    def boundary(self, k):
-        """d_k: C_k -> C_{k-1} as a dense matrix, coboundary_matrix(k - 1)^T."""
-        return self.coboundary_matrix(k - 1).transpose()
-
     def coboundary_matrix(self, k):
         """delta^k: C^k -> C^{k+1} as a dense matrix, built from the face
         table (zero shape off-range)."""
@@ -204,8 +200,8 @@ class SimplicialComplex:
         """Apply delta^k to a vector of integers (the numerators of a
         cochain; its denominator is unchanged).
 
-        Semantically identical to coboundary_matrix(k).mul_vec(nums); the
-        signs are read from the face table, in one pass over its rows.
+        The product of coboundary_matrix(k) with nums, with the signs
+        read from the face table in one pass over its rows.
         """
         faces = self._faces.get(k)
         if faces is None:

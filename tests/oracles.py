@@ -586,7 +586,27 @@ def oracle_delta_cone(z):
 
 
 # ---------------------------------------------------------------------------
-# dense Smith-form products, the reference of the sparse ones
+# dense products, the reference of the sparse ones
+
+def mat_vec(rows, x):
+    """The product of the dense matrix with the given rows and the vector
+    x, reading only the nonzero entries of x."""
+    if any(len(row) != len(x) for row in rows):
+        raise ValueError("vector length does not match matrix width")
+    nz = [t for t, xt in enumerate(x) if xt]
+    xs = [x[t] for t in nz]
+    return [sum(map(mul, map(row.__getitem__, nz), xs)) for row in rows]
+
+
+def mat_mul(a, b):
+    """The Matrix a b, built column by column: column j is a times column j
+    of b."""
+    from hexad.exactalg import Matrix
+    if a.cols != b.rows:
+        raise ValueError("matrix shapes do not compose")
+    cols = [mat_vec(a.data, b.column(j)) for j in range(b.cols)]
+    return Matrix.from_columns(cols, rows=a.rows)
+
 
 def dense_transforms(f):
     """(u, v, u_inv) of a SmithForm as dense lists of rows, read from the
@@ -621,12 +641,6 @@ class DenseSmith:
         self.u, self.v, self.u_inv = dense_transforms(f)
         self.diagonal, self.rank = f.diagonal, f.rank
 
-    @staticmethod
-    def _mul(m, x):
-        nz = [t for t, xt in enumerate(x) if xt]
-        xs = [x[t] for t in nz]
-        return [sum(map(mul, map(row.__getitem__, nz), xs)) for row in m]
-
     def _rows(self, b):
         b = [Fraction(x) for x in b]
         if len(b) != len(self.u):
@@ -634,13 +648,13 @@ class DenseSmith:
         bden = 1
         for x in b:
             bden = bden * x.denominator // gcd(bden, x.denominator)
-        return self._mul(self.u, [int(x * bden) for x in b]), bden
+        return mat_vec(self.u, [int(x * bden) for x in b]), bden
 
     def _preimage(self, w, bden):
         r = self.rank
         top = self.diagonal[r - 1] if r else 1
         y = [wi * (top // di) for wi, di in zip(w, self.diagonal[:r])]
-        return _canonical(self._mul(self.v, y + [0] * (len(self.v) - r)),
+        return _canonical(mat_vec(self.v, y + [0] * (len(self.v) - r)),
                           bden * top)
 
     def split(self, b):
@@ -648,7 +662,7 @@ class DenseSmith:
         r = self.rank
         if any(wi % bden for wi in w[r:]):
             return None
-        c = self._mul(self.u_inv, [0] * r + [wi // bden for wi in w[r:]])
+        c = mat_vec(self.u_inv, [0] * r + [wi // bden for wi in w[r:]])
         return c, self._preimage(w, bden)
 
     def solve_q(self, b):
@@ -670,7 +684,7 @@ class DenseSmith:
     def u_times_u_inv_column(self, j):
         """u times column j of u_inv, which is e_j exactly when that column
         is the j-th column of the inverse."""
-        return self._mul(self.u, [row[j] for row in self.u_inv])
+        return mat_vec(self.u, [row[j] for row in self.u_inv])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from hexad.cone import ConeCochain
-from hexad import exactalg, hexagon, simplicial
+from hexad import exactalg, hexagon, hscomplex, simplicial
 from hexad.exactalg import (
     MixedSolver,
     MixedSubgroup,
@@ -435,6 +435,38 @@ def test_form_node_generators_are_solved_once_per_context(name, k,
     monkeypatch.setattr(OmegaDecomposer, "decompose", counting)
     assert all(r.ok for r in run_all_checks(ctx))
     assert len(calls) == 2 * trials
+
+
+@pytest.mark.parametrize("name", ["torus", "projective-plane",
+                                  "klein-bottle"])
+def test_form_node_generators_are_tested_once_per_context(name, monkeypatch):
+    # each generator's dhat preimage and solver witness were tested while
+    # the context was built; the checks read the kept verdicts
+    ctx = HexagonContext(catalog(name), 2, seed=0, trials=3)
+    kept = [obj for target in ctx.form_node_gens for obj in target
+            if isinstance(obj, DiffCochain)]
+    assert len(kept) == 2 * len(ctx.form_node_gens) > 0
+    calls = []
+
+    def counting(x):
+        calls.append(any(x is y for y in kept))
+        return dhat(x)
+    monkeypatch.setattr(hexagon, "dhat", counting)
+    monkeypatch.setattr(hscomplex, "dhat", counting)
+    assert all(r.ok for r in run_all_checks(ctx))
+    assert calls and sum(calls) == 0
+
+
+def test_witness_R_surjective_does_not_reapply_R(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hexagon, "map_R", lambda x: calls.append(x) or map_R(x))
+    for name, k in (("circle", 1), ("torus", 2), ("projective-plane", 2)):
+        ctx = HexagonContext(catalog(name), k, seed=0, trials=1)
+        lattice, space = ctx.omega_gens_k
+        for omega in lattice + space:
+            x = witness_R_surjective(omega)
+            assert is_cocycle(x) and x.curvature == omega
+    assert calls == []
 
 
 def _omega_decomposer_samples(rng, cx, m):

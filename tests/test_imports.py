@@ -8,7 +8,10 @@ Smith forms that one face table per degree replaced, or reads the dense
 Smith transforms that the sparse `u_rows`, `v_cols` and `u_inv_cols`
 replaced; and only `simplicial` tokenizes a text format, while no module
 names the ring lookup that `Ring(name)` replaced; and the checks made of
-identity-table rows alone call no `run.require` of their own."""
+identity-table rows alone call no `run.require` of their own; and no
+module keeps the dense matrix arithmetic, the boundary-matrix builder or
+the period record that only tests called, so `Matrix` is a shaped input
+record for the Smith and factored solvers and nothing more."""
 
 import ast
 from pathlib import Path
@@ -230,3 +233,65 @@ def test_table_only_checks_require_nothing_themselves():
              if isinstance(node, ast.FunctionDef)}
     assert set(TABLE_ONLY_CHECKS) <= names
     assert own_require_calls(source, TABLE_ONLY_CHECKS) == []
+
+
+EXACTALG = ROOT / "src" / "hexad" / "exactalg.py"
+DEAD_HELPERS = {"mul_vec", "PeriodVector"}
+MATRIX_METHODS = {"__init__", "from_rows", "from_columns", "column",
+                  "transpose", "__eq__", "__hash__", "__repr__"}
+
+
+def class_methods(source, name):
+    """Method name -> FunctionDef of each method the named module-level
+    class defines."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return {f.name: f for f in node.body
+                    if isinstance(f, ast.FunctionDef)}
+    return {}
+
+
+def defaulted_parameters(function):
+    """The names of the parameters of a FunctionDef that have a default."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    found = positional[len(positional) - len(args.defaults):]
+    found += [a for a, default in zip(args.kwonlyargs, args.kw_defaults)
+              if default is not None]
+    return [a.arg for a in found]
+
+
+def test_the_checker_sees_dead_helpers():
+    assert refused_names("def mul_vec(self, v): pass\nPeriodVector(1, ())\n",
+                         DEAD_HELPERS) == [(1, "mul_vec"), (2, "PeriodVector")]
+    source = ("class Matrix:\n    def mul(self, other): pass\n"
+              "    @classmethod\n    def from_rows(cls, rows, *, cols=None): pass\n"
+              "    def from_columns(cls, columns, *, rows): pass\n"
+              "def boundary(self, k): pass\n")
+    methods = class_methods(source, "Matrix")
+    assert set(methods) == {"mul", "from_rows", "from_columns"}
+    assert class_methods(source, "SimplicialComplex") == {}
+    assert defaulted_parameters(methods["from_rows"]) == ["cols"]
+    assert defaulted_parameters(methods["from_columns"]) == []
+    assert defaulted_parameters(
+        ast.parse("def f(a, b=1, /, c=2, *d, e, g=3): pass").body[0]) == [
+            "b", "c", "g"]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/hexad/*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_dead_helpers(path):
+    assert refused_names(path.read_text(encoding="utf-8"), DEAD_HELPERS) == []
+
+
+def test_matrix_is_a_shaped_input_record():
+    methods = class_methods(EXACTALG.read_text(encoding="utf-8"), "Matrix")
+    assert set(methods) <= MATRIX_METHODS
+    assert defaulted_parameters(methods["from_rows"]) == []
+    assert defaulted_parameters(methods["from_columns"]) == []
+
+
+def test_the_complex_builds_no_boundary_matrix():
+    methods = class_methods(SIMPLICIAL.read_text(encoding="utf-8"),
+                            "SimplicialComplex")
+    assert "coboundary_matrix" in methods and "boundary" not in methods
