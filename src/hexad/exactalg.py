@@ -151,6 +151,8 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns, *, rows):
+        if any(len(col) != rows for col in columns):
+            raise ValueError("matrix column does not have %d entries" % rows)
         return cls(rows, len(columns),
                    [[col[i] for col in columns] for i in range(rows)])
 

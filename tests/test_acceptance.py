@@ -104,12 +104,12 @@ def test_criterion_04_constructive_surjectivity():
                 if n:
                     c = c + basis.scale(n)
             t = random_cochain(rng, ctx.complex, k - 1, Ring.Q).coboundary()
-            # witness_I_surjective internally cross-checks both
-            # construction paths agree on the I image
+            # witness_I_surjective re-verifies that its witness is a
+            # cocycle with I image (c, t) before returning it
             xi = witness_I_surjective(c, t)
             assert map_I(xi) == (c, t)
     print("PASS criterion 4: witness_R/witness_I re-verify on 25 random "
-          "targets per (complex, degree); both I constructions agree")
+          "targets per (complex, degree)")
 
 
 def test_criterion_05_descent_to_cohomology_hexagon():

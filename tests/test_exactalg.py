@@ -129,6 +129,15 @@ def test_kernel_and_column_lattice():
                 assert sol.den == 1
 
 
+def test_matrix_refuses_data_of_the_wrong_shape():
+    assert Matrix.from_columns([[1, 2]], rows=2).data == ((1,), (2,))
+    for columns in ([[1, 2, 3]], [[1]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            Matrix.from_columns(columns, rows=2)
+    with pytest.raises(ValueError):
+        Matrix.from_rows([[1, 2, 3]], cols=2)
+
+
 def test_hnf_solve_trivial_cases():
     assert hnf_solve(Matrix(1, 1, [[2]]), [4]) == [2]
     assert hnf_solve(Matrix(1, 1, [[2]]), [3]) is None

@@ -457,6 +457,56 @@ def test_form_node_generators_are_tested_once_per_context(name, monkeypatch):
     assert calls and sum(calls) == 0
 
 
+@pytest.mark.parametrize("name", ["circle", "torus", "projective-plane"])
+def test_basis_i_witnesses_are_built_once_per_context(name, monkeypatch):
+    # both checks that need the I-witness of (z, 0) read the context's one
+    # list, and each witness is one rational solve against delta
+    ctx = HexagonContext(catalog(name), 2, seed=0, trials=3)
+    solves, basis_calls, per_call = [], [], []
+    solve_q = exactalg.SmithForm.solve_q
+
+    def counting_solve(self, b):
+        solves.append(b)
+        return solve_q(self, b)
+
+    def counting_witness(c, t):
+        before = len(solves)
+        x = witness_I_surjective(c, t)
+        per_call.append(len(solves) - before)
+        basis_calls.append(t.is_zero()
+                           and any(c is z for z in ctx.cocycle_basis_k))
+        return x
+    monkeypatch.setattr(exactalg.SmithForm, "solve_q", counting_solve)
+    monkeypatch.setattr(hexagon, "witness_I_surjective", counting_witness)
+    assert all(r.ok for r in run_all_checks(ctx))
+    assert sum(basis_calls) == len(ctx.cocycle_basis_k)
+    assert per_call and set(per_call) == {1}
+
+
+@pytest.mark.parametrize("name,k", [("circle", 1), ("torus", 2),
+                                    ("projective-plane", 2)])
+def test_a_raising_i_witness_fails_both_checks_that_ask(name, k, monkeypatch):
+    # the raise is not kept with the context: each check that reads the
+    # basis witnesses fails on it, and the other checks are untouched
+    expected = run_all_checks(HexagonContext(catalog(name), k, seed=0,
+                                             trials=3))
+    ctx = HexagonContext(catalog(name), k, seed=0, trials=3)
+    assert ctx.cocycle_basis_k
+
+    def refuse(c, t):
+        raise ArithmeticError("I-witness refused")
+    monkeypatch.setattr(hexagon, "witness_I_surjective", refuse)
+    reports = run_all_checks(ctx)
+    asked = ("bunke_schick", "induced_hexagon")
+    raised = {"check": "check raised an exception",
+              "error_type": "ArithmeticError", "error": "I-witness refused"}
+    assert [(r.name, r.status, r.counterexample) for r in reports
+            if r.name in asked] == [(n, "FAIL", raised) for n in asked]
+    others = [r for r in reports if r.name not in asked]
+    assert len(others) == 10 and all(r.ok for r in others)
+    assert others == [r for r in expected if r.name not in asked]
+
+
 def test_witness_R_surjective_does_not_reapply_R(monkeypatch):
     calls = []
     monkeypatch.setattr(hexagon, "map_R", lambda x: calls.append(x) or map_R(x))
