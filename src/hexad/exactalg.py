@@ -312,7 +312,12 @@ class SmithForm:
 
 
 def smith_form(m):
-    """Full Smith decomposition of an integer matrix."""
+    """Full Smith decomposition of an integer matrix.
+
+    The pivot of step t is the first entry of least magnitude, in row-major
+    order, over rows and columns t, t+1, ...; the scan stops at the first
+    unit, which no later entry can replace.  u is kept by rows and u_inv and
+    v by columns, so each transform update is one pass over whole vectors."""
     r, c = m.rows, m.cols
     a = [list(row) for row in m.data]
     for row in a:
@@ -328,40 +333,32 @@ def smith_form(m):
             return
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        for t in range(r):
-            uinv[t][i], uinv[t][j] = uinv[t][j], uinv[t][i]
+        uinv[i], uinv[j] = uinv[j], uinv[i]
 
     def col_swap(i, j):
         if i == j:
             return
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        v[i], v[j] = v[j], v[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for t in range(r):
-            uinv[t][i] = -uinv[t][i]
+        uinv[i] = [-x for x in uinv[i]]
 
     def row_add(i, j, q):
-        # row_i += q * row_j
-        ai, aj = a[i], a[j]
-        for t in range(c):
-            ai[t] += q * aj[t]
-        ui, uj = u[i], u[j]
-        for t in range(r):
-            ui[t] += q * uj[t]
-        for t in range(r):
-            uinv[t][j] -= q * uinv[t][i]
+        # row_i += q * row_j, so column j of u_inv -= q * column i
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        uinv[j] = [y - q * x for x, y in zip(uinv[i], uinv[j])]
 
     def col_add(i, j, q):
         # col_i += q * col_j
         for row in a:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
+            if row[j]:
+                row[i] += q * row[j]
+        v[i] = [x + q * y for x, y in zip(v[i], v[j])]
 
     def row_gcd(i, j, col):
         # combine rows i and j so a[i][col] = gcd, a[j][col] = 0
@@ -380,14 +377,11 @@ def smith_form(m):
         pp, qq = p // g, q0 // g
         for rows in (a, u):
             ri, rj = rows[i], rows[j]
-            for t in range(len(ri)):
-                s, w = ri[t], rj[t]
-                ri[t] = x * s + y * w
-                rj[t] = pp * w - qq * s
-        for t in range(r):
-            s, w = uinv[t][i], uinv[t][j]
-            uinv[t][i] = pp * s + qq * w
-            uinv[t][j] = x * w - y * s
+            rows[i] = [x * s + y * w for s, w in zip(ri, rj)]
+            rows[j] = [pp * w - qq * s for s, w in zip(ri, rj)]
+        ci, cj = uinv[i], uinv[j]
+        uinv[i] = [pp * s + qq * w for s, w in zip(ci, cj)]
+        uinv[j] = [x * w - y * s for s, w in zip(ci, cj)]
 
     def col_gcd(i, j, row):
         # combine cols i and j so a[row][i] = gcd, a[row][j] = 0
@@ -402,22 +396,29 @@ def smith_form(m):
             return
         g, x, y = xgcd(p, q0)
         pp, qq = p // g, q0 // g
-        for rows in (a, v):
-            for rr in rows:
-                s, w = rr[i], rr[j]
+        for rr in a:
+            s, w = rr[i], rr[j]
+            if s or w:
                 rr[i] = x * s + y * w
                 rr[j] = pp * w - qq * s
+        ci, cj = v[i], v[j]
+        v[i] = [x * s + y * w for s, w in zip(ci, cj)]
+        v[j] = [pp * w - qq * s for s, w in zip(ci, cj)]
 
     n = min(r, c)
     for t in range(n):
-        # pick the nonzero entry of smallest magnitude as pivot
+        # the first nonzero entry of smallest magnitude is the pivot
         piv = None
         best = None
         for i in range(t, r):
-            for j in range(t, c):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    piv, best = (i, j), abs(x)
+            seg = a[i][t:]
+            low = min(map(abs, filter(None, seg)), default=0)
+            if low and (best is None or low < best):
+                best = low
+                piv = (i, t + next(j for j, x in enumerate(seg)
+                                   if x == low or x == -low))
+                if low == 1:
+                    break
         if piv is None:
             break
         row_swap(t, piv[0])
@@ -426,12 +427,12 @@ def smith_form(m):
             for i in range(t + 1, r):
                 if a[i][t] != 0:
                     row_gcd(t, i, t)
-            if all(a[t][j] == 0 for j in range(t + 1, c)):
+            if not any(a[t][t + 1:]):
                 break
             for j in range(t + 1, c):
                 if a[t][j] != 0:
                     col_gcd(t, j, t)
-            if all(a[i][t] == 0 for i in range(t + 1, r)):
+            if not any(a[i][t] for i in range(t + 1, r)):
                 break
 
     for i in range(n):
@@ -463,8 +464,8 @@ def smith_form(m):
     return SmithForm(
         u_rows=SparseVectors.of(u, r),
         diagonal=diagonal,
-        v_cols=SparseVectors.of(zip(*v), c),
-        u_inv_cols=SparseVectors.of(zip(*uinv), r),
+        v_cols=SparseVectors.of(v, c),
+        u_inv_cols=SparseVectors.of(uinv, r),
         rank=sum(1 for x in diagonal if x),
     )
 
@@ -508,11 +509,15 @@ class Factored:
     The elimination is fraction-free: each row is an integer multiple of
     the rational row, a row operation is row_i := p*row_i - f*pivot_row
     followed by division by the row's content, and a pivot row is read
-    over its pivot entry at the end.  Each row of E is kept as integer
-    numerators over that pivot, so a solve is integer dot products.
+    over its pivot entry at the end.  E and `a` are kept as the
+    SparseVectors of their columns' integer numerators, with one
+    denominator per row (E's is the pivot), so a solve sums the columns of
+    E at the nonzero entries of b, and its re-check the columns of `a` at
+    the nonzero entries of x.
     """
 
-    __slots__ = ("matrix", "pivots", "rank", "_transform", "_a_rows")
+    __slots__ = ("matrix", "pivots", "rank", "_e_cols", "_e_dens",
+                 "_a_cols", "_a_dens")
 
     def __init__(self, a):
         m, n = a.rows, a.cols
@@ -544,11 +549,15 @@ class Factored:
         self.rank = len(pivots)
         # E row i is the transform part of row i over its pivot entry; rows
         # past the rank only test consistency, so any scale will do
-        self._transform = ([(row[n:], row[pc]) if row[pc] > 0
-                            else ([-x for x in row[n:]], -row[pc])
-                            for row, pc in zip(rows, pivots)]
-                           + [(row[n:], 1) for row in rows[self.rank:]])
-        self._a_rows = a_rows
+        for i, pc in enumerate(pivots):
+            if rows[i][pc] < 0:
+                rows[i] = [-x for x in rows[i]]
+        self._e_dens = ([row[pc] for row, pc in zip(rows, pivots)]
+                        + [1] * (m - self.rank))
+        self._e_cols = SparseVectors.of(zip(*[row[n:] for row in rows]), m)
+        self._a_cols = SparseVectors.of(
+            [[nums[j] for nums, _ in a_rows] for j in range(n)], m)
+        self._a_dens = [den for _, den in a_rows]
 
     def solve(self, b):
         """Exact solution of a*x == b over Q as an IntRow, or None when
@@ -559,20 +568,23 @@ class Factored:
         raises ArithmeticError, never reads as "no solution".
         """
         bnum, bden = IntRow.of(b)
-        if len(bnum) != self.matrix.rows:
+        m = self.matrix.rows
+        if len(bnum) != m:
             raise ValueError("right-hand side length does not match")
         rank = self.rank
-        for nums, _ in self._transform[rank:]:
-            if sum(map(mul, nums, bnum)):
-                return None
+        w = self._e_cols.combine(bnum, 0, m)
+        if any(w[rank:]):
+            return None
         # x[pc] = (E_i . bnum) / (den_i * bden), over one common denominator
-        common = lcm(*[den for _, den in self._transform[:rank]])
+        common = lcm(*self._e_dens[:rank])
         xden = common * bden
         xnum = [0] * self.matrix.cols
-        for pc, (nums, den) in zip(self.pivots, self._transform):
-            xnum[pc] = sum(map(mul, nums, bnum)) * (common // den)
-        for (nums, den), bi in zip(self._a_rows, bnum):
-            if sum(map(mul, nums, xnum)) * bden != bi * den * xden:
+        for pc, wi, den in zip(self.pivots, w, self._e_dens):
+            xnum[pc] = wi * (common // den)
+        # row i of a*x is read over row i's denominator
+        for ai, bi, den in zip(self._a_cols.combine(xnum, 0, m), bnum,
+                               self._a_dens):
+            if ai * bden != bi * den * xden:
                 raise ArithmeticError("solution failed to re-verify against the matrix")
         return IntRow(xnum, xden)
 

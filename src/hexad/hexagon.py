@@ -213,7 +213,8 @@ def witness_I_surjective(c, t):
                     whitney(c.as_q() + t))
     if not is_cocycle(x):
         raise ArithmeticError("I-witness is not a cocycle")
-    if map_I(x) != (c, t):
+    # I(x) read directly: map_I would decide is_cocycle(x) a second time
+    if (x.integral, x.potential.coboundary()) != (c, t):
         raise ArithmeticError("I-witness failed to re-verify")
     return x
 

@@ -96,12 +96,12 @@ def validate_data(n_vertices, simplices_by_dim):
     return violations
 
 
-# Bound on the simplices of one dimension: the Smith reduction runs on dense
+# Bound on the simplices of one dimension: the Smith reduction works on dense
 # n x n lists for n simplices (only the transforms it keeps are sparse), so
-# 1,000 one-vertex facets load in 0.5-0.8 s at 44 MB peak RSS and a 1,000-edge
-# cycle in 29-46 s at 103-105 MB (Python 3.11, 2 shared CPUs; with dense kept
-# transforms the same loads peaked at 90 and 145 MB).  T_13, the largest
-# grid torus measured for scaling, has 507 edges.
+# 1,000 one-vertex facets load in 0.36-0.55 s at 44 MB peak RSS and a
+# 1,000-edge cycle in 1.6-1.7 s at 105 MB (Python 3.11, 2 shared CPUs; with
+# dense kept transforms the same loads peaked at 90 and 145 MB).  T_13, the
+# largest grid torus measured for scaling, has 507 edges.
 MAX_SIMPLICES_PER_DIMENSION = 1000
 
 

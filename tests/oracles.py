@@ -687,6 +687,168 @@ class DenseSmith:
         return mat_vec(self.u, [row[j] for row in self.u_inv])
 
 
+
+def reference_smith_form(m):
+    """The Smith decomposition by the reduction `smith_form` replaced: the
+    same pivot rule, found by reading every entry of rows and columns t, t+1,
+    ... at step t, and every transform kept as dense rows until the end.
+    `smith_form` must return an equal SmithForm on every matrix."""
+    from hexad.exactalg import SmithForm, SparseVectors, xgcd
+    r, c = m.rows, m.cols
+    a = [list(row) for row in m.data]
+    for row in a:
+        for x in row:
+            if not isinstance(x, int):
+                raise ValueError("smith_form requires integer entries")
+    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    uinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+
+    def row_swap(i, j):
+        if i == j:
+            return
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        for t in range(r):
+            uinv[t][i], uinv[t][j] = uinv[t][j], uinv[t][i]
+
+    def col_swap(i, j):
+        if i == j:
+            return
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def row_neg(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for t in range(r):
+            uinv[t][i] = -uinv[t][i]
+
+    def row_add(i, j, q):
+        # row_i += q * row_j
+        ai, aj = a[i], a[j]
+        for t in range(c):
+            ai[t] += q * aj[t]
+        ui, uj = u[i], u[j]
+        for t in range(r):
+            ui[t] += q * uj[t]
+        for t in range(r):
+            uinv[t][j] -= q * uinv[t][i]
+
+    def col_add(i, j, q):
+        # col_i += q * col_j
+        for row in a:
+            row[i] += q * row[j]
+        for row in v:
+            row[i] += q * row[j]
+
+    def row_gcd(i, j, col):
+        # combine rows i and j so a[i][col] = gcd, a[j][col] = 0
+        p, q0 = a[i][col], a[j][col]
+        if q0 == 0:
+            return
+        if p == 0:
+            row_swap(i, j)
+            return
+        if q0 % p == 0:
+            # plain subtraction keeps the pivot row intact (avoids the
+            # xgcd branch swapping it with a dirty row and cycling)
+            row_add(j, i, -(q0 // p))
+            return
+        g, x, y = xgcd(p, q0)
+        pp, qq = p // g, q0 // g
+        for rows in (a, u):
+            ri, rj = rows[i], rows[j]
+            for t in range(len(ri)):
+                s, w = ri[t], rj[t]
+                ri[t] = x * s + y * w
+                rj[t] = pp * w - qq * s
+        for t in range(r):
+            s, w = uinv[t][i], uinv[t][j]
+            uinv[t][i] = pp * s + qq * w
+            uinv[t][j] = x * w - y * s
+
+    def col_gcd(i, j, row):
+        # combine cols i and j so a[row][i] = gcd, a[row][j] = 0
+        p, q0 = a[row][i], a[row][j]
+        if q0 == 0:
+            return
+        if p == 0:
+            col_swap(i, j)
+            return
+        if q0 % p == 0:
+            col_add(j, i, -(q0 // p))
+            return
+        g, x, y = xgcd(p, q0)
+        pp, qq = p // g, q0 // g
+        for rows in (a, v):
+            for rr in rows:
+                s, w = rr[i], rr[j]
+                rr[i] = x * s + y * w
+                rr[j] = pp * w - qq * s
+
+    n = min(r, c)
+    for t in range(n):
+        # pick the nonzero entry of smallest magnitude as pivot
+        piv = None
+        best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    piv, best = (i, j), abs(x)
+        if piv is None:
+            break
+        row_swap(t, piv[0])
+        col_swap(t, piv[1])
+        while True:
+            for i in range(t + 1, r):
+                if a[i][t] != 0:
+                    row_gcd(t, i, t)
+            if all(a[t][j] == 0 for j in range(t + 1, c)):
+                break
+            for j in range(t + 1, c):
+                if a[t][j] != 0:
+                    col_gcd(t, j, t)
+            if all(a[i][t] == 0 for i in range(t + 1, r)):
+                break
+
+    for i in range(n):
+        if a[i][i] < 0:
+            row_neg(i)
+
+    # enforce the divisibility chain d_1 | d_2 | ...
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n - 1):
+            di, dj = a[i][i], a[i + 1][i + 1]
+            if di == 0 and dj != 0:
+                row_swap(i, i + 1)
+                col_swap(i, i + 1)
+                changed = True
+            elif di != 0 and dj % di != 0:
+                col_add(i, i + 1, 1)
+                row_gcd(i, i + 1, i)
+                q = a[i][i + 1] // a[i][i]
+                col_add(i + 1, i, -q)
+                if a[i][i] < 0:
+                    row_neg(i)
+                if a[i + 1][i + 1] < 0:
+                    row_neg(i + 1)
+                changed = True
+
+    diagonal = tuple([a[i][i] for i in range(n)])
+    return SmithForm(
+        u_rows=SparseVectors.of(u, r),
+        diagonal=diagonal,
+        v_cols=SparseVectors.of(zip(*v), c),
+        u_inv_cols=SparseVectors.of(zip(*uinv), r),
+        rank=sum(1 for x in diagonal if x),
+    )
+
 # ---------------------------------------------------------------------------
 # re-checks of the mixed-membership answers and of unimodularity, by direct
 # expansion and evaluation over Fractions

@@ -582,6 +582,20 @@ def test_grid_verify_report_matches_the_recorded_digest(tmp_path):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
+def test_grid_torus_compute_report_is_pinned(tmp_path):
+    # construction at scale: the T_8 grid torus (192 edges) as the benchmark
+    # generates it at seed 0; every Smith form and Factored solve of its
+    # presentations feeds this report
+    complexes = oracles.perfbench_complexes()
+    cplx = tmp_path / "T8.cplx"
+    cplx.write_text(complexes.generate("T8", *complexes.grid_torus(8), 0))
+    report = tmp_path / "report.json"
+    assert run_cli(["compute", "--complex", str(cplx),
+                    "--report", str(report)]) == 0
+    assert (hashlib.sha256(report.read_bytes()).hexdigest()
+            == "02917e67785c2a283901d44392d56faf0c5d4e52e744da57e6dea67d70bf07aa")
+
+
 def test_repeated_calls_share_no_parsed_state(capsys):
     # main() reuses one parser; an appended --degree must not carry over
     argv = ["compute", "--complex", "torus", "--degree", "1"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hexad.exactalg import (
     Factored,
@@ -39,6 +39,7 @@ from oracles import (
     mat_vec,
     oracle_boundary,
     oracle_smith_diagonal,
+    reference_smith_form,
     verify_non_membership,
     verify_witness,
     perfbench_complexes,
@@ -432,6 +433,44 @@ def test_no_smith_form_field_is_a_dense_matrix():
             f = cx.coboundary_smith(k)
             assert not [field.name for field in fields(f)
                         if isinstance(getattr(f, field.name), Matrix)]
+
+
+REFERENCE_TORI = {"T%d" % n: perfbench_complexes().grid_torus(n)
+                  for n in range(3, 7)}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_FACETS) + sorted(REFERENCE_TORI)
+                         + ["sd-projective-plane"])
+def test_smith_form_equals_the_full_scan_reference_on_complexes(name):
+    # the pivot scan stops at the first unit and the transforms are updated
+    # by whole vectors; every field must equal that of the reduction that
+    # reads every entry and keeps dense rows, on each coboundary matrix and
+    # its transpose
+    if name in REFERENCE_TORI:
+        cx = SimplicialComplex.from_facets(name, *REFERENCE_TORI[name])
+    else:
+        cx = smith_complex(name)
+    for k in range(-1, cx.dim + 1):
+        for m in (cx.coboundary_matrix(k), cx.coboundary_matrix(k).transpose()):
+            assert smith_form(m) == reference_smith_form(m), k
+
+
+@st.composite
+def small_matrices(draw):
+    """Integer matrices up to 6x6 with entries in [-6, 6], empty shapes
+    included."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    return Matrix(rows, cols, [[draw(st.integers(-6, 6)) for _ in range(cols)]
+                               for _ in range(rows)])
+
+
+@SPLIT_PROPERTY
+@given(small_matrices())
+@example(Matrix(2, 2, [[2, 0], [0, 3]]))  # the divisibility chain
+@example(Matrix(1, 2, [[2, 3]]))  # a column xgcd step
+@example(Matrix(2, 1, [[2], [3]]))  # a row xgcd step
+def test_smith_form_equals_the_full_scan_reference(m):
+    assert smith_form(m) == reference_smith_form(m)
 
 
 def test_quotient_group_examples():

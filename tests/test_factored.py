@@ -45,16 +45,26 @@ def matrices(draw):
 
 @st.composite
 def systems(draw):
-    """A matrix with several right-hand sides, consistent ones (a*y) mixed
-    with arbitrary ones."""
+    """A matrix with several right-hand sides: consistent ones (a*y),
+    arbitrary ones, and sparse ones (zero, a unit vector, a column of a),
+    whose zero entries a solve skips."""
     a = draw(matrices())
     rhs = []
     for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["image", "arbitrary", "zero", "unit",
+                                     "column"]))
+        if kind == "image":
             rhs.append(mat_vec(a.data,
                                [draw(rationals) for _ in range(a.cols)]))
-        else:
+        elif kind == "arbitrary":
             rhs.append([draw(rationals) for _ in range(a.rows)])
+        elif kind == "unit" and a.rows:
+            i = draw(st.integers(0, a.rows - 1))
+            rhs.append([int(j == i) for j in range(a.rows)])
+        elif kind == "column" and a.cols:
+            rhs.append(a.column(draw(st.integers(0, a.cols - 1))))
+        else:
+            rhs.append([0] * a.rows)
     return a, rhs
 
 
@@ -90,8 +100,9 @@ def test_failed_recheck_raises_instead_of_reading_as_inconsistent():
     a = Matrix(2, 2, [[1, 1], [0, 1]])
     f = Factored(a)
     assert f.solve([1, 1]) == IntRow.of([0, 1])
-    nums, den = f._transform[0]
-    nums[0] += den  # E[0][0] is now off by one
+    # E is kept by sparse columns over per-row denominators
+    assert f._e_cols.indices[0][0] == 0
+    f._e_cols.values[0][0] += f._e_dens[0]  # E[0][0] is now off by one
     with pytest.raises(ArithmeticError):
         f.solve([1, 1])
 

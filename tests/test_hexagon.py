@@ -189,6 +189,23 @@ def test_witness_I_surjective():
                              Cochain(catalog("circle"), 1, Ring.Q, [1, 0, 0]))
 
 
+def test_witness_I_decides_its_cocycle_condition_once(monkeypatch):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return is_cocycle(x)
+    monkeypatch.setattr(hexagon, "is_cocycle", counting)
+    cx = catalog("torus")
+    rng = random.Random(9)
+    for zvec in cx.cohomology_structure(1).basis:
+        c = Cochain(cx, 1, Ring.Z, list(zvec))
+        t = random_cochain(rng, cx, 0, Ring.Q).coboundary()
+        before = len(calls)
+        x = witness_I_surjective(c, t)
+        assert calls[before:] == [x]
+
+
 def test_witness_I_refuses_another_degree_before_any_solve(monkeypatch):
     def refuse(self, k):
         raise AssertionError("solved against delta^%d" % k)
