@@ -687,7 +687,6 @@ class DenseSmith:
         return mat_vec(self.u, [row[j] for row in self.u_inv])
 
 
-
 def reference_smith_form(m):
     """The Smith decomposition by the reduction `smith_form` replaced: the
     same pivot rule, found by reading every entry of rows and columns t, t+1,
