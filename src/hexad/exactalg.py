@@ -156,9 +156,6 @@ class Matrix:
         return cls(rows, len(columns),
                    [[col[i] for col in columns] for i in range(rows)])
 
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
     def transpose(self):
         return Matrix(self.cols, self.rows,
                       [[self.data[i][j] for i in range(self.rows)]
@@ -495,129 +492,50 @@ def hnf_solve(a, b):
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# rational systems on the Smith form of the cleared matrix
 
-class Factored:
-    """Gauss-Jordan factorization of a matrix over Q, reused across solves.
+def _cleared(a):
+    """(smith_form(m), m, dens): m is a with each row times the lcm of its
+    denominators, and dens are those multipliers, so a*x == b exactly when
+    m*x == dens*b, row by row."""
+    rows = [IntRow.of(row) for row in a.data]
+    m = Matrix(a.rows, a.cols, [nums for nums, _ in rows])
+    return smith_form(m), m, [den for _, den in rows]
 
-    One elimination pass over [a | I] yields the pivot columns, the rank,
-    and the row transform E with E*a == RREF(a).
-    Pivots are taken column by column from the first nonzero entry at or
-    below the current row, so the pivot columns are the leftmost
-    independent columns of `a`; `solve` sets every free variable to zero,
-    which makes each answer the one a fresh elimination of [a | b] gives.
-    The elimination is fraction-free: each row is an integer multiple of
-    the rational row, a row operation is row_i := p*row_i - f*pivot_row
-    followed by division by the row's content, and a pivot row is read
-    over its pivot entry at the end.  E and `a` are kept as the
-    SparseVectors of their columns' integer numerators, with one
-    denominator per row (E's is the pivot), so a solve sums the columns of
-    E at the nonzero entries of b, and its re-check the columns of `a` at
-    the nonzero entries of x.
-    """
 
-    __slots__ = ("matrix", "pivots", "rank", "_e_cols", "_e_dens",
-                 "_a_cols", "_a_dens")
-
-    def __init__(self, a):
-        m, n = a.rows, a.cols
-        a_rows = [IntRow.of(row) for row in a.data]
-        rows = [list(nums) + [den if j == i else 0 for j in range(m)]
-                for i, (nums, den) in enumerate(a_rows)]
-        pivots = []
-        pr = 0
-        for pc in range(n):
-            if pr == m:
-                break
-            pivot_row = next((i for i in range(pr, m) if rows[i][pc]), None)
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            prow = rows[pr]
-            p = prow[pc]
-            for i in range(m):
-                f = rows[i][pc]
-                if i != pr and f:
-                    row = [p * x - f * y if y else p * x
-                           for x, y in zip(rows[i], prow)]
-                    g = gcd(*row)
-                    rows[i] = [x // g for x in row] if g != 1 else row
-            pivots.append(pc)
-            pr += 1
-        self.matrix = a
-        self.pivots = tuple(pivots)
-        self.rank = len(pivots)
-        # E row i is the transform part of row i over its pivot entry; rows
-        # past the rank only test consistency, so any scale will do
-        for i, pc in enumerate(pivots):
-            if rows[i][pc] < 0:
-                rows[i] = [-x for x in rows[i]]
-        self._e_dens = ([row[pc] for row, pc in zip(rows, pivots)]
-                        + [1] * (m - self.rank))
-        self._e_cols = SparseVectors.of(zip(*[row[n:] for row in rows]), m)
-        self._a_cols = SparseVectors.of(
-            [[nums[j] for nums, _ in a_rows] for j in range(n)], m)
-        self._a_dens = [den for _, den in a_rows]
-
-    def solve(self, b):
-        """Exact solution of a*x == b over Q as an IntRow, or None when
-        inconsistent.
-
-        `b` is an IntRow or a sequence of rationals.  Free variables are
-        zero.  The answer is re-checked against `a`; a failed re-check
-        raises ArithmeticError, never reads as "no solution".
-        """
-        bnum, bden = IntRow.of(b)
-        m = self.matrix.rows
-        if len(bnum) != m:
-            raise ValueError("right-hand side length does not match")
-        rank = self.rank
-        w = self._e_cols.combine(bnum, 0, m)
-        if any(w[rank:]):
-            return None
-        # x[pc] = (E_i . bnum) / (den_i * bden), over one common denominator
-        common = lcm(*self._e_dens[:rank])
-        xden = common * bden
-        xnum = [0] * self.matrix.cols
-        for pc, wi, den in zip(self.pivots, w, self._e_dens):
-            xnum[pc] = wi * (common // den)
-        # row i of a*x is read over row i's denominator
-        for ai, bi, den in zip(self._a_cols.combine(xnum, 0, m), bnum,
-                               self._a_dens):
-            if ai * bden != bi * den * xden:
+def _solve_cleared(cleared, b):
+    """x with a*x == b over Q as an IntRow, or None, for cleared =
+    _cleared(a) and b of length a.rows.  The answer is re-checked against
+    the cleared matrix; a failed re-check raises ArithmeticError, never
+    reads as "no solution"."""
+    f, m, dens = cleared
+    bnum, bden = IntRow.of(b)
+    x = f.solve_q(IntRow(map(mul, bnum, dens), bden))
+    if x is not None:
+        for row, bi, den in zip(m.data, bnum, dens):
+            if sum(map(mul, row, x.nums)) * bden != bi * den * x.den:
                 raise ArithmeticError("solution failed to re-verify against the matrix")
-        return IntRow(xnum, xden)
-
-    def kernel(self):
-        """Basis of the rational nullspace {x : a*x == 0}, as column vectors."""
-        # free column fj gives e_fj - y with a*y == column fj (y_fj == 0)
-        basis = []
-        for fj in range(self.matrix.cols):
-            if fj not in self.pivots:
-                ynums, yden = self.solve(self.matrix.column(fj))
-                basis.append([Fraction((yden if j == fj else 0) - y, yden)
-                              for j, y in enumerate(ynums)])
-        return basis
+    return x
 
 
 # One-shot wrappers: no CLI path runs them; perfbench/tracer.py TARGETS names them.
 def rational_rank(a):
-    return Factored(a).rank
+    return _cleared(a)[0].rank
 
 
 def rational_solve(a, b):
     """Exact solution of a*x == b over Q as an IntRow, or None when
-    inconsistent.
-
-    One-shot form of Factored(a).solve(b); factor once when solving many
-    right-hand sides against the same matrix.
-    """
-    return Factored(a).solve(b)
+    inconsistent; re-checked, as `_solve_cleared` says."""
+    b = IntRow.of(b)
+    if len(b.nums) != a.rows:
+        raise ValueError("right-hand side length does not match")
+    return _solve_cleared(_cleared(a), b)
 
 
 def rational_kernel(a):
-    """Basis of the rational nullspace {x : a*x == 0}, as column vectors."""
-    return Factored(a).kernel()
+    """Basis of the rational nullspace {x : a*x == 0}, as integer column
+    vectors."""
+    return _cleared(a)[0].kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -715,24 +633,18 @@ class MixedSolver:
         self.subgroup = subgroup
         n = subgroup.ambient_dim
         if subgroup.space_gens:
-            space_mat = Matrix.from_rows(subgroup.space_gens, cols=n)
-            raw = rational_kernel(space_mat)
-            # clear denominators so the projected system is integral
-            proj = []
-            for phi in raw:
-                mult = lcm(*(x.denominator for x in phi))
-                proj.append([int(x * mult) for x in phi])
-            self.proj = proj
-            self._identity_proj = False
+            # integer functionals that kill the space part, and the space
+            # part's own system for the residue
+            self.proj = rational_kernel(Matrix.from_rows(subgroup.space_gens,
+                                                         cols=n))
+            self._space = _cleared(Matrix.from_columns(subgroup.space_gens,
+                                                       rows=n))
         else:
             self.proj = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-            self._identity_proj = True
         b = [[sum(map(mul, phi, g)) for g in subgroup.lattice_gens]
              for phi in self.proj]
         self.bmat = Matrix(len(self.proj), len(subgroup.lattice_gens), b)
         self.smith = smith_form(self.bmat)
-        self._space = (Factored(Matrix.from_columns(subgroup.space_gens, rows=n))
-                       if subgroup.space_gens else None)
 
     def membership(self, x):
         """Witness or certificate for x, an IntRow or a sequence of
@@ -741,7 +653,7 @@ class MixedSolver:
         xnum, xden = IntRow.of(x)
         if len(xnum) != s.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        if self._identity_proj:
+        if not s.space_gens:
             y = xnum
         else:
             y = [sum(map(mul, phi, xnum)) for phi in self.proj]
@@ -766,7 +678,7 @@ class MixedSolver:
                 c = coeff * xden
                 residue = [r - c * g for r, g in zip(residue, gen)]
         if s.space_gens:
-            q = self._space.solve(IntRow(residue, xden))
+            q = _solve_cleared(self._space, IntRow(residue, xden))
             if q is None:
                 raise ArithmeticError("projection residue left the space span")
         else:
@@ -801,10 +713,10 @@ def quotient_group(z_group, b_group):
         Matrix.from_columns(z_group.lattice_gens, rows=z_group.ambient_dim))
     if not basis:
         return FgAbelianGroup(0)
-    basis_fact = Factored(Matrix.from_columns(basis, rows=z_group.ambient_dim))
+    basis_system = _cleared(Matrix.from_columns(basis, rows=z_group.ambient_dim))
     coords = []
     for g in b_group.lattice_gens:
-        sol = basis_fact.solve(g)
+        sol = _solve_cleared(basis_system, g)
         if sol is None or sol.den != 1:
             raise ArithmeticError("lattice member without integral coordinates")
         coords.append(list(sol.nums))

@@ -144,8 +144,8 @@ def map_iota(omega):
 class OmegaDecomposer:
     """Solves int(omega) = j(c) + delta T with c an integral cocycle.
 
-    Membership is decided by periods (`in_omega_A`); the split itself is
-    read from the complex's Smith form of delta^{k-1}.  By universal
+    Closedness and membership are decided once, by `in_omega_A`; the split
+    is read from the complex's Smith form of delta^{k-1}.  By universal
     coefficients the two agree, so an integer-period form that does not
     split is an internal inconsistency, raised, never a "no solution".
     """
@@ -158,7 +158,7 @@ class OmegaDecomposer:
     def decompose(self, form):
         if form.complex is not self.complex or form.degree != self.degree:
             raise ValueError("decomposer built for a different degree")
-        if not form.is_closed() or not in_omega_A(form):
+        if not in_omega_A(form):
             return None
         res = self._smith.split(form.row)
         if res is None:

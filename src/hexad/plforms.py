@@ -93,19 +93,23 @@ def period_vector(form):
     denominator, as a tuple of Fractions."""
     if not form.is_closed():
         raise ValueError("period vector of a non-closed form")
+    return _periods(form)
+
+
+def _periods(form):
     nums, den = form.row
     free = form.complex.homology_structure(form.degree).free
     return tuple(Fraction(sum(map(mul, nums, z)), den) for z in free)
 
 
 def in_omega_A(form):
-    """Whether a closed form has all periods in Z (membership in Omega^k_Z).
+    """Whether a form lies in Omega^k_Z: closed, with all periods in Z.
 
     Periods over torsion classes and boundaries vanish for closed forms, so
     integrality over the free basis decides integrality over every integral
     homology class.
     """
-    return all(v.denominator == 1 for v in period_vector(form))
+    return form.is_closed() and all(v.denominator == 1 for v in _periods(form))
 
 
 def find_primitive(target):

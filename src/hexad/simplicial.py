@@ -21,7 +21,6 @@ from itertools import combinations
 from operator import add, mul, sub
 
 from .exactalg import (
-    Factored,
     FgAbelianGroup,
     IntRow,
     Matrix,
@@ -521,13 +520,17 @@ def _presentation(k, kernel_smith, image_gens, image_smith):
     if kernel_smith.rank == 0:
         relations = image_smith
     else:
-        kernel_fact = Factored(Matrix.from_columns(basis, rows=ambient))
+        # B, columns r.. of the unimodular v, has u' B^T v' == (I | 0) for
+        # left = smith_form(B^T), so B y == g for y = u'^T times the first
+        # z entries of v'^T g; B y == g is re-checked on the sparse v
+        left = smith_form(Matrix(z, ambient, basis))
+        v, r = kernel_smith.v_cols, kernel_smith.rank
         coords = []
         for col in image_gens:
-            sol = kernel_fact.solve(col)
-            if sol is None or sol.den != 1:
+            y = left.u_rows.combine(list(left.v_cols.times(col, 0, z)), 0, z)
+            if v.combine(y, r, ambient) != list(col):
                 raise ArithmeticError("image generator is not in the kernel lattice")
-            coords.append(sol.nums)
+            coords.append(y)
         relations = smith_form(Matrix.from_columns(coords, rows=z))
     # the kernel members of the basis that diagonalizes the relations
     gens = []

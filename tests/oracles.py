@@ -243,8 +243,8 @@ def oracle_eliminate(rows, ncols, rhs=None):
     """Gauss-Jordan elimination of [rows | rhs] over Q, pivoting on the first
     nonzero entry of each column from the current row down; returns
     (reduced rows, reduced rhs, pivot columns).  This is the elimination
-    the package used before it kept factorizations, kept as the reference
-    for `Factored`."""
+    the package used before it solved every system on a Smith form, kept
+    as the reference for the rational solvers."""
     rows = [[Fraction(x) for x in row] for row in rows]
     rhs = [Fraction(x) for x in rhs] if rhs is not None else None
     pivots = []
@@ -460,10 +460,10 @@ def oracle_cone_coboundary_generators(complex, degree):
     delta_prev = complex.coboundary_matrix(degree - 1)
     lattice = []
     for i in range(ndn):
-        vec = [-v for v in delta_dn.column(i)] + [0] * ndn
+        vec = [-v for v in column(delta_dn, i)] + [0] * ndn
         vec[nup + i] = -1
         lattice.append(vec)
-    space = [[0] * nup + list(delta_prev.column(j)) for j in range(nprev)]
+    space = [[0] * nup + list(column(delta_prev, j)) for j in range(nprev)]
     return nup + ndn, lattice, space
 
 
@@ -484,10 +484,10 @@ def oracle_dhat_coboundary_generators(complex, degree):
     delta_km2 = complex.coboundary_matrix(degree - 2)
     lattice = []
     for i in range(nkm1):
-        vec = list(delta_km1.column(i)) + [0] * nkm1
+        vec = list(column(delta_km1, i)) + [0] * nkm1
         vec[nk + i] = -1
         lattice.append(vec)
-    space = [[0] * nk + [-v for v in delta_km2.column(j)] for j in range(nkm2)]
+    space = [[0] * nk + [-v for v in column(delta_km2, j)] for j in range(nkm2)]
     return nk + nkm1, lattice, space
 
 
@@ -497,7 +497,7 @@ def oracle_integer_period_generators(complex, degree):
     space generators the columns of the previous coboundary)."""
     delta_prev = complex.coboundary_matrix(degree - 1)
     lattice = [list(z) for z in complex.cohomology_structure(degree).basis]
-    space = [delta_prev.column(j) for j in range(delta_prev.cols)]
+    space = [column(delta_prev, j) for j in range(delta_prev.cols)]
     return complex.n_simplices(degree), lattice, space
 
 
@@ -588,6 +588,11 @@ def oracle_delta_cone(z):
 # ---------------------------------------------------------------------------
 # dense products, the reference of the sparse ones
 
+def column(m, j):
+    """Column j of a Matrix, as a list."""
+    return [row[j] for row in m.data]
+
+
 def mat_vec(rows, x):
     """The product of the dense matrix with the given rows and the vector
     x, reading only the nonzero entries of x."""
@@ -604,7 +609,7 @@ def mat_mul(a, b):
     from hexad.exactalg import Matrix
     if a.cols != b.rows:
         raise ValueError("matrix shapes do not compose")
-    cols = [mat_vec(a.data, b.column(j)) for j in range(b.cols)]
+    cols = [mat_vec(a.data, column(b, j)) for j in range(b.cols)]
     return Matrix.from_columns(cols, rows=a.rows)
 
 

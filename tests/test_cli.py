@@ -584,8 +584,8 @@ def test_grid_verify_report_matches_the_recorded_digest(tmp_path):
 
 def test_grid_torus_compute_report_is_pinned(tmp_path):
     # construction at scale: the T_8 grid torus (192 edges) as the benchmark
-    # generates it at seed 0; every Smith form and Factored solve of its
-    # presentations feeds this report
+    # generates it at seed 0; every Smith form of its presentations, and
+    # the kernel coordinates read off them, feeds this report
     complexes = oracles.perfbench_complexes()
     cplx = tmp_path / "T8.cplx"
     cplx.write_text(complexes.generate("T8", *complexes.grid_torus(8), 0))

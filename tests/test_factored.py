@@ -1,7 +1,11 @@
-"""One factorization reused for many solves agrees with a fresh elimination.
+"""The one-shot rational solvers, read off a Smith form of the matrix with
+its rows cleared of their denominators, agree with a fresh elimination.
 
 The reference is the Gauss-Jordan elimination in `oracles.py`, run anew
-for every right-hand side.
+for every right-hand side.  Smith's free coordinates differ from the
+elimination's, so a solution must exist exactly when the oracle finds one
+and solve the system; where the oracle's rank is the column count the
+solution is unique and must equal the oracle's.
 """
 
 from fractions import Fraction
@@ -9,15 +13,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hexad import exactalg
 from hexad.exactalg import (
-    Factored,
     IntRow,
     Matrix,
+    SparseVectors,
     rational_kernel,
     rational_rank,
     rational_solve,
 )
-from oracles import mat_vec, oracle_eliminate, oracle_kernel, oracle_solve
+from oracles import column, mat_vec, oracle_kernel, oracle_rank, oracle_solve
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -62,7 +67,7 @@ def systems(draw):
             i = draw(st.integers(0, a.rows - 1))
             rhs.append([int(j == i) for j in range(a.rows)])
         elif kind == "column" and a.cols:
-            rhs.append(a.column(draw(st.integers(0, a.cols - 1))))
+            rhs.append(column(a, draw(st.integers(0, a.cols - 1))))
         else:
             rhs.append([0] * a.rows)
     return a, rhs
@@ -71,42 +76,62 @@ def systems(draw):
 @PROPERTY
 @given(systems())
 def test_reused_factorization_solves_like_fresh_elimination(system):
+    # one Smith form of the cleared matrix answers every right-hand side,
+    # as MixedSolver and quotient_group reuse theirs
     a, rhs = system
-    f = Factored(a)
+    cleared = exactalg._cleared(a)
+    unique = oracle_rank(a.data, a.cols) == a.cols
     for b in rhs:
         expected = oracle_solve(a.data, a.cols, b)
-        if expected is not None:
-            expected = IntRow.of(expected)
-        x = f.solve(b)
-        assert x == expected
-        assert rational_solve(a, b) == expected
+        x = exactalg._solve_cleared(cleared, b)
+        assert x == rational_solve(a, b)
+        assert (x is None) == (expected is None)
         if x is not None:
             assert type(x) is IntRow
             assert ([Fraction(v) for v in mat_vec(a.data, x.fractions())]
                     == [Fraction(v) for v in b])
+            if unique:
+                assert x == IntRow.of(expected)
+
+
+def span_rank(vectors, n):
+    return oracle_rank([list(v) for v in vectors], n)
 
 
 @PROPERTY
 @given(matrices())
 def test_factorization_rank_and_kernel_match_fresh_elimination(a):
-    f = Factored(a)
-    _, _, pivots = oracle_eliminate(a.data, a.cols)
-    assert f.pivots == tuple(pivots)
-    assert f.rank == rational_rank(a) == len(pivots)
-    assert f.kernel() == rational_kernel(a) == oracle_kernel(a.data, a.cols)
+    assert rational_rank(a) == oracle_rank(a.data, a.cols)
+    kernel = rational_kernel(a)
+    expected = oracle_kernel(a.data, a.cols)
+    for vec in kernel:
+        assert all(type(v) is int for v in vec)
+        assert not any(mat_vec(a.data, vec))
+    # the same space: independent, as many, and no bigger together
+    assert (span_rank(kernel, a.cols) == len(kernel) == len(expected)
+            == span_rank(kernel + expected, a.cols))
 
 
-def test_failed_recheck_raises_instead_of_reading_as_inconsistent():
+def test_failed_recheck_raises_instead_of_reading_as_inconsistent(monkeypatch):
     a = Matrix(2, 2, [[1, 1], [0, 1]])
-    f = Factored(a)
-    assert f.solve([1, 1]) == IntRow.of([0, 1])
-    # E is kept by sparse columns over per-row denominators
-    assert f._e_cols.indices[0][0] == 0
-    f._e_cols.values[0][0] += f._e_dens[0]  # E[0][0] is now off by one
+    assert rational_solve(a, [1, 1]) == IntRow.of([0, 1])
+    true_smith = exactalg.smith_form
+
+    def corrupted(m):
+        # every column of v off by one in its first entry: full rank, so
+        # solve_q still answers, with a wrong x
+        f = true_smith(m)
+        values = tuple([vals[0] + 1] + vals[1:] for vals in f.v_cols.values)
+        return exactalg.SmithForm(f.u_rows, f.diagonal,
+                                  SparseVectors(f.v_cols.indices, values),
+                                  f.u_inv_cols, f.rank)
+    monkeypatch.setattr(exactalg, "smith_form", corrupted)
     with pytest.raises(ArithmeticError):
-        f.solve([1, 1])
+        rational_solve(a, [1, 1])
 
 
 def test_solve_rejects_wrong_length():
     with pytest.raises(ValueError):
-        Factored(Matrix(2, 2, [[1, 0], [0, 1]])).solve([1])
+        rational_solve(Matrix(2, 2, [[1, 0], [0, 1]]), [1])
+    with pytest.raises(ValueError):
+        rational_solve(Matrix(2, 2, [[1, 0], [0, 1]]), [1, 2, 3])

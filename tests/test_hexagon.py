@@ -226,6 +226,28 @@ def test_omega_decomposer_matches_periods():
     assert dec.decompose(WhitneyForm(cx, 1, [Fraction(1, 2), 0, 0])) is None
 
 
+def test_omega_decomposer_decides_closedness_once(monkeypatch):
+    cx = catalog("torus")
+    dec = OmegaDecomposer(cx, 1)
+    closed = whitney(Cochain(cx, 1, Ring.Z,
+                             list(cx.cohomology_structure(1).basis[0])).as_q())
+    not_closed = WhitneyForm.zero(cx, 1).units()[0]
+    calls = []
+    is_closed = WhitneyForm.is_closed
+
+    def counting(self):
+        calls.append(self)
+        return is_closed(self)
+    monkeypatch.setattr(WhitneyForm, "is_closed", counting)
+    assert dec.decompose(closed) is not None
+    assert calls == [closed]
+    calls.clear()
+    assert dec.decompose(not_closed) is None
+    assert calls == [not_closed]
+    with pytest.raises(ValueError, match="not closed with integer periods"):
+        witness_R_surjective(not_closed)
+
+
 @pytest.mark.parametrize("name", sorted(oracles.TORSION_FACETS))
 def test_run_all_checks_pass_on_odd_and_degree_three_torsion(name):
     n_vertices, facets = oracles.TORSION_FACETS[name]
@@ -634,16 +656,18 @@ def test_map_ch_accepts_exactly_the_cochains_killing_every_cycle(
                                     ("klein-bottle", 2), ("torus", 2)])
 def test_rational_coboundary_solves_read_the_smith_form(name, k, monkeypatch):
     # every rational solve and rank against delta reads the complex's Smith
-    # form: on a built context they run with Factored.solve made to raise
+    # form: on a built context they run with smith_form made to raise, so
+    # the verify path factors nothing once the context is built
     from hexad.cone import les_exactness
     from hexad.plforms import find_primitive
     from hexad.simplicial import cohomology, expected_homology
     cx = catalog(name)
     ctx = HexagonContext(cx, k, seed=3, trials=4)
 
-    def refuse(self, b):
-        raise AssertionError("Factored.solve called")
-    monkeypatch.setattr(exactalg.Factored, "solve", refuse)
+    def refuse(m):
+        raise AssertionError("smith_form called")
+    monkeypatch.setattr(exactalg, "smith_form", refuse)
+    monkeypatch.setattr(simplicial, "smith_form", refuse)
     rng = random.Random(k)
     zero = Cochain.zero(cx, k, Ring.Q)
     for z in ctx.cocycle_basis_k:

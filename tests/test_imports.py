@@ -1,7 +1,8 @@
 """Every imported name is read by the module that imports it, so a deleted
 code path cannot leave a dead import behind; only `exactalg` names the
-one-shot Gauss-Jordan and Hermite solvers or `MixedSolver`, so the other
-modules solve their systems on Smith forms or a kept factorization; and no
+one-shot rational and integer solvers or `MixedSolver`, so the other
+modules solve their systems on Smith forms; no module names the second
+elimination engine, `Factored`, that the Smith forms replaced; and no
 module names the per-kind (co)homology records that one `Presentation`
 and one `Torsion` replaced, or the dense boundary matrices and boundary
 Smith forms that one face table per degree replaced, or reads the dense
@@ -11,7 +12,7 @@ names the ring lookup that `Ring(name)` replaced; and the checks made of
 identity-table rows alone call no `run.require` of their own; and no
 module keeps the dense matrix arithmetic, the boundary-matrix builder or
 the period record that only tests called, so `Matrix` is a shaped input
-record for the Smith and factored solvers and nothing more."""
+record for the Smith solvers and nothing more."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(ROOT.glob("src/hexad/*.py")) + sorted(ROOT.glob("tests/*.py"))
 SOLVER_LAYER = {"rational_rank", "rational_solve", "rational_kernel", "hnf_solve",
                 "kernel_basis", "quotient_group", "MixedSolver"}
+SECOND_ENGINE = {"Factored"}
 PER_KIND_PRESENTATION = {"TorsionClass", "TorsionCycle", "CohomologyStructure",
                          "HomologyStructure", "_quotient_presentation",
                          "q_rank", "coboundary_gens", "boundary_gens"}
@@ -98,6 +100,19 @@ def test_the_checker_sees_solver_layer_names():
         (1, "rational_rank")]
     assert solver_layer_names("MixedSolver(g)\nsmith_form(m)\n") == [
         (1, "MixedSolver")]
+
+
+def test_the_checker_sees_the_second_elimination_engine():
+    assert sorted(refused_names(
+        "from .exactalg import Factored, smith_form\nexactalg.Factored(m)\n"
+        "class Factored: pass\nf = Factored\n", SECOND_ENGINE)) == [
+            (1, "Factored"), (2, "Factored"), (3, "Factored"), (4, "Factored")]
+    assert refused_names("factored = smith_form(m)\n", SECOND_ENGINE) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_system_is_solved_on_a_smith_form(path):
+    assert refused_names(path.read_text(encoding="utf-8"), SECOND_ENGINE) == []
 
 
 @pytest.mark.parametrize(
@@ -237,8 +252,8 @@ def test_table_only_checks_require_nothing_themselves():
 
 EXACTALG = ROOT / "src" / "hexad" / "exactalg.py"
 DEAD_HELPERS = {"mul_vec", "PeriodVector"}
-MATRIX_METHODS = {"__init__", "from_rows", "from_columns", "column",
-                  "transpose", "__eq__", "__hash__", "__repr__"}
+MATRIX_METHODS = {"__init__", "from_rows", "from_columns", "transpose",
+                  "__eq__", "__hash__", "__repr__"}
 
 
 def class_methods(source, name):

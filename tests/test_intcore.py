@@ -17,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from hexad.cone import ConeCochain
 from hexad.exactalg import (
-    Factored,
     IntRow,
     Matrix,
     MixedSolver,
     MixedSubgroup,
     MixedWitness,
+    rational_solve,
 )
 from hexad.hscomplex import DiffCochain, evaluate_character
 from hexad.plforms import WhitneyForm, d, integrate, whitney
@@ -457,20 +457,24 @@ def solves(draw):
 
 @PROPERTY
 @given(solves())
-def test_factored_solve_of_introw_matches_fraction_list(case):
+def test_rational_solve_of_introw_matches_fraction_list(case):
+    # the solution is unique, and must be the oracle's, at full column rank
     a, rhs = case
-    f = Factored(a)
+    unique = oracles.oracle_rank(a.data, a.cols) == a.cols
     for b in rhs:
         expected = oracles.oracle_solve(a.data, a.cols, b)
-        if expected is not None:
-            expected = IntRow.of(expected)
-        x = f.solve(IntRow.of(b))
-        assert x == f.solve(b) == expected
+        x = rational_solve(a, IntRow.of(b))
+        assert x == rational_solve(a, b)
+        assert (x is None) == (expected is None)
+        if x is not None:
+            assert oracles.mat_vec(a.data, x.fractions()) == b
+            if unique:
+                assert x == IntRow.of(expected)
 
 
 def test_solvers_reject_wrong_length_introw():
     with pytest.raises(ValueError):
-        Factored(Matrix(2, 2, [[1, 0], [0, 1]])).solve(IntRow((1, 2, 3), 1))
+        rational_solve(Matrix(2, 2, [[1, 0], [0, 1]]), IntRow((1, 2, 3), 1))
     with pytest.raises(ValueError):
         MixedSolver(MixedSubgroup(2, [[1, 0]])).membership(IntRow((1,), 1))
 

@@ -1,10 +1,17 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from hexad import simplicial
-from hexad.exactalg import FgAbelianGroup, Matrix, MixedSubgroup, quotient_group
+from hexad.exactalg import (
+    FgAbelianGroup,
+    Matrix,
+    MixedSubgroup,
+    SparseVectors,
+    quotient_group,
+)
 from hexad.simplicial import (
     MAX_FACE_ENUMERATION,
     Chain,
@@ -52,7 +59,7 @@ def test_boundary_matrix_circle_columns():
     m = cx.coboundary_matrix(0).transpose()
     assert (m.rows, m.cols) == (3, 3)
     for j in range(3):
-        col = m.column(j)
+        col = oracles.column(m, j)
         assert sorted(col) == [-1, 0, 1]
     # off-range degrees have a zero shape: no 2-simplices on the circle
     off = cx.coboundary_matrix(1).transpose()
@@ -111,7 +118,7 @@ def test_cohomology_z_matches_quotient_group_oracle(name):
         st = cx.cohomology_structure(k)
         n = cx.n_simplices(k)
         delta = cx.coboundary_matrix(k - 1)
-        coboundaries = [delta.column(j) for j in range(delta.cols)]
+        coboundaries = [oracles.column(delta, j) for j in range(delta.cols)]
         oracle = quotient_group(MixedSubgroup(n, st.basis, ()),
                                 MixedSubgroup(n, coboundaries, ()))
         assert cohomology(cx, k, Ring.Z) == oracle
@@ -231,7 +238,7 @@ def test_homology_basis_certified_independent():
     free = [Chain(cx, 1, list(v))
             for v in cx.homology_structure(1).free]
     bd = cx.coboundary_matrix(1).transpose()
-    boundaries = [bd.column(j) for j in range(bd.cols)]
+    boundaries = [oracles.column(bd, j) for j in range(bd.cols)]
     solver = MixedSolver(MixedSubgroup(cx.n_simplices(1), boundaries, []))
     rng = random.Random(3)
     for _ in range(10):
@@ -525,6 +532,26 @@ def test_chain_rejects_fractional_coefficients():
     with pytest.raises(ValueError, match="non-integer"):
         Chain(cx, 1, [1, 0, 0]).scale(Fraction(1, 2))
     assert Chain(cx, 1, [2, 0, 0]).scale(Fraction(1, 2)) == Chain(cx, 1, [1, 0, 0])
+
+
+@pytest.mark.parametrize("name", ["torus", "projective-plane"])
+def test_presentation_refuses_a_wrong_kernel_transform(name):
+    # the image generators are written in the kernel basis read off v and
+    # re-checked against v: one wrong value in any kernel column of v is an
+    # ArithmeticError, never a wrong group
+    cx = catalog(name)
+    f = cx.coboundary_smith(1)
+    image = cx.coboundary_matrix(0).transpose().data
+    assert f.rank and simplicial._presentation(
+        1, f, image, cx.coboundary_smith(0)) == cx.cohomology_structure(1)
+    for j in range(f.rank, len(f.v_cols.indices)):
+        for t in range(len(f.v_cols.values[j])):
+            values = list(f.v_cols.values)
+            values[j] = values[j][:t] + [values[j][t] + 1] + values[j][t + 1:]
+            wrong = replace(f, v_cols=SparseVectors(f.v_cols.indices,
+                                                    tuple(values)))
+            with pytest.raises(ArithmeticError, match="kernel lattice"):
+                simplicial._presentation(1, wrong, image, cx.coboundary_smith(0))
 
 
 @pytest.mark.parametrize("name", sorted(oracles.CATALOG_FACETS))
