@@ -185,16 +185,6 @@ class SparseVectors(namedtuple("SparseVectors", "indices values")):
 
     __slots__ = ()
 
-    @classmethod
-    def of(cls, vectors, n):
-        """The sparse form of dense vectors of length n."""
-        ks = range(n)
-        indices, values = [], []
-        for vec in vectors:
-            indices.append(list(compress(ks, vec)))
-            values.append(list(filter(None, vec)))
-        return cls(tuple(indices), tuple(values))
-
     def entries(self, j):
         """The (index, value) pairs of vector j's nonzero entries."""
         return zip(self.indices[j], self.values[j])
@@ -308,58 +298,153 @@ class SmithForm:
         return [self.v_cols.dense(j, n) for j in range(self.rank, n)]
 
 
+def _add_to(dst, src, q):
+    # dst += q * src over src's nonzero entries; an entry that cancels is
+    # dropped
+    if not q:
+        return
+    for k, y in src.items():
+        x = dst.get(k, 0) + q * y
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
+
+
+def _mix(vi, vj, x, y, p, q):
+    # (x * vi + y * vj, p * vj - q * vi) over the union of their keys, with
+    # no zero entry kept
+    ni, nj = {}, {}
+    for k, s in vi.items():
+        w = vj.get(k, 0)
+        e = x * s + y * w
+        if e:
+            ni[k] = e
+        e = p * w - q * s
+        if e:
+            nj[k] = e
+    for k, w in vj.items():
+        if k not in vi:
+            e = y * w
+            if e:
+                ni[k] = e
+            e = p * w
+            if e:
+                nj[k] = e
+    return ni, nj
+
+
+def _sparse(vectors):
+    # SparseVectors of dicts of nonzero entries, each in index order
+    indices, values = [], []
+    for d in vectors:
+        idx = sorted(d)
+        indices.append(idx)
+        values.append(list(map(d.__getitem__, idx)))
+    return SparseVectors(tuple(indices), tuple(values))
+
+
 def smith_form(m):
     """Full Smith decomposition of an integer matrix.
 
     The pivot of step t is the first entry of least magnitude, in row-major
     order, over rows and columns t, t+1, ...; the scan stops at the first
-    unit, which no later entry can replace.  u is kept by rows and u_inv and
-    v by columns, so each transform update is one pass over whole vectors."""
+    unit, which no later entry can replace.  The reduction reads nonzero
+    entries only: the matrix and u are kept as one dict per row, u_inv and
+    v as one dict per column, and an entry that cancels is dropped.  The
+    matrix also keeps, per column, the set of rows that hold an entry in
+    it, so a column operation visits those rows only."""
     r, c = m.rows, m.cols
-    a = [list(row) for row in m.data]
-    for row in a:
-        for x in row:
-            if not isinstance(x, int):
-                raise ValueError("smith_form requires integer entries")
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    uinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    a = []
+    cols = [set() for _ in range(c)]
+    ks = range(c)
+    for i, row in enumerate(m.data):
+        if not {int}.issuperset(map(type, row)):
+            for x in row:
+                if not isinstance(x, int):
+                    raise ValueError("smith_form requires integer entries")
+        a.append(dict(zip(compress(ks, row), filter(None, row))))
+        for j in a[i]:
+            cols[j].add(i)
+    u = [{i: 1} for i in range(r)]
+    uinv = [{i: 1} for i in range(r)]
+    v = [{j: 1} for j in range(c)]
+
+    def set_rows(i, j, ni, nj):
+        # a[i], a[j] = ni, nj, with the column sets following
+        ai, aj = a[i], a[j]
+        for k in ai.keys() - ni.keys():
+            cols[k].discard(i)
+        for k in ni.keys() - ai.keys():
+            cols[k].add(i)
+        for k in aj.keys() - nj.keys():
+            cols[k].discard(j)
+        for k in nj.keys() - aj.keys():
+            cols[k].add(j)
+        a[i], a[j] = ni, nj
 
     def row_swap(i, j):
         if i == j:
             return
-        a[i], a[j] = a[j], a[i]
+        set_rows(i, j, a[j], a[i])
         u[i], u[j] = u[j], u[i]
         uinv[i], uinv[j] = uinv[j], uinv[i]
 
     def col_swap(i, j):
         if i == j:
             return
-        for row in a:
-            row[i], row[j] = row[j], row[i]
+        for k in cols[i] | cols[j]:
+            row = a[k]
+            s = row.pop(i, 0)
+            w = row.pop(j, 0)
+            if s:
+                row[j] = s
+            if w:
+                row[i] = w
+        cols[i], cols[j] = cols[j], cols[i]
         v[i], v[j] = v[j], v[i]
 
     def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        uinv[i] = [-x for x in uinv[i]]
+        for vectors in (a, u, uinv):
+            vectors[i] = {k: -x for k, x in vectors[i].items()}
 
     def row_add(i, j, q):
         # row_i += q * row_j, so column j of u_inv -= q * column i
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        uinv[j] = [y - q * x for x, y in zip(uinv[i], uinv[j])]
+        ai = a[i]
+        for k, y in a[j].items():
+            x = ai.get(k)
+            if x is None:
+                ai[k] = q * y
+                cols[k].add(i)
+            elif x + q * y:
+                ai[k] = x + q * y
+            else:
+                del ai[k]
+                cols[k].discard(i)
+        _add_to(u[i], u[j], q)
+        _add_to(uinv[j], uinv[i], -q)
 
     def col_add(i, j, q):
         # col_i += q * col_j
-        for row in a:
-            if row[j]:
-                row[i] += q * row[j]
-        v[i] = [x + q * y for x, y in zip(v[i], v[j])]
+        if not q:
+            return
+        col_i = cols[i]
+        for k in cols[j]:
+            row = a[k]
+            x = row.get(i)
+            if x is None:
+                row[i] = q * row[j]
+                col_i.add(k)
+            elif x + q * row[j]:
+                row[i] = x + q * row[j]
+            else:
+                del row[i]
+                col_i.discard(k)
+        _add_to(v[i], v[j], q)
 
     def row_gcd(i, j, col):
         # combine rows i and j so a[i][col] = gcd, a[j][col] = 0
-        p, q0 = a[i][col], a[j][col]
+        p, q0 = a[i].get(col, 0), a[j].get(col, 0)
         if q0 == 0:
             return
         if p == 0:
@@ -372,17 +457,13 @@ def smith_form(m):
             return
         g, x, y = xgcd(p, q0)
         pp, qq = p // g, q0 // g
-        for rows in (a, u):
-            ri, rj = rows[i], rows[j]
-            rows[i] = [x * s + y * w for s, w in zip(ri, rj)]
-            rows[j] = [pp * w - qq * s for s, w in zip(ri, rj)]
-        ci, cj = uinv[i], uinv[j]
-        uinv[i] = [pp * s + qq * w for s, w in zip(ci, cj)]
-        uinv[j] = [x * w - y * s for s, w in zip(ci, cj)]
+        set_rows(i, j, *_mix(a[i], a[j], x, y, pp, qq))
+        u[i], u[j] = _mix(u[i], u[j], x, y, pp, qq)
+        uinv[i], uinv[j] = _mix(uinv[i], uinv[j], pp, qq, x, y)
 
     def col_gcd(i, j, row):
         # combine cols i and j so a[row][i] = gcd, a[row][j] = 0
-        p, q0 = a[row][i], a[row][j]
+        p, q0 = a[row].get(i, 0), a[row].get(j, 0)
         if q0 == 0:
             return
         if p == 0:
@@ -393,47 +474,66 @@ def smith_form(m):
             return
         g, x, y = xgcd(p, q0)
         pp, qq = p // g, q0 // g
-        for rr in a:
-            s, w = rr[i], rr[j]
-            if s or w:
-                rr[i] = x * s + y * w
-                rr[j] = pp * w - qq * s
-        ci, cj = v[i], v[j]
-        v[i] = [x * s + y * w for s, w in zip(ci, cj)]
-        v[j] = [pp * w - qq * s for s, w in zip(ci, cj)]
+        col_i, col_j = cols[i], cols[j]
+        for k in col_i | col_j:
+            rr = a[k]
+            s, w = rr.get(i, 0), rr.get(j, 0)
+            e = x * s + y * w
+            if e:
+                rr[i] = e
+                col_i.add(k)
+            elif s:
+                del rr[i]
+                col_i.discard(k)
+            e = pp * w - qq * s
+            if e:
+                rr[j] = e
+                col_j.add(k)
+            elif w:
+                del rr[j]
+                col_j.discard(k)
+        v[i], v[j] = _mix(v[i], v[j], x, y, pp, qq)
 
     n = min(r, c)
     for t in range(n):
-        # the first nonzero entry of smallest magnitude is the pivot
+        # the first nonzero entry of smallest magnitude is the pivot; rows
+        # t, t+1, ... hold no entry left of column t
         piv = None
         best = None
         for i in range(t, r):
-            seg = a[i][t:]
-            low = min(map(abs, filter(None, seg)), default=0)
-            if low and (best is None or low < best):
+            row = a[i]
+            if not row:
+                continue
+            low = min(map(abs, row.values()))
+            if best is None or low < best:
                 best = low
-                piv = (i, t + next(j for j, x in enumerate(seg)
-                                   if x == low or x == -low))
+                piv = (i, min([j for j, x in row.items()
+                               if x == low or x == -low]))
                 if low == 1:
                     break
         if piv is None:
             break
         row_swap(t, piv[0])
         col_swap(t, piv[1])
+        # row_gcd(t, i, t) moves rows t and i only, and col_gcd(t, j, t)
+        # columns t and j only, so a pass may list the rows that hold an
+        # entry in column t, and the columns that hold one in row t, before
+        # it clears them; a[t][t] stays nonzero, so a row or column of one
+        # entry holds the pivot alone
         while True:
-            for i in range(t + 1, r):
-                if a[i][t] != 0:
+            for i in sorted(cols[t]):
+                if i > t:
                     row_gcd(t, i, t)
-            if not any(a[t][t + 1:]):
+            if len(a[t]) == 1:
                 break
-            for j in range(t + 1, c):
-                if a[t][j] != 0:
+            for j in sorted(a[t]):
+                if j > t:
                     col_gcd(t, j, t)
-            if not any(a[i][t] for i in range(t + 1, r)):
+            if len(cols[t]) == 1:
                 break
 
     for i in range(n):
-        if a[i][i] < 0:
+        if a[i].get(i, 0) < 0:
             row_neg(i)
 
     # enforce the divisibility chain d_1 | d_2 | ...
@@ -441,7 +541,7 @@ def smith_form(m):
     while changed:
         changed = False
         for i in range(n - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
+            di, dj = a[i].get(i, 0), a[i + 1].get(i + 1, 0)
             if di == 0 and dj != 0:
                 row_swap(i, i + 1)
                 col_swap(i, i + 1)
@@ -449,20 +549,20 @@ def smith_form(m):
             elif di != 0 and dj % di != 0:
                 col_add(i, i + 1, 1)
                 row_gcd(i, i + 1, i)
-                q = a[i][i + 1] // a[i][i]
+                q = a[i].get(i + 1, 0) // a[i][i]
                 col_add(i + 1, i, -q)
                 if a[i][i] < 0:
                     row_neg(i)
-                if a[i + 1][i + 1] < 0:
+                if a[i + 1].get(i + 1, 0) < 0:
                     row_neg(i + 1)
                 changed = True
 
-    diagonal = tuple([a[i][i] for i in range(n)])
+    diagonal = tuple([a[i].get(i, 0) for i in range(n)])
     return SmithForm(
-        u_rows=SparseVectors.of(u, r),
+        u_rows=_sparse(u),
         diagonal=diagonal,
-        v_cols=SparseVectors.of(v, c),
-        u_inv_cols=SparseVectors.of(uinv, r),
+        v_cols=_sparse(v),
+        u_inv_cols=_sparse(uinv),
         rank=sum(1 for x in diagonal if x),
     )
 

@@ -95,12 +95,13 @@ def validate_data(n_vertices, simplices_by_dim):
     return violations
 
 
-# Bound on the simplices of one dimension: the Smith reduction works on dense
-# n x n lists for n simplices (only the transforms it keeps are sparse), so
-# 1,000 one-vertex facets load in 0.36-0.55 s at 44 MB peak RSS and a
-# 1,000-edge cycle in 1.6-1.7 s at 105 MB (Python 3.11, 2 shared CPUs; with
-# dense kept transforms the same loads peaked at 90 and 145 MB).  T_13, the
-# largest grid torus measured for scaling, has 507 edges.
+# Bound on the simplices of one dimension: the Smith reduction reads nonzero
+# entries only, but its input is the dense n x n coboundary matrix for n
+# simplices, and u fills in, so 1,000 one-vertex facets load in 0.05-0.07 s
+# at 44 MB peak RSS and a 1,000-edge cycle in 0.61-0.66 s at 74 MB (Python
+# 3.11, 2 shared CPUs; with a dense reduction the same loads took 0.38-0.42
+# and 1.7-2.0 s, at 44 and 105 MB).  T_13, the largest grid torus measured
+# for scaling, has 507 edges.
 MAX_SIMPLICES_PER_DIMENSION = 1000
 
 
@@ -515,9 +516,16 @@ def _presentation(k, kernel_smith, image_gens, image_smith):
     if not (z and image_gens):
         return Presentation(k, basis, basis, (), FgAbelianGroup(z))
     ambient = len(basis[0])
-    # m == 0 (top-degree cohomology, H_0): the kernel basis is the standard
-    # one, and the relations matrix is the image matrix, already reduced
+    # m == 0 (top-degree cohomology, H_0): a zero matrix takes no column
+    # operation, so v is the identity, the kernel basis is the standard one,
+    # and the relations matrix is the image matrix, already reduced
     if kernel_smith.rank == 0:
+        v = kernel_smith.v_cols
+        if any(idx != [j] or vals != [1] for j, (idx, vals)
+               in enumerate(zip(v.indices, v.values))):
+            raise ArithmeticError("the kernel transform of a zero matrix is "
+                                  "not the identity, so the kernel lattice "
+                                  "basis is not the standard one")
         relations = image_smith
     else:
         # B, columns r.. of the unimodular v, has u' B^T v' == (I | 0) for

@@ -8,7 +8,7 @@ expectations do not depend on the code under test.
 
 import importlib.util
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd
 from operator import mul
 from pathlib import Path
@@ -692,12 +692,24 @@ class DenseSmith:
         return mat_vec(self.u, [row[j] for row in self.u_inv])
 
 
+def sparse_vectors(vectors, n):
+    """The SparseVectors of dense vectors of length n: the indices and the
+    values of each vector's nonzero entries."""
+    from hexad.exactalg import SparseVectors
+    ks = range(n)
+    indices, values = [], []
+    for vec in vectors:
+        indices.append(list(compress(ks, vec)))
+        values.append(list(filter(None, vec)))
+    return SparseVectors(tuple(indices), tuple(values))
+
+
 def reference_smith_form(m):
     """The Smith decomposition by the reduction `smith_form` replaced: the
     same pivot rule, found by reading every entry of rows and columns t, t+1,
     ... at step t, and every transform kept as dense rows until the end.
     `smith_form` must return an equal SmithForm on every matrix."""
-    from hexad.exactalg import SmithForm, SparseVectors, xgcd
+    from hexad.exactalg import SmithForm, xgcd
     r, c = m.rows, m.cols
     a = [list(row) for row in m.data]
     for row in a:
@@ -846,10 +858,10 @@ def reference_smith_form(m):
 
     diagonal = tuple([a[i][i] for i in range(n)])
     return SmithForm(
-        u_rows=SparseVectors.of(u, r),
+        u_rows=sparse_vectors(u, r),
         diagonal=diagonal,
-        v_cols=SparseVectors.of(zip(*v), c),
-        u_inv_cols=SparseVectors.of(zip(*uinv), r),
+        v_cols=sparse_vectors(zip(*v), c),
+        u_inv_cols=sparse_vectors(zip(*uinv), r),
         rank=sum(1 for x in diagonal if x),
     )
 

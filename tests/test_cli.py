@@ -582,18 +582,30 @@ def test_grid_verify_report_matches_the_recorded_digest(tmp_path):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
-def test_grid_torus_compute_report_is_pinned(tmp_path):
-    # construction at scale: the T_8 grid torus (192 edges) as the benchmark
-    # generates it at seed 0; every Smith form of its presentations, and
-    # the kernel coordinates read off them, feeds this report
+def grid_compute_digest(tmp_path, n):
+    """The SHA-256 of the `compute` report of the T_n grid torus as the
+    benchmark generates it at seed 0."""
     complexes = oracles.perfbench_complexes()
-    cplx = tmp_path / "T8.cplx"
-    cplx.write_text(complexes.generate("T8", *complexes.grid_torus(8), 0))
+    cplx = tmp_path / ("T%d.cplx" % n)
+    cplx.write_text(complexes.generate("T%d" % n, *complexes.grid_torus(n), 0))
     report = tmp_path / "report.json"
     assert run_cli(["compute", "--complex", str(cplx),
                     "--report", str(report)]) == 0
-    assert (hashlib.sha256(report.read_bytes()).hexdigest()
+    return hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+def test_grid_torus_compute_report_is_pinned(tmp_path):
+    # construction at scale: the T_8 grid torus (192 edges); every Smith
+    # form of its presentations, and the kernel coordinates read off them,
+    # feeds this report
+    assert (grid_compute_digest(tmp_path, 8)
             == "02917e67785c2a283901d44392d56faf0c5d4e52e744da57e6dea67d70bf07aa")
+
+
+def test_larger_grid_torus_compute_report_is_pinned(tmp_path):
+    # T_10 (300 edges): a reduction about twice the size of T_8's
+    assert (grid_compute_digest(tmp_path, 10)
+            == "d0d89253928d149b89b519f9d8f0df8b2412aea90723b7780c9e612a7df4cc86")
 
 
 def test_repeated_calls_share_no_parsed_state(capsys):

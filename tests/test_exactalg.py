@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hexad.exactalg import (
     FgAbelianGroup,
@@ -440,13 +440,14 @@ REFERENCE_TORI = {"T%d" % n: perfbench_complexes().grid_torus(n)
                   for n in range(3, 7)}
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG_FACETS) + sorted(REFERENCE_TORI)
-                         + ["sd-projective-plane"])
+@pytest.mark.parametrize("name", sorted(set(CATALOG_FACETS) | set(REFERENCE_TORI)
+                                | set(SMITH_INPUTS)) + ["sd-projective-plane"])
 def test_smith_form_equals_the_full_scan_reference_on_complexes(name):
-    # the pivot scan stops at the first unit and the transforms are updated
-    # by whole vectors; every field must equal that of the reduction that
-    # reads every entry and keeps dense rows, on each coboundary matrix and
-    # its transpose
+    # the pivot scan stops at the first unit and the reduction reads nonzero
+    # entries only; every field must equal that of the reduction that reads
+    # every entry and keeps dense rows, on each coboundary matrix and its
+    # transpose, odd torsion (the Moore spaces, the suspension and the
+    # product) included
     if name in REFERENCE_TORI:
         cx = SimplicialComplex.from_facets(name, *REFERENCE_TORI[name])
     else:
@@ -471,6 +472,41 @@ def small_matrices(draw):
 @example(Matrix(1, 2, [[2, 3]]))  # a column xgcd step
 @example(Matrix(2, 1, [[2], [3]]))  # a row xgcd step
 def test_smith_form_equals_the_full_scan_reference(m):
+    assert smith_form(m) == reference_smith_form(m)
+
+
+@st.composite
+def cancelling_matrices(draw):
+    """Integer matrices up to 12x12 with at least 70% zero entries: a base
+    at most a quarter nonzero, with copies and negated copies of its rows
+    and columns appended and both orders shuffled, so that the reduction
+    cancels entries, and whole rows and columns, to 0."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    data = [[0] * cols for _ in range(rows)]
+    for i, j, x in draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                           st.integers(0, cols - 1),
+                                           st.integers(-4, 4)),
+                                 max_size=rows * cols // 4)):
+        data[i][j] = x
+    signs = st.sampled_from([1, -1])
+    for _ in range(draw(st.integers(0, 12 - rows))):
+        i, sign = draw(st.integers(0, len(data) - 1)), draw(signs)
+        data.append([sign * x for x in data[i]])
+    for _ in range(draw(st.integers(0, 12 - cols))):
+        j, sign = draw(st.integers(0, len(data[0]) - 1)), draw(signs)
+        for row in data:
+            row.append(sign * row[j])
+    order = draw(st.permutations(range(len(data[0]))))
+    data = [[row[j] for j in order] for row in draw(st.permutations(data))]
+    assume(10 * sum(row.count(0) for row in data) >= 7 * len(data) * len(order))
+    return Matrix(len(data), len(order), data)
+
+
+@SPLIT_PROPERTY
+@given(cancelling_matrices())
+@example(Matrix(2, 2, [[1, 1], [-1, -1]]))  # a row that cancels to 0
+@example(Matrix(2, 3, [[0, 2, -2], [3, 0, 0]]))  # a column that cancels
+def test_smith_form_equals_the_full_scan_reference_on_cancelling_matrices(m):
     assert smith_form(m) == reference_smith_form(m)
 
 

@@ -12,7 +12,9 @@ names the ring lookup that `Ring(name)` replaced; and the checks made of
 identity-table rows alone call no `run.require` of their own; and no
 module keeps the dense matrix arithmetic, the boundary-matrix builder or
 the period record that only tests called, so `Matrix` is a shaped input
-record for the Smith solvers and nothing more."""
+record for the Smith solvers and nothing more; and no module defines or
+calls `SparseVectors.of`, the dense-to-sparse conversion that only the
+dense reference reduction in `tests/oracles.py` still needs."""
 
 import ast
 from pathlib import Path
@@ -297,6 +299,36 @@ def test_the_checker_sees_dead_helpers():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_dead_helpers(path):
     assert refused_names(path.read_text(encoding="utf-8"), DEAD_HELPERS) == []
+
+
+def sparse_vectors_of(source):
+    """(line, name) of each `of` method that a class named SparseVectors
+    defines, and of each `SparseVectors.of` read."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "SparseVectors":
+            found += [(f.lineno, "of") for f in node.body
+                      if isinstance(f, ast.FunctionDef) and f.name == "of"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "of"
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "SparseVectors"):
+            found.append((node.lineno, "SparseVectors.of"))
+    return sorted(found)
+
+
+def test_the_checker_sees_the_dense_to_sparse_conversion():
+    assert sparse_vectors_of(
+        "class SparseVectors:\n    @classmethod\n    def of(cls, v, n): pass\n"
+        "f = SparseVectors.of(u, r)\n") == [(3, "of"), (4, "SparseVectors.of")]
+    assert sparse_vectors_of("class IntRow:\n    def of(cls, v): pass\n"
+                             "IntRow.of(b)\nSparseVectors(i, v)\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/hexad/*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_converts_dense_transforms(path):
+    # the reduction builds its SparseVectors from its own sparse vectors
+    assert sparse_vectors_of(path.read_text(encoding="utf-8")) == []
 
 
 def test_matrix_is_a_shaped_input_record():

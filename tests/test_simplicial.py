@@ -11,6 +11,7 @@ from hexad.exactalg import (
     MixedSubgroup,
     SparseVectors,
     quotient_group,
+    smith_form,
 )
 from hexad.simplicial import (
     MAX_FACE_ENUMERATION,
@@ -552,6 +553,34 @@ def test_presentation_refuses_a_wrong_kernel_transform(name):
                                                     tuple(values)))
             with pytest.raises(ArithmeticError, match="kernel lattice"):
                 simplicial._presentation(1, wrong, image, cx.coboundary_smith(0))
+
+
+def wrong_values(f):
+    """Copies of the SmithForm f, each with one value of v raised by 1."""
+    for j in range(len(f.v_cols.values)):
+        for t in range(len(f.v_cols.values[j])):
+            values = list(f.v_cols.values)
+            values[j] = values[j][:t] + [values[j][t] + 1] + values[j][t + 1:]
+            yield replace(f, v_cols=SparseVectors(f.v_cols.indices,
+                                                  tuple(values)))
+
+
+def test_presentation_refuses_a_wrong_identity_kernel_transform():
+    # a zero matrix (circle H^1, and H_0) takes the standard kernel basis
+    # read off v, which must then be the identity: one wrong value in v is
+    # an ArithmeticError, never a wrong group
+    cx = catalog("circle")
+    delta = [cx.coboundary_matrix(k) for k in (-1, 0)]
+    cases = [(1, cx.coboundary_smith(1), delta[1].transpose().data,
+              cx.coboundary_smith(0), cx.cohomology_structure(1)),
+             (0, smith_form(delta[0].transpose()), delta[1].data,
+              smith_form(delta[1].transpose()), cx.homology_structure(0))]
+    for k, f, image, image_smith, expected in cases:
+        assert f.rank == 0 and f.v_cols.values
+        assert simplicial._presentation(k, f, image, image_smith) == expected
+        for wrong in wrong_values(f):
+            with pytest.raises(ArithmeticError, match="kernel lattice"):
+                simplicial._presentation(k, wrong, image, image_smith)
 
 
 @pytest.mark.parametrize("name", sorted(oracles.CATALOG_FACETS))
